@@ -43,6 +43,18 @@ inline bool handle_registry_listings(int argc, const char* const* argv) {
   return false;
 }
 
+/// A bench's main(): runs `body`, turning a CheckError (bad flags, a
+/// degenerate configuration) into its message on stderr and exit code 2
+/// instead of an abort through std::terminate.
+inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const CheckError& error) {
+    std::cerr << error.what() << "\n";
+    return 2;
+  }
+}
+
 /// Standard experiment knobs shared by every binary.
 struct BenchConfig {
   std::uint64_t reps = 5;
@@ -55,7 +67,9 @@ struct BenchConfig {
   [[nodiscard]] static BenchConfig from_cli(int argc, const char* const* argv) {
     Cli cli(argc, argv);
     BenchConfig config;
-    config.reps = static_cast<std::uint64_t>(cli.get_int("reps", 5));
+    const auto reps = cli.get_int("reps", 5);
+    FNR_CHECK_MSG(reps >= 1, "--reps must be >= 1, got " << reps);
+    config.reps = static_cast<std::uint64_t>(reps);
     config.quick = cli.get_flag("quick");
     config.full = cli.get_flag("full");
     const auto threads = cli.get_int("threads", 0);

@@ -29,7 +29,7 @@ std::uint64_t sweep_rounds(const graph::Graph& g, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   bench::print_header(
@@ -104,4 +104,8 @@ int main(int argc, char** argv) {
                    2)
             << " over the same sweep.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -17,7 +17,7 @@
 
 using namespace fnr;
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   const std::size_t n = config.quick ? 2048 : 4096;
@@ -85,4 +85,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -48,7 +48,7 @@ Cell run_cell(const runner::TrialRunner& runner, const graph::Graph& g,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   bench::print_header(
@@ -128,4 +128,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -36,7 +36,7 @@ core::NoWbOracle make_oracle(const graph::Graph& g,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   bench::print_header(
@@ -152,4 +152,8 @@ int main(int argc, char** argv) {
     bench::print_fit("Theorem 2 bound over the same sweep", ns, bounds);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -39,7 +39,7 @@ PermutedInstance permuted_double_star(std::size_t leaves,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   bench::print_header(
@@ -128,4 +128,8 @@ int main(int argc, char** argv) {
   bench::print_fit("wait+sweep", ns, sweep_r);
   bench::print_fit("random walks", ns, walk_r);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

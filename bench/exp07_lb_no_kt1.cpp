@@ -15,7 +15,7 @@
 
 using namespace fnr;
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   bench::print_header(
@@ -85,4 +85,8 @@ int main(int argc, char** argv) {
   bench::print_fit("random walks (port-only)", ns, walk_r);
   bench::print_fit("core algorithm (KT1 restored)", ns, core_r);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

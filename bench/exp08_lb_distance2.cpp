@@ -16,7 +16,7 @@
 
 using namespace fnr;
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   bench::print_header(
@@ -105,4 +105,8 @@ int main(int argc, char** argv) {
   bench::print_fit("wait+explore at distance 2", ns, explore_r);
   bench::print_fit("random walks at distance 2", ns, walk_r);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

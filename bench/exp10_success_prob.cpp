@@ -8,7 +8,7 @@
 
 using namespace fnr;
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
   const std::uint64_t trials = config.quick ? 10 : 40;
@@ -52,4 +52,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -85,7 +85,7 @@ std::vector<scenario::Program> programs_for(const scenario::Scenario& s,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   if (bench::handle_registry_listings(argc, argv)) return 0;
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
@@ -129,4 +129,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

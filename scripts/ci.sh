@@ -89,6 +89,15 @@ rm -f sweep_ci_a.jsonl sweep_ci_b.jsonl sweep_ci_a.json sweep_ci_b.json
         --threads=1 --resume --quiet
 diff sweep_ci_a.json sweep_ci_b.json
 
+# Large-n identity: the predefined large-n spec runs graphs far above the
+# n <= 2048 port_by_pair cutoff, so every port lookup takes the search
+# path. At default flags and at --threads=1 its merged JSON must match.
+rm -f sweep_large_default.json sweep_large_t1.json
+./sweep --spec=large-n --checkpoint= --out=sweep_large_default.json --quiet
+./sweep --spec=large-n --checkpoint= --out=sweep_large_t1.json --threads=1 \
+        --quiet
+diff sweep_large_default.json sweep_large_t1.json
+
 # Executor byte-identity: the same campaign at --jobs=4 (work-stealing
 # cell pool) must emit byte-identical merged JSON AND byte-identical
 # checkpoint lines — modulo the informational "seconds" field, the only

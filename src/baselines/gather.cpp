@@ -19,8 +19,9 @@ void GatherAtMinAgent::on_idle(const sim::View& view) {
 
   if (!rallying_) {
     if (!adjacency_.contains(here)) {
-      adjacency_[here] = view.neighbor_ids();
-      adjacency_words_ += 1 + view.neighbor_ids().size();
+      const auto ids = view.neighbor_ids();
+      adjacency_[here].assign(ids.begin(), ids.end());
+      adjacency_words_ += 1 + ids.size();
       min_seen_ = std::min(min_seen_, here);
     }
     // Resume this vertex's child scan where it left off (keeps the whole

@@ -54,14 +54,44 @@ Graph GraphBuilder::build(IdSpace ids) && {
     g.max_degree_ = std::max(g.max_degree_, d);
   }
 
-  g.id_to_index_.reserve(n_ * 2);
+  // ID -> index: a flat array when the ID space is dense enough (id_bound =
+  // O(n)) for it to be cheap, a hash index under sparse polynomial naming
+  // (id_bound = n^e), where the array would be quadratic-or-worse in n.
+  const bool dense = ids.bound <= 8 * n_ + 1024;
+  if (dense)
+    g.index_by_id_.assign(ids.bound, kNoVertex);
+  else
+    g.id_to_index_.reserve(n_ * 2);
   for (VertexIndex v = 0; v < n_; ++v) {
     const VertexId id = ids.ids[v];
     FNR_CHECK_MSG(id < ids.bound,
                   "ID " << id << " >= bound n'=" << ids.bound);
-    const auto [it, inserted] = g.id_to_index_.emplace(id, v);
-    (void)it;
+    const bool inserted = dense ? g.index_by_id_[id] == kNoVertex
+                                : g.id_to_index_.emplace(id, v).second;
     FNR_CHECK_MSG(inserted, "duplicate vertex ID " << id);
+    if (dense) g.index_by_id_[id] = v;
+  }
+
+  // Per-slot tables. Visiting owners v in ascending order, v is the k-th
+  // visitor of u exactly when v is u's k-th smallest neighbor, i.e. sits
+  // behind u's port k — so a per-vertex counter yields port_to(u, v) for
+  // every slot in one O(m) sweep, with no search.
+  const std::size_t slots = g.adjacency_.size();
+  g.neighbor_ids_.resize(slots);
+  g.reverse_ports_.resize(slots);
+  std::vector<std::uint32_t> next_port(n_, 0);
+  for (std::size_t s = 0; s < slots; ++s) {
+    const VertexIndex u = g.adjacency_[s];
+    g.neighbor_ids_[s] = ids.ids[u];
+    g.reverse_ports_[s] = next_port[u]++;
+  }
+  if (n_ <= kPortPairMaxVertices) {
+    g.port_by_pair_.assign(n_ * n_, kNoPort);
+    for (VertexIndex v = 0; v < n_; ++v) {
+      for (std::uint64_t s = g.offsets_[v]; s < g.offsets_[v + 1]; ++s)
+        g.port_by_pair_[v * n_ + g.adjacency_[s]] =
+            static_cast<std::uint16_t>(s - g.offsets_[v]);
+    }
   }
   g.id_space_ = std::move(ids);
   return g;

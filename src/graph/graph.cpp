@@ -6,6 +6,11 @@
 namespace fnr::graph {
 
 std::size_t Graph::port_to(VertexIndex v, VertexIndex u) const {
+  if (!port_by_pair_.empty() && u < num_vertices()) {
+    const std::uint16_t port = port_by_pair_[v * num_vertices() + u];
+    if (port != kNoPort) return port;
+    // Not an edge: fall through so the search raises the canonical error.
+  }
   const auto nbrs = neighbors(v);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);
   FNR_CHECK_MSG(it != nbrs.end() && *it == u,
@@ -40,6 +45,8 @@ VertexIndex Graph::index_of(VertexId id) const {
 }
 
 VertexIndex Graph::try_index_of(VertexId id) const noexcept {
+  if (!index_by_id_.empty())
+    return id < index_by_id_.size() ? index_by_id_[id] : kNoVertex;
   const auto it = id_to_index_.find(id);
   return it == id_to_index_.end() ? kNoVertex : it->second;
 }

@@ -5,6 +5,11 @@
 // vertices are dense indices [0, n); the ID space is attached at build time
 // (see id_space.hpp). Adjacency is CSR with per-vertex neighbor lists sorted
 // by neighbor index — that order defines the local port numbering ˆP_v.
+//
+// The observation tables agents read every round (KT1 neighbor IDs, the
+// arrival port behind each move, ID → index) are built once in
+// GraphBuilder::build as flat arrays indexed by adjacency slot, so every
+// scheduler, worker and trial on one graph shares them read-only.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,13 @@ using VertexId = std::uint64_t;
 
 /// Sentinel for "no vertex".
 inline constexpr VertexIndex kNoVertex = static_cast<VertexIndex>(-1);
+
+/// Sentinel in Graph::port_by_pair for vertex pairs that share no edge.
+inline constexpr std::uint16_t kNoPort = 0xFFFF;
+
+/// Largest n that gets the n² port_by_pair table (8 MB at the cutoff);
+/// larger graphs answer port_to by binary search.
+inline constexpr std::size_t kPortPairMaxVertices = 2048;
 
 /// The naming regime attached to a graph (paper §2.1 and §4.2).
 struct IdSpace {
@@ -70,8 +82,40 @@ class Graph {
   }
 
   /// Inverse port map ˆP_v^{-1}: the port of v leading to u; kNoVertex-free:
-  /// requires (v, u) to be an edge.
+  /// requires (v, u) to be an edge. One load from port_by_pair when the
+  /// graph has it, else a binary search over v's neighbors.
   [[nodiscard]] std::size_t port_to(VertexIndex v, VertexIndex u) const;
+
+  /// IDs of v's neighbors in port order: neighbor_ids(v)[p] ==
+  /// id_of(neighbors(v)[p]).
+  [[nodiscard]] std::span<const VertexId> neighbor_ids(VertexIndex v) const {
+    FNR_ASSERT(v < num_vertices());
+    return {neighbor_ids_.data() + offsets_[v],
+            neighbor_ids_.data() + offsets_[v + 1]};
+  }
+
+  /// Arrival ports in port order: reverse_ports(v)[p] is the port of
+  /// u = neighbors(v)[p] leading back to v, i.e. port_to(u, v).
+  [[nodiscard]] std::span<const std::uint32_t> reverse_ports(
+      VertexIndex v) const {
+    FNR_ASSERT(v < num_vertices());
+    return {reverse_ports_.data() + offsets_[v],
+            reverse_ports_.data() + offsets_[v + 1]};
+  }
+
+  /// index_by_id()[id] is the vertex named `id` (kNoVertex for unused IDs).
+  /// Built only for dense ID spaces (id_bound <= 8n + 1024); empty under
+  /// sparse polynomial naming, where try_index_of uses a hash index.
+  [[nodiscard]] std::span<const VertexIndex> index_by_id() const noexcept {
+    return index_by_id_;
+  }
+
+  /// port_by_pair()[v * n + u] is the port of v leading to u (kNoPort when
+  /// vu is not an edge). Quadratic in n, so built only for n <=
+  /// kPortPairMaxVertices; empty otherwise.
+  [[nodiscard]] std::span<const std::uint16_t> port_by_pair() const noexcept {
+    return port_by_pair_;
+  }
 
   [[nodiscard]] bool has_edge(VertexIndex u, VertexIndex v) const;
 
@@ -107,8 +151,12 @@ class Graph {
 
   std::vector<std::uint64_t> offsets_;   // size n+1
   std::vector<VertexIndex> adjacency_;   // size 2m, sorted per vertex
+  std::vector<VertexId> neighbor_ids_;   // per slot: id_of(adjacency_[s])
+  std::vector<std::uint32_t> reverse_ports_;  // per slot: arrival port
   IdSpace id_space_;
-  std::unordered_map<VertexId, VertexIndex> id_to_index_;
+  std::vector<VertexIndex> index_by_id_;  // dense ID spaces only
+  std::unordered_map<VertexId, VertexIndex> id_to_index_;  // sparse only
+  std::vector<std::uint16_t> port_by_pair_;  // n <= kPortPairMaxVertices
   std::size_t min_degree_ = 0;
   std::size_t max_degree_ = 0;
 };

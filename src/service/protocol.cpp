@@ -136,7 +136,8 @@ std::string cell_response(const std::string& campaign, const std::string& key,
                           const std::string& error) {
   std::ostringstream os;
   os << "{\"type\":\"cell\",\"campaign\":\"" << json_escape(campaign)
-     << "\",\"key\":\"" << key << "\",\"ok\":" << (ok ? "true" : "false");
+     << "\",\"key\":\"" << json_escape(key)
+     << "\",\"ok\":" << (ok ? "true" : "false");
   if (ok) {
     os << ",\"agg\":" << agg_json;
   } else {

@@ -44,7 +44,7 @@ std::uint64_t count_at_slice(const graph::VertexIndex* pos, std::size_t k,
 }  // namespace
 
 BatchScheduler::BatchScheduler(const graph::Graph& g, Model model)
-    : graph_(g), model_(model), table_(g) {}
+    : graph_(g), model_(model) {}
 
 void BatchScheduler::begin_batch(Gathering gathering) {
   gathering_ = gathering;
@@ -93,7 +93,10 @@ void BatchScheduler::add_trial(const std::vector<Agent*>& agents,
   // A private whiteboard store per trial: lock-stepped trials must not be
   // able to observe each other. Stores are pooled across batches; counters
   // are monotonic (like the scalar arena), so metrics are deltas.
-  if (boards_.size() <= t) boards_.emplace_back(graph_.num_vertices());
+  if (boards_.size() <= t)
+    boards_.emplace_back(graph_.num_vertices());
+  else if (boards_[t].num_vertices() != graph_.num_vertices())
+    boards_[t] = Whiteboards(graph_.num_vertices());  // new graph, same address
   boards_[t].clear_all();
 }
 
@@ -108,12 +111,9 @@ std::vector<ScenarioRunResult> BatchScheduler::run() {
   }
   for (std::size_t i = 0; i < k_; ++i) {
     View& view = views_[i];
-    view.id_bound_ = graph_.id_bound();
-    view.n_ = graph_.num_vertices();
     view.model_ = model_;
     view.graph_ = &graph_;
     view.faults_ = nullptr;  // the batch kernel is fault-free by contract
-    view.shared_ids_ = &table_;
   }
 
   wb_reads0_.resize(trials_);
@@ -199,9 +199,8 @@ std::vector<ScenarioRunResult> BatchScheduler::run() {
         const graph::VertexIndex to = graph_.neighbor_at_port(from, port);
         pos_[base + i] = to;
         // Precomputed port_to(to, from): one load instead of a binary
-        // search over to's neighbor list (the scalar scheduler's hottest
-        // per-move cost).
-        arrival_[base + i] = table_.rev[from][port];
+        // search over to's neighbor list.
+        arrival_[base + i] = graph_.reverse_ports(from)[port];
         ++res.agents[i].moves;
       }
       live_[keep++] = t;  // still running next round
@@ -219,13 +218,8 @@ std::vector<ScenarioRunResult> BatchScheduler::run() {
 
 BatchScheduler& BatchSchedulerScratch::kernel_for(const graph::Graph& g,
                                                   Model model) {
-  if (!kernel_ || &kernel_->graph() != &g ||
-      cached_vertices_ != g.num_vertices() ||
-      cached_edges_ != g.num_edges() || !(kernel_->model() == model)) {
+  if (!kernel_ || &kernel_->graph() != &g || !(kernel_->model() == model))
     kernel_.emplace(g, model);
-    cached_vertices_ = g.num_vertices();
-    cached_edges_ = g.num_edges();
-  }
   return *kernel_;
 }
 

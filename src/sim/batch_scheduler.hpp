@@ -1,13 +1,12 @@
 // Lock-step batched execution of many independent trials on one graph.
 //
 // A sweep cell runs hundreds of trials of the same (graph, model, scenario)
-// with different seeds. The scalar Scheduler executes them one at a time,
-// which re-derives per-graph observations (neighbor-ID lists, ID→index
-// lookups) once per trial. The BatchScheduler stages a batch of trials and
-// advances them all through round 0, round 1, … in lock step, with the
-// per-(trial, agent) state — positions, arrival ports, wake clocks — laid
-// out as flat structure-of-arrays buffers indexed by trial*k + agent, and
-// all Views served from one shared, precomputed NeighborTable.
+// with different seeds. The scalar Scheduler executes them one at a time;
+// the BatchScheduler stages a batch of trials and advances them all through
+// round 0, round 1, … in lock step, with the per-(trial, agent) state —
+// positions, arrival ports, wake clocks — laid out as flat
+// structure-of-arrays buffers indexed by trial*k + agent. Like the scalar
+// path, Views read the graph's per-slot observation tables directly.
 //
 // Bit-exactness contract: trials are mutually independent, and within one
 // trial the batch round loop performs *exactly* the scalar run_scenario
@@ -34,7 +33,6 @@
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/model.hpp"
-#include "sim/neighbor_table.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/view.hpp"
 #include "sim/whiteboard.hpp"
@@ -43,8 +41,8 @@ namespace fnr::sim {
 
 class BatchScheduler {
  public:
-  /// Binds the kernel to `g` (must outlive the BatchScheduler) and `model`;
-  /// precomputes the shared neighbor table.
+  /// Binds the kernel to `g` (must outlive the BatchScheduler) and
+  /// `model`.
   BatchScheduler(const graph::Graph& g, Model model);
 
   /// Starts staging a new batch (drops any previously staged trials).
@@ -70,7 +68,6 @@ class BatchScheduler {
 
   const graph::Graph& graph_;
   Model model_;
-  NeighborTable table_;
 
   Gathering gathering_ = Gathering::AnyPair;
   std::size_t trials_ = 0;  ///< staged trials in the current batch
@@ -95,16 +92,15 @@ class BatchScheduler {
 };
 
 /// Per-worker batch-kernel cache, mirroring SchedulerScratch: hands out a
-/// BatchScheduler for a (graph, model) pair, rebuilding only when either
-/// changes (same address+size identity contract as SchedulerScratch).
+/// BatchScheduler bound to `g`'s address under `model`, rebuilding only
+/// when either changes (whiteboard pools re-size per trial on a vertex-count
+/// change, so a new graph at the same address is served correctly).
 class BatchSchedulerScratch {
  public:
   [[nodiscard]] BatchScheduler& kernel_for(const graph::Graph& g, Model model);
 
  private:
   std::optional<BatchScheduler> kernel_;
-  std::size_t cached_vertices_ = 0;
-  std::size_t cached_edges_ = 0;
 };
 
 }  // namespace fnr::sim

@@ -1,48 +1,74 @@
-// Graph-wide observation tables shared by lock-stepped trials.
+// A zero-copy, vertex-indexed view of a graph's observation tables.
 //
-// Every trial of one sweep cell walks the same immutable graph, so the
-// per-View lazy neighbor-ID cache (one vertex wide) re-derives the same
-// ID lists over and over across trials. A NeighborTable materializes the
-// whole answer space once per graph: neighbor IDs in port order for every
-// vertex, plus the inverse ID→index map as a flat array. Views served from
-// a shared table (see View::neighbor_ids / View::port_of) return exactly
-// what the lazy cache would have returned — same values, same order — so
-// swapping the table in is observationally invisible to agents.
+// The tables themselves — neighbor IDs and arrival ports per adjacency
+// slot, the dense ID→index array, the small-graph port_by_pair table — are
+// built once per graph in GraphBuilder::build and live in graph::Graph,
+// where every Scheduler, BatchScheduler and View reads them directly.
+// NeighborTable only re-exposes them in row form (ids[v][port],
+// rev[v][port]) for code that inspects the tables as a whole; constructing
+// one copies nothing and allocates nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "graph/graph.hpp"
 
 namespace fnr::sim {
 
 struct NeighborTable {
-  explicit NeighborTable(const graph::Graph& g);
+  /// rows[v] == (g.*Row)(v): one span per vertex, iterable in vertex order.
+  template <auto Row>
+  class Rows {
+   public:
+    explicit Rows(const graph::Graph& g) : g_(&g) {}
 
-  /// ids[v][port] — ID of vertex v's neighbor through `port` (the exact
-  /// sequence View's per-vertex cache would produce for v).
-  std::vector<std::vector<graph::VertexId>> ids;
-  /// rev[v][port] — the arrival port an agent observes after crossing
-  /// `port` from v: with u = neighbors(v)[port], rev[v][port] is
-  /// Graph::port_to(u, v). Precomputing it turns the kernel's per-move
-  /// binary search into one array load.
-  std::vector<std::vector<std::uint32_t>> rev;
-  /// index_by_id[id] — vertex index for `id`, kNoVertex for unused IDs.
-  /// Built only when the ID space is dense enough (id_bound = O(n)) for a
-  /// flat array to be cheap; empty under sparse polynomial naming, where
-  /// lookups fall back to the graph's hash index.
-  std::vector<graph::VertexIndex> index_by_id;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return g_->num_vertices();
+    }
+    [[nodiscard]] auto operator[](graph::VertexIndex v) const {
+      return (g_->*Row)(v);
+    }
 
-  /// Sentinel in port_by_pair for vertex pairs that share no edge.
-  static constexpr std::uint16_t kNoPort = 0xFFFF;
-  /// port_by_pair[v * num_vertices + u] — the port leading from v to u
-  /// (kNoPort when vu is not an edge). Turns the route-following
-  /// View::port_of binary search into one array load. Quadratic in n, so
-  /// it is only built for small graphs; empty otherwise, and lookups fall
-  /// back to Graph::port_to.
-  std::vector<std::uint16_t> port_by_pair;
-  std::size_t num_vertices = 0;
+    class iterator {
+     public:
+      iterator(const Rows* rows, graph::VertexIndex v) : rows_(rows), v_(v) {}
+      auto operator*() const { return (*rows_)[v_]; }
+      iterator& operator++() {
+        ++v_;
+        return *this;
+      }
+      bool operator==(const iterator&) const = default;
+
+     private:
+      const Rows* rows_;
+      graph::VertexIndex v_;
+    };
+    [[nodiscard]] iterator begin() const { return {this, 0}; }
+    [[nodiscard]] iterator end() const {
+      return {this, static_cast<graph::VertexIndex>(size())};
+    }
+
+   private:
+    const graph::Graph* g_;
+  };
+
+  explicit NeighborTable(const graph::Graph& g)
+      : ids(g),
+        rev(g),
+        index_by_id(g.index_by_id()),
+        port_by_pair(g.port_by_pair()) {}
+
+  /// ids[v][port] — ID of v's neighbor through `port` (Graph::neighbor_ids).
+  Rows<&graph::Graph::neighbor_ids> ids;
+  /// rev[v][port] — the arrival port after crossing `port` from v
+  /// (Graph::reverse_ports).
+  Rows<&graph::Graph::reverse_ports> rev;
+  /// Graph::index_by_id — empty under sparse naming.
+  std::span<const graph::VertexIndex> index_by_id;
+  /// Graph::port_by_pair — empty above kPortPairMaxVertices.
+  std::span<const std::uint16_t> port_by_pair;
 };
 
 }  // namespace fnr::sim

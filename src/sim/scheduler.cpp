@@ -60,9 +60,16 @@ Placement random_adjacent_placement(const graph::Graph& g, Rng& rng) {
 }
 
 Scheduler::Scheduler(const graph::Graph& g, Model model)
-    : graph_(g), model_(model), boards_(g.num_vertices()), table_(g) {}
+    : graph_(g), model_(model), boards_(g.num_vertices()) {}
 
 void Scheduler::ensure_arena(std::size_t k) {
+  // The graph at graph_'s address may have been replaced since the last run
+  // (SchedulerScratch keys arenas by address); the boards are the only
+  // per-graph state the arena holds, so re-size them on a vertex-count
+  // change and otherwise just clear them.
+  if (boards_.num_vertices() != graph_.num_vertices())
+    boards_ = Whiteboards(graph_.num_vertices());
+  boards_.clear_all();
   if (views_.size() < k) {
     pos_.reserve(k);
     arrival_port_.resize(k);
@@ -74,15 +81,9 @@ void Scheduler::ensure_arena(std::size_t k) {
     views_.resize(k);
     for (auto& view : views_) {
       // Graph/model bindings never change for this arena; set them once.
-      view.id_bound_ = graph_.id_bound();
-      view.n_ = graph_.num_vertices();
       view.model_ = model_;
       view.graph_ = &graph_;
       view.boards_ = model_.whiteboards ? &boards_ : nullptr;
-      // Neighborhood observations answer from the shared per-graph table
-      // (observationally identical to the old per-View lazy cache, without
-      // a per-view max-degree reservation — which matters at massive k).
-      view.shared_ids_ = &table_;
     }
   }
   // pos_ is consumed whole by the gathering predicate, so it must hold
@@ -135,7 +136,6 @@ RunResult Scheduler::run(Agent& agent_a, Agent& agent_b, Placement placement,
   FNR_CHECK(placement.b_start < graph_.num_vertices());
   FNR_CHECK_MSG(placement.a_start != placement.b_start,
                 "agents must start at distinct vertices");
-  boards_.clear_all();
   ensure_arena(2);
   // The paper's reliable two-agent model: never inject here, and clear any
   // session pointer a previous faulty scenario run left in the arena views.
@@ -187,7 +187,7 @@ RunResult Scheduler::run(Agent& agent_a, Agent& agent_b, Placement placement,
       }
       const graph::VertexIndex from = pos[i];
       pos[i] = graph_.neighbor_at_port(from, port);
-      arrival[i] = table_.rev[from][port];
+      arrival[i] = graph_.reverse_ports(from)[port];
       ++result.metrics.moves[i];
     }
   }
@@ -224,7 +224,6 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
       FNR_CHECK_MSG(sorted_starts[i] != sorted_starts[i - 1],
                     "agents must start at distinct vertices");
   }
-  boards_.clear_all();
   ensure_arena(k);
 
   ScenarioRunResult result;
@@ -389,7 +388,7 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
         continue;
       }
       pos_[i] = to;
-      arrival_port_[i] = table_.rev[from][port];
+      arrival_port_[i] = graph_.reverse_ports(from)[port];
       ++result.agents[i].moves;
       if (occupancy) {
         // Each move is two O(1) count updates; the threshold counter moves
@@ -419,7 +418,6 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
 RunResult Scheduler::run_single(Agent& agent, graph::VertexIndex start,
                                 std::uint64_t max_rounds) {
   FNR_CHECK(start < graph_.num_vertices());
-  boards_.clear_all();
   ensure_arena(1);
   views_[0].faults_ = nullptr;  // reliable, like Scheduler::run
 
@@ -449,7 +447,7 @@ RunResult Scheduler::run_single(Agent& agent, graph::VertexIndex start,
     } else {
       const graph::VertexIndex from = pos;
       pos = graph_.neighbor_at_port(from, action.move_port);
-      arrival_port = table_.rev[from][action.move_port];
+      arrival_port = graph_.reverse_ports(from)[action.move_port];
       ++result.metrics.moves[0];
     }
   }
@@ -462,18 +460,9 @@ RunResult Scheduler::run_single(Agent& agent, graph::VertexIndex start,
 
 Scheduler& SchedulerScratch::scheduler_for(const graph::Graph& g,
                                            Model model) {
-  // Identity is the graph's address plus a size snapshot taken at build
-  // time: the snapshot catches a *different* graph object reusing a dead
-  // graph's address (e.g. a loop-local Graph) — see the header contract.
-  // (Equal-sized topology changes at one address remain undetectable;
-  // hence the documented same-live-object requirement.)
   if (!scheduler_ || &scheduler_->graph() != &g ||
-      cached_vertices_ != g.num_vertices() ||
-      cached_edges_ != g.num_edges() || !(scheduler_->model() == model)) {
+      !(scheduler_->model() == model))
     scheduler_.emplace(g, model);
-    cached_vertices_ = g.num_vertices();
-    cached_edges_ = g.num_edges();
-  }
   return *scheduler_;
 }
 

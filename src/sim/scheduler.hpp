@@ -33,11 +33,12 @@
 // per-vertex occupancy counts, the whiteboard store — lives in the
 // Scheduler and is reset (not reallocated) at the start of each run, so
 // repeated trials on one Scheduler perform zero heap allocation after the
-// first (warm-up) run. Views observe through one shared NeighborTable per
-// arena (same values and order as the per-View lazy cache it replaces) and
-// moves resolve arrival ports from the table's precomputed rev array.
-// Scheduler::run additionally takes a branch-light two-agent fast path with
-// no per-run vectors at all. tests/test_alloc_guard.cpp enforces these
+// first (warm-up) run. The arena holds no per-graph tables: Views observe
+// neighbor IDs through spans into the graph's per-slot arrays, and moves
+// resolve arrival ports with one load from Graph::reverse_ports — both
+// built once per graph in GraphBuilder::build and shared read-only by
+// every Scheduler on that graph. Scheduler::run additionally takes a
+// branch-light two-agent fast path with no per-run vectors at all. tests/test_alloc_guard.cpp enforces these
 // invariants; docs/PERFORMANCE.md and docs/ARCHITECTURE.md document them.
 //
 // Meeting detection: every gathering predicate is a per-vertex co-location
@@ -58,7 +59,6 @@
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/model.hpp"
-#include "sim/neighbor_table.hpp"
 #include "sim/view.hpp"
 #include "sim/whiteboard.hpp"
 #include "util/rng.hpp"
@@ -172,9 +172,10 @@ class Scheduler {
   /// kernel's kNoPort.
   static constexpr std::uint32_t kNoArrival = 0xFFFFFFFFu;
 
-  /// Grows the per-agent arena to `k` slots and resets the per-run state
-  /// (positions untouched — callers seed them). Allocates only when `k`
-  /// exceeds every previous run's agent count.
+  /// Grows the per-agent arena to `k` slots and resets the per-run state,
+  /// whiteboards included (positions untouched — callers seed them).
+  /// Allocates only when `k` exceeds every previous run's agent count or
+  /// the graph's vertex count changed.
   void ensure_arena(std::size_t k);
 
   /// Points views_[agent] at (here, local_round, arrival) for this round.
@@ -193,11 +194,7 @@ class Scheduler {
 
   const graph::Graph& graph_;
   Model model_;
-  Whiteboards boards_;
-  // Shared per-graph observation table (neighbor IDs, precomputed arrival
-  // ports): every View answers from it, and moves look arrival ports up in
-  // rev instead of a per-move binary search.
-  NeighborTable table_;
+  Whiteboards boards_;  // re-sized by ensure_arena if graph_'s n changes
   fault::FaultSession* faults_ = nullptr;  // non-owning; null = reliable
   MeetingDetection detection_ = MeetingDetection::Auto;
   bool self_check_ = false;
@@ -227,27 +224,20 @@ class Scheduler {
 };
 
 /// Per-worker scheduler cache: hands out a Scheduler arena for a
-/// (graph, model) pair, reconstructing only when either changes. Batch
-/// loops (core::run_trials, scenario::run_scenario_trials) keep one
-/// SchedulerScratch per worker thread, so after the first trial every
-/// subsequent trial on that worker reuses a warm arena and the trial loop
-/// stays allocation-free.
+/// (graph, model) pair. Batch loops (core::run_trials,
+/// scenario::run_scenario_trials) keep one SchedulerScratch per worker
+/// thread, so after the first trial every subsequent trial on that worker
+/// reuses a warm arena and the trial loop stays allocation-free.
 class SchedulerScratch {
  public:
-  /// The cached Scheduler for (g, model); rebuilt if the cache currently
-  /// holds a different graph or model. Graphs are identified by address
-  /// (plus size sanity checks), so a graph handed to a scratch must stay
-  /// the same live object across calls — scope a scratch within one
-  /// graph's lifetime, as the batch runners do.
+  /// A Scheduler bound to `g`'s address under `model`, rebuilt when either
+  /// changes. The arena caches nothing derived from the graph beyond its
+  /// vertex count, which every run re-checks, so a different graph later
+  /// built at the same address is served correctly too.
   [[nodiscard]] Scheduler& scheduler_for(const graph::Graph& g, Model model);
 
  private:
   std::optional<Scheduler> scheduler_;
-  // Size snapshot taken when the cached Scheduler was built: catches a
-  // *different* graph object reusing the cached graph's address (the
-  // address alone cannot distinguish that case).
-  std::size_t cached_vertices_ = 0;
-  std::size_t cached_edges_ = 0;
 };
 
 }  // namespace fnr::sim

@@ -1,44 +1,23 @@
 #include "sim/view.hpp"
 
 #include "fault/fault.hpp"
-#include "sim/neighbor_table.hpp"
 
 namespace fnr::sim {
 
-const std::vector<graph::VertexId>& View::neighbor_ids() const {
+std::span<const graph::VertexId> View::neighbor_ids() const {
   FNR_CHECK_MSG(model_.neighborhood_ids,
                 "model does not grant access to neighborhood IDs");
   FNR_CHECK(graph_ != nullptr);
-  if (shared_ids_ != nullptr) return shared_ids_->ids[here_index_];
-  if (neighbor_ids_vertex_ != here_index_) {
-    const auto nbrs = graph_->neighbors(here_index_);
-    neighbor_ids_cache_.resize(nbrs.size());
-    for (std::size_t port = 0; port < nbrs.size(); ++port)
-      neighbor_ids_cache_[port] = graph_->id_of(nbrs[port]);
-    neighbor_ids_vertex_ = here_index_;
-  }
-  return neighbor_ids_cache_;
+  return graph_->neighbor_ids(here_index_);
 }
 
 std::size_t View::port_of(graph::VertexId id) const {
   FNR_CHECK_MSG(model_.neighborhood_ids,
                 "model does not grant access to neighborhood IDs");
   FNR_CHECK(graph_ != nullptr);
-  const graph::VertexIndex target =
-      (shared_ids_ != nullptr && !shared_ids_->index_by_id.empty())
-          ? (id < shared_ids_->index_by_id.size()
-                 ? shared_ids_->index_by_id[id]
-                 : graph::kNoVertex)
-          : graph_->try_index_of(id);
+  const graph::VertexIndex target = graph_->try_index_of(id);
   FNR_CHECK_MSG(target != graph::kNoVertex,
                 "ID " << id << " names no vertex");
-  if (shared_ids_ != nullptr && !shared_ids_->port_by_pair.empty()) {
-    const std::uint16_t port =
-        shared_ids_
-            ->port_by_pair[here_index_ * shared_ids_->num_vertices + target];
-    if (port != NeighborTable::kNoPort) return port;
-    // Not an edge: fall through so the graph raises the canonical error.
-  }
   return graph_->port_to(here_index_, target);
 }
 

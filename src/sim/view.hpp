@@ -9,14 +9,15 @@
 // against View physically cannot use what the model withholds.
 //
 // Views are arena objects: the Scheduler keeps one View per agent alive for
-// the whole run and re-points it each round, so the neighbor-ID cache
-// persists across rounds (and across runs on the same graph) and the hot
-// loop performs no heap allocation after warm-up.
+// the whole run and re-points it each round. A View holds no tables of its
+// own — neighborhood observations are spans into the graph's per-slot
+// arrays (Graph::neighbor_ids, built once per graph), so observing costs no
+// copy and the hot loop performs no heap allocation after warm-up.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "graph/graph.hpp"
 #include "sim/model.hpp"
@@ -30,7 +31,6 @@ namespace fnr::sim {
 
 class Scheduler;
 class BatchScheduler;
-struct NeighborTable;
 
 class View {
  public:
@@ -49,10 +49,14 @@ class View {
   [[nodiscard]] std::size_t degree() const noexcept { return degree_; }
 
   /// n' — exclusive upper bound on vertex IDs, known to agents.
-  [[nodiscard]] graph::VertexId id_bound() const noexcept { return id_bound_; }
+  [[nodiscard]] graph::VertexId id_bound() const noexcept {
+    return graph_->id_bound();
+  }
   /// Number of vertices n. The paper lets agents know n (they compute log n
   /// and thresholds from it); we expose it explicitly.
-  [[nodiscard]] std::size_t num_vertices() const noexcept { return n_; }
+  [[nodiscard]] std::size_t num_vertices() const noexcept {
+    return graph_->num_vertices();
+  }
 
   /// Whether neighbor IDs are observable (KT1).
   [[nodiscard]] bool has_neighborhood_ids() const noexcept {
@@ -63,11 +67,10 @@ class View {
     return model_.whiteboards;
   }
 
-  /// IDs of the current vertex's neighbors, indexed by port. Filled lazily
-  /// and cached per vertex, so rounds that never inspect the neighborhood
-  /// cost O(1) and an agent camping on one vertex fills the cache once.
+  /// IDs of the current vertex's neighbors, indexed by port: a view of the
+  /// graph's precomputed table, valid as long as the graph.
   /// Throws CheckError unless the model grants neighborhood IDs.
-  [[nodiscard]] const std::vector<graph::VertexId>& neighbor_ids() const;
+  [[nodiscard]] std::span<const graph::VertexId> neighbor_ids() const;
 
   /// Port leading to the neighbor with ID `id`; requires KT1 and that `id`
   /// names a neighbor of the current vertex. (Computed via the graph's index
@@ -93,8 +96,6 @@ class View {
   std::uint64_t round_ = 0;
   graph::VertexId here_id_ = 0;
   std::size_t degree_ = 0;
-  graph::VertexId id_bound_ = 0;
-  std::size_t n_ = 0;
   Model model_;
   const graph::Graph* graph_ = nullptr;  // non-owning; private to the View
   Whiteboards* boards_ = nullptr;        // non-owning; null w/o whiteboards
@@ -105,16 +106,6 @@ class View {
   fault::FaultSession* faults_ = nullptr;
   graph::VertexIndex here_index_ = graph::kNoVertex;
   std::optional<std::size_t> arrival_port_;
-  // Graph-wide observation table shared across lock-stepped trials, or
-  // null (the scalar path). When set, neighbor_ids()/port_of() answer from
-  // it — observationally identical to the lazy cache, just precomputed once
-  // per graph instead of once per (View, vertex).
-  const NeighborTable* shared_ids_ = nullptr;
-  // Neighbor-ID cache, keyed by the vertex it was filled for. The graph is
-  // immutable, so entries stay valid across rounds and runs; capacity is
-  // reserved to the graph's max degree so refills never allocate.
-  mutable std::vector<graph::VertexId> neighbor_ids_cache_;
-  mutable graph::VertexIndex neighbor_ids_vertex_ = graph::kNoVertex;
 };
 
 /// What an agent does in a round: optionally write the current vertex's

@@ -32,6 +32,10 @@ class Whiteboards {
   /// Erases every board (O(#boards written since the last clear)).
   void clear_all();
 
+  /// Number of boards (one per vertex).
+  [[nodiscard]] std::size_t num_vertices() const noexcept {
+    return values_.size();
+  }
   /// Read accesses since construction (never reset; callers take deltas).
   [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }
   /// Write accesses since construction (never reset; callers take deltas).

@@ -65,7 +65,7 @@ namespace fnr {
 namespace {
 
 /// Heap-free agent that exercises every hot-path observation: whiteboard
-/// read + periodic write, neighbor-ID cache, arrival port, and movement.
+/// read + periodic write, neighbor IDs, arrival port, and movement.
 class ProbeAgent final : public sim::Agent {
  public:
   sim::Action step(const sim::View& view) override {

@@ -1,8 +1,8 @@
 // Bit-exactness of the batched SoA trial kernel against the scalar oracle.
 //
 // The scalar Scheduler path is the reference semantics; the BatchScheduler
-// (lock-step SoA kernel, shared neighbor table, counter-based per-trial
-// seeds) is pure throughput. These tests pin the contract at every layer:
+// (lock-step SoA kernel, counter-based per-trial seeds) is pure
+// throughput. These tests pin the contract at every layer:
 //   - sim:      BatchScheduler vs Scheduler::run_scenario, same trials
 //   - core:     run_trials_batched vs run_trials (all strategies)
 //   - scenario: run_scenario_trials batched vs scalar (delays, k > 2, All)
@@ -18,6 +18,7 @@
 #include "graph/id_space.hpp"
 #include "scenario/run.hpp"
 #include "sim/batch_scheduler.hpp"
+#include "sim/neighbor_table.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/spec.hpp"
 #include "test_support.hpp"
@@ -34,7 +35,7 @@ class SweepProbe final : public sim::Agent {
     if (view.has_whiteboards()) (void)view.whiteboard();
     std::uint64_t pick = view.round() + view.here();
     if (view.has_neighborhood_ids())
-      pick += view.neighbor_ids().front();  // exercise the shared table
+      pick += view.neighbor_ids().front();  // exercise the graph's table
     sim::Action action = sim::Action::move(pick % view.degree());
     if (view.has_whiteboards() && (view.round() & 3) == 0)
       action.whiteboard_write = view.here();
@@ -107,12 +108,11 @@ TEST(BatchKernel, MatchesScalarSchedulerTrialByTrial) {
 }
 
 TEST(BatchKernel, SharedTableServesExactNeighborViews) {
-  // A batched agent must observe the identical neighbor-ID sequence and
-  // port mapping the scalar lazy cache produces (same IDs, same order).
+  // The row view over the graph's per-slot tables must serve exactly the
+  // neighbor-ID sequence and ID→index mapping the graph defines.
   Rng graph_rng(23, 17);
   const auto g = graph::make_near_regular(32, 5, graph_rng);
   const sim::NeighborTable table(g);
-  sim::Scheduler scalar(g, sim::Model::full());
   for (graph::VertexIndex v = 0; v < g.num_vertices(); ++v) {
     const auto nbrs = g.neighbors(v);
     ASSERT_EQ(table.ids[v].size(), nbrs.size());

@@ -175,7 +175,7 @@ TEST(Construct, DeterministicGivenSeed) {
 
 TEST(Construct, RejectsDeltaBelowOne) {
   Knowledge knowledge;
-  knowledge.init_home(0, {1, 2});
+  knowledge.init_home(0, std::vector<graph::VertexId>{1, 2});
   EXPECT_THROW(
       ConstructRun(knowledge, Params::practical(), 0.0, 16), CheckError);
 }

@@ -1,9 +1,14 @@
 // Unit tests for the graph substrate: builder, CSR invariants, ID spaces,
-// and every generator family (parameterized structural sweeps).
+// the per-slot observation tables, and every generator family
+// (parameterized structural sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
@@ -262,6 +267,142 @@ TEST(Generators, WithIdsPreservesTopology) {
   EXPECT_EQ(h.num_edges(), g.num_edges());
   for (VertexIndex v = 0; v < 10; ++v) EXPECT_EQ(h.degree(v), g.degree(v));
   EXPECT_FALSE(h.tight_ids());
+}
+
+// --- per-slot observation tables --------------------------------------------
+
+/// Checks the tables GraphBuilder::build fills against the accessors they
+/// mirror. Reverse ports are checked against a binary search of their own
+/// (port_to itself reads port_by_pair on small graphs).
+::testing::AssertionResult tables_match(const Graph& g) {
+  const std::size_t n = g.num_vertices();
+  const bool pair_table = n <= kPortPairMaxVertices;
+  if (g.port_by_pair().size() != (pair_table ? n * n : 0))
+    return ::testing::AssertionFailure()
+           << "port_by_pair has " << g.port_by_pair().size() << " entries";
+  const bool dense = g.id_bound() <= 8 * n + 1024;
+  if (g.index_by_id().size() != (dense ? g.id_bound() : 0))
+    return ::testing::AssertionFailure()
+           << "index_by_id has " << g.index_by_id().size() << " entries";
+  for (VertexIndex v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    const auto ids = g.neighbor_ids(v);
+    const auto rev = g.reverse_ports(v);
+    if (ids.size() != nbrs.size() || rev.size() != nbrs.size())
+      return ::testing::AssertionFailure() << "row size differs at " << v;
+    if (g.try_index_of(g.id_of(v)) != v)
+      return ::testing::AssertionFailure() << "try_index_of at " << v;
+    if (dense && g.index_by_id()[g.id_of(v)] != v)
+      return ::testing::AssertionFailure() << "index_by_id at " << v;
+    for (std::size_t port = 0; port < nbrs.size(); ++port) {
+      const VertexIndex u = nbrs[port];
+      const auto back = g.neighbors(u);
+      const auto expected_rev = static_cast<std::size_t>(
+          std::lower_bound(back.begin(), back.end(), v) - back.begin());
+      if (ids[port] != g.id_of(u) || rev[port] != expected_rev ||
+          back[rev[port]] != v || g.port_to(v, u) != port)
+        return ::testing::AssertionFailure()
+               << "slot (" << v << ", port " << port << ") differs";
+      if (pair_table && g.port_by_pair()[v * n + u] != port)
+        return ::testing::AssertionFailure()
+               << "port_by_pair at (" << v << ", " << u << ")";
+    }
+  }
+  if (pair_table) {
+    const auto pairs = static_cast<std::size_t>(
+        std::count_if(g.port_by_pair().begin(), g.port_by_pair().end(),
+                      [](std::uint16_t port) { return port != kNoPort; }));
+    if (pairs != 2 * g.num_edges())
+      return ::testing::AssertionFailure()
+             << pairs << " pair entries for " << g.num_edges() << " edges";
+  }
+  if (dense) {
+    const auto named = std::count_if(
+        g.index_by_id().begin(), g.index_by_id().end(),
+        [](VertexIndex v) { return v != kNoVertex; });
+    if (static_cast<std::size_t>(named) != n)
+      return ::testing::AssertionFailure() << named << " IDs name a vertex";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every generator family at a target size; structured families round to
+/// the nearest size their shape allows.
+std::vector<std::pair<std::string, Graph>> every_family(std::size_t n,
+                                                        Rng& rng) {
+  std::size_t rows = 3;
+  for (std::size_t d = 3; d * d <= n; ++d)
+    if (n % d == 0) rows = d;
+  std::size_t dim = 1;
+  while ((std::size_t{1} << dim) < n) ++dim;
+  const double radius = std::sqrt(8.0 / (3.14159 * static_cast<double>(n)));
+  std::vector<std::pair<std::string, Graph>> out;
+  out.emplace_back("complete", make_complete(std::min<std::size_t>(n, 96)));
+  out.emplace_back("ring", make_ring(n));
+  out.emplace_back("path", make_path(n));
+  out.emplace_back("star", make_star(n - 1));
+  out.emplace_back("grid", make_grid(rows, n / rows));
+  out.emplace_back("torus", make_torus(rows, n / rows));
+  out.emplace_back("hypercube", make_hypercube(dim));
+  out.emplace_back("erdos-renyi",
+                   make_erdos_renyi(n, 8.0 / static_cast<double>(n), rng));
+  out.emplace_back("near-regular", make_near_regular(n, 8, rng));
+  out.emplace_back("hub", make_hub_augmented(n, 6, 2, rng));
+  out.emplace_back("barabasi-albert", make_barabasi_albert(n, 4, rng));
+  out.emplace_back("watts-strogatz", make_watts_strogatz(n, 4, 0.2, rng));
+  // Not patched to connectivity: isolated vertices have empty rows.
+  out.emplace_back("geometric", make_random_geometric(n, radius, rng).graph);
+  out.emplace_back("double-star", make_double_star((n - 1) / 2).graph);
+  out.emplace_back("double-star-cliques",
+                   make_double_star_cliques((n + 13) / 16, 8).graph);
+  out.emplace_back("bridged-cliques",
+                   make_bridged_cliques(std::min<std::size_t>(n, 192) / 2)
+                       .graph);
+  out.emplace_back("shared-vertex-cliques",
+                   make_shared_vertex_cliques(
+                       (std::min<std::size_t>(n, 192) + 1) / 2)
+                       .graph);
+  return out;
+}
+
+TEST(GraphTables, MatchAccessorsOnEveryFamilyAndNaming) {
+  Rng rng(2048);
+  bool saw_pair_table = false, saw_no_pair_table = false;
+  bool saw_dense = false, saw_sparse = false;
+  // 2048 is the last size with a pair table, 2049 the first without.
+  for (const std::size_t target : {64, 2048, 2049}) {
+    for (auto& [family, base] : every_family(target, rng)) {
+      const std::size_t n = base.num_vertices();
+      std::vector<std::pair<std::string, Graph>> namings;
+      namings.emplace_back("shuffled-tight",
+                           with_ids(base, shuffled_ids(n, rng)));
+      namings.emplace_back("tight-slack",
+                           with_ids(base, tight_ids(n, 3.0, rng)));
+      namings.emplace_back("sparse", with_ids(base, sparse_ids(n, 2.0, rng)));
+      namings.emplace_back("identity", std::move(base));
+      for (const auto& [naming, g] : namings) {
+        SCOPED_TRACE(family + " n=" + std::to_string(n) + " " + naming);
+        EXPECT_TRUE(tables_match(g));
+        (n <= kPortPairMaxVertices ? saw_pair_table : saw_no_pair_table) =
+            true;
+        (g.index_by_id().empty() ? saw_sparse : saw_dense) = true;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_pair_table && saw_no_pair_table);
+  EXPECT_TRUE(saw_dense && saw_sparse);
+}
+
+TEST(GraphTables, NonEdgesAndUnknownIdsStillThrow) {
+  const Graph small = make_ring(8);  // pair table
+  EXPECT_THROW((void)small.port_to(0, 4), CheckError);
+  const Graph large = make_ring(kPortPairMaxVertices + 1);  // search
+  EXPECT_THROW((void)large.port_to(0, 4), CheckError);
+  Rng rng(3);
+  const Graph sparse = with_ids(make_ring(8), sparse_ids(8, 4.0, rng));
+  EXPECT_TRUE(sparse.index_by_id().empty());
+  EXPECT_EQ(sparse.try_index_of(sparse.id_bound() + 1), kNoVertex);
+  EXPECT_EQ(small.try_index_of(small.id_bound()), kNoVertex);
 }
 
 // Parameterized structural sweep: every random family, several sizes/seeds.

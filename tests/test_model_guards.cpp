@@ -17,10 +17,12 @@ namespace {
 
 // --- Knowledge (agent a's map) ---------------------------------------------
 
+using Ids = std::vector<graph::VertexId>;
+
 TEST(Knowledge, RoutesCoverZeroOneTwoHops) {
   core::Knowledge k;
-  k.init_home(10, {20, 30});
-  (void)k.absorb_neighborhood(20, {10, 40});
+  k.init_home(10, Ids{20, 30});
+  (void)k.absorb_neighborhood(20, Ids{10, 40});
   EXPECT_TRUE(k.route_from_home(10).empty());
   EXPECT_EQ(k.route_from_home(30), (std::vector<graph::VertexId>{30}));
   EXPECT_EQ(k.route_from_home(40), (std::vector<graph::VertexId>{20, 40}));
@@ -30,25 +32,25 @@ TEST(Knowledge, RoutesCoverZeroOneTwoHops) {
 
 TEST(Knowledge, UnknownRouteThrows) {
   core::Knowledge k;
-  k.init_home(1, {2});
+  k.init_home(1, Ids{2});
   EXPECT_THROW((void)k.route_from_home(99), CheckError);
   EXPECT_THROW((void)k.route_to_home(99), CheckError);
 }
 
 TEST(Knowledge, AbsorbReportsOnlyFreshVertices) {
   core::Knowledge k;
-  k.init_home(1, {2, 3});
-  const auto fresh = k.absorb_neighborhood(2, {1, 3, 4, 5});
+  k.init_home(1, Ids{2, 3});
+  const auto fresh = k.absorb_neighborhood(2, Ids{1, 3, 4, 5});
   EXPECT_EQ(fresh, (std::vector<graph::VertexId>{4, 5}));
   // Absorbing again adds nothing.
-  EXPECT_TRUE(k.absorb_neighborhood(2, {1, 3, 4, 5}).empty());
+  EXPECT_TRUE(k.absorb_neighborhood(2, Ids{1, 3, 4, 5}).empty());
   EXPECT_EQ(k.ns_size(), 5u);
 }
 
 TEST(Knowledge, ResetCoverageKeepsHomeBall) {
   core::Knowledge k;
-  k.init_home(1, {2, 3});
-  (void)k.absorb_neighborhood(2, {7});
+  k.init_home(1, Ids{2, 3});
+  (void)k.absorb_neighborhood(2, Ids{7});
   EXPECT_TRUE(k.in_ns(7));
   k.reset_coverage();  // doubling restart
   EXPECT_FALSE(k.in_ns(7));

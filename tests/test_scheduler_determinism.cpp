@@ -6,6 +6,8 @@
 // counts.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "graph/builder.hpp"
 #include "test_support.hpp"
 
@@ -48,6 +50,45 @@ TEST(SchedulerDeterminism, DifferentSeedsUsuallyDiffer) {
         any_difference || !same_result(reference.run, other.run);
   }
   EXPECT_TRUE(any_difference);
+}
+
+TEST(SchedulerScratch, ServesADifferentGraphBuiltAtTheSameAddress) {
+  // Two different graphs with equal n and m — the second is the first with
+  // permuted indices (so different ports) and slack naming (so a different
+  // ID bound) — emplaced in turn into one std::optional, so both live at
+  // the same address. A scratch reused across them must reproduce what
+  // fresh Schedulers report on each.
+  Rng rng(5);
+  const auto first = test::dense_graph(192, 11);
+  const auto second = graph::with_ids(
+      graph::permute_indices(first, rng).graph,
+      graph::tight_ids(first.num_vertices(), 3.0, rng));
+  ASSERT_EQ(second.num_vertices(), first.num_vertices());
+  ASSERT_EQ(second.num_edges(), first.num_edges());
+  ASSERT_NE(second.id_bound(), first.id_bound());
+
+  std::optional<graph::Graph> slot;
+  SchedulerScratch scratch;
+  const Scheduler* arena = nullptr;
+  for (const graph::Graph* source : {&first, &second}) {
+    slot.emplace(*source);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng placement_rng(seed, 3);
+      const auto placement = random_adjacent_placement(*slot, placement_rng);
+      core::RendezvousOptions options;
+      options.strategy = core::Strategy::Whiteboard;
+      options.seed = seed;
+      const auto warm =
+          core::run_rendezvous(*slot, placement, options, scratch);
+      const auto fresh = core::run_rendezvous(*source, placement, options);
+      EXPECT_TRUE(same_result(warm.run, fresh.run)) << "seed " << seed;
+      EXPECT_EQ(warm.agent_a.t_set_ids, fresh.agent_a.t_set_ids);
+    }
+    // The arena really was reused across the two graphs.
+    const Scheduler* now = &scratch.scheduler_for(*slot, Model::full());
+    if (arena != nullptr) EXPECT_EQ(now, arena);
+    arena = now;
+  }
 }
 
 /// Walks back and forth between two fixed vertices forever.

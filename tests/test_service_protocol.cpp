@@ -147,6 +147,31 @@ TEST(ServiceProtocol, CellResponseEmbedsAggregateBytesVerbatim) {
   EXPECT_NE(failed.find("bad\\nthing"), std::string::npos);
 }
 
+TEST(ServiceProtocol, CellKeysAreEscapedOnTheWire) {
+  // Cell keys come from spec text; a quote or backslash in one must not
+  // break the frame, and the key must parse back unchanged.
+  const std::string key = "prog|\"quoted\"|back\\slash";
+  const std::string payload = cell_response("c", key, true, "{\"n\":1}", "");
+  JsonCursor cursor(payload, "cell response");
+  std::string parsed_key;
+  cursor.expect('{');
+  do {
+    const std::string field = cursor.parse_string();
+    cursor.expect(':');
+    if (field == "key")
+      parsed_key = cursor.parse_string();
+    else
+      cursor.skip_value();
+  } while (cursor.consume(','));
+  cursor.expect('}');
+  cursor.expect_end();
+  EXPECT_EQ(parsed_key, key);
+  // Keys without special characters keep their exact bytes.
+  EXPECT_NE(cell_response("c", "whiteboard|ring", true, "{}", "")
+                .find("\"key\":\"whiteboard|ring\""),
+            std::string::npos);
+}
+
 TEST(ServiceProtocol, ReportResponseEmbedsReportVerbatim) {
   const std::string report = "{\"schema\":\"fnr-sweep/1\",\"cells\":[]}";
   const std::string payload = report_response("c", report);
