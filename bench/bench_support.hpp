@@ -3,7 +3,7 @@
 // Every experiment's trial loop routes through runner::TrialRunner: trials
 // run across a thread pool (--threads=N, default: all hardware threads) with
 // per-trial split RNG streams, so the tables are bit-identical no matter how
-// many threads executed the batch.
+// many threads executed the trials.
 #pragma once
 
 #include <cmath>
@@ -125,7 +125,7 @@ inline core::RendezvousReport run_once(const graph::Graph& g,
 struct RepeatedOutcome {
   Summary rounds;  ///< meeting rounds of successful trials
   std::uint64_t failures = 0;
-  runner::TrialAggregate aggregate;  ///< full batch statistics
+  runner::TrialAggregate aggregate;  ///< full aggregate statistics
 };
 
 /// Lifts a per-trial result (RunResult, RendezvousReport, or TrialOutcome)
@@ -195,7 +195,7 @@ inline void print_runner_info(const runner::TrialRunner& trial_runner) {
             << (trial_runner.threads() == 1 ? "" : "s") << ")\n\n";
 }
 
-/// For benches whose cells are not rendezvous trial batches (construct
+/// For benches whose cells are not rendezvous trial runs (construct
 /// probes, deterministic adversary rows): tell the user instead of silently
 /// ignoring the emission flags.
 inline void note_no_aggregates(const BenchConfig& config) {

@@ -26,7 +26,7 @@ int run_bench(int argc, char** argv) {
     const auto g = bench::dense_family(n, 0.78, 900 + n);
     for (const auto strategy :
          {core::Strategy::Whiteboard, core::Strategy::NoWhiteboard}) {
-      // The batch entry point: fresh placement + RNG stream per trial,
+      // The trial entry point: fresh placement + RNG stream per trial,
       // executed across the pool.
       core::RendezvousOptions options;
       options.seed = 900 + n;

@@ -7,9 +7,7 @@
 //   --quick            smoke cells (CI); default is the full sweep
 //   --trials=N         per-cell trials (0 = mode default)
 //   --threads=N        trial-runner pool size (0 = hardware threads)
-//   --seed=N           base seed for every cell's batch
-//   --batch=N          lock-step SoA batch size (0/1 = scalar path); pure
-//                      throughput lever, identity fields are unchanged
+//   --seed=N           base seed for every cell's trials
 //   --out=PATH         where to write the JSON report; default "auto" picks
 //                      BENCH_perf.json (full) / BENCH_perf_quick.json
 //                      (quick) so a quick run can never clobber the
@@ -52,10 +50,6 @@ int main(int argc, char** argv) {
     const auto seed = cli.get_int("seed", 7);
     FNR_CHECK_MSG(seed >= 0, "--seed must be non-negative, got " << seed);
     config.seed = static_cast<std::uint64_t>(seed);
-    const auto batch = cli.get_int("batch", 0);
-    FNR_CHECK_MSG(batch >= 0 && batch <= 1'000'000,
-                  "--batch must be in [0, 1e6], got " << batch);
-    config.batch = static_cast<std::uint64_t>(batch);
     std::string out = cli.get_string("out", "auto");
     const std::string validate = cli.get_string("validate", "");
     const std::string baseline = cli.get_string("baseline", "");

@@ -2,7 +2,7 @@
 // deterministic cell grid and runs it — sharded, checkpointed, resumable.
 // A thin client of the campaign core (src/campaign/campaign.hpp — see it
 // for the determinism contract; docs/PERFORMANCE.md has the spec format):
-// the same Campaign object the fnrd daemon serves, driven batch-style.
+// the same Campaign object the fnrd daemon serves, driven from the CLI.
 //
 // SIGINT/SIGTERM cancel the campaign at the next cell boundary: the
 // in-flight cell finishes, its checkpoint line is flushed, and the process
@@ -37,9 +37,6 @@
 //   --threads=N        trial-runner pool size *within* one cell
 //                      (0 = hardware threads at --jobs=1, 1 at --jobs>1;
 //                      see docs/PERFORMANCE.md before setting both)
-//   --batch=N          lock-step SoA batch size (0/1 = scalar path); the
-//                      kernel is bit-exact, so merged JSON is byte-identical
-//                      either way (faulty cells always run scalar)
 //   --csv / --json     also print the report to stdout
 //   --quiet            suppress per-cell progress lines
 #include <atomic>
@@ -54,7 +51,7 @@
 
 #include "bench_support.hpp"
 #include "campaign/campaign.hpp"
-#include "sweep/engine.hpp"
+#include "sweep/spec.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -74,7 +71,8 @@ extern "C" void handle_cancel_signal(int sig) {
 }
 
 /// Parses --shard=I/OF.
-void parse_shard(const std::string& text, fnr::sweep::SweepOptions* options) {
+void parse_shard(const std::string& text,
+                 fnr::campaign::CampaignOptions* options) {
   const auto slash = text.find('/');
   FNR_CHECK_MSG(slash != std::string::npos && slash > 0 &&
                     slash + 1 < text.size(),
@@ -91,7 +89,7 @@ void parse_shard(const std::string& text, fnr::sweep::SweepOptions* options) {
   options->shard_count = static_cast<std::uint32_t>(count);
 }
 
-std::string shard_suffix(const fnr::sweep::SweepOptions& options) {
+std::string shard_suffix(const fnr::campaign::CampaignOptions& options) {
   if (options.shard_count == 1) return "";
   return "_shard" + std::to_string(options.shard_index) + "-" +
          std::to_string(options.shard_count);
@@ -131,9 +129,6 @@ int main(int argc, char** argv) {
     const auto jobs = cli.get_int("jobs", 1);
     FNR_CHECK_MSG(jobs >= 0 && jobs <= 4096,
                   "--jobs must be in [0, 4096], got " << jobs);
-    const auto batch = cli.get_int("batch", 0);
-    FNR_CHECK_MSG(batch >= 0 && batch <= 1'000'000,
-                  "--batch must be in [0, 1e6], got " << batch);
     const bool csv = cli.get_flag("csv");
     const bool json = cli.get_flag("json");
     const bool quiet = cli.get_flag("quiet");
@@ -160,13 +155,12 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    sweep::SweepOptions options;
+    campaign::CampaignOptions options;
     options.threads = static_cast<unsigned>(threads);
     options.jobs = static_cast<unsigned>(jobs);
     parse_shard(shard_arg, &options);
     options.resume = resume;
     options.max_cells = static_cast<std::uint64_t>(max_cells);
-    options.batch = static_cast<std::uint64_t>(batch);
     if (!quiet) options.progress = &std::cout;
     if (checkpoint == "auto")
       checkpoint = "sweep_" + spec.name + shard_suffix(options) + ".jsonl";
@@ -177,16 +171,19 @@ int main(int argc, char** argv) {
     if (!merge.empty()) {
       // Merge mode: combine shard checkpoints into the full-campaign
       // report; no cells are executed.
-      std::vector<std::map<std::string, sweep::CheckpointEntry>> checkpoints;
+      std::vector<std::map<std::string, campaign::CheckpointEntry>>
+          checkpoints;
       std::string path;
       std::istringstream paths(merge);
       while (std::getline(paths, path, ','))
-        if (!path.empty()) checkpoints.push_back(sweep::load_checkpoint(path));
+        if (!path.empty())
+          checkpoints.push_back(campaign::load_checkpoint(path));
       FNR_CHECK_MSG(!checkpoints.empty(), "--merge lists no checkpoints");
-      const auto results = sweep::results_from_checkpoints(spec, checkpoints);
-      const std::string report = sweep::to_json(spec, results);
+      const auto results =
+          campaign::results_from_checkpoints(spec, checkpoints);
+      const std::string report = campaign::to_json(spec, results);
       if (json) std::cout << report << "\n";
-      if (csv) std::cout << sweep::to_csv(results);
+      if (csv) std::cout << campaign::to_csv(results);
       if (!out.empty()) {
         write_file(out, report);
         std::cout << "wrote " << out << " (" << results.size()
@@ -227,9 +224,9 @@ int main(int argc, char** argv) {
                 << options.checkpoint_path << "\n";
       return 0;
     }
-    const std::string report = sweep::to_json(spec, result.cells);
+    const std::string report = campaign::to_json(spec, result.cells);
     if (json) std::cout << report << "\n";
-    if (csv) std::cout << sweep::to_csv(result.cells);
+    if (csv) std::cout << campaign::to_csv(result.cells);
     if (!out.empty()) {
       write_file(out, report);
       std::cout << "wrote " << out << " (" << result.cells.size()

@@ -7,11 +7,6 @@
 #                                    # BENCH_perf.json; writes no files
 #   scripts/bench.sh --quick         # smoke cells -> BENCH_perf_quick.json
 #
-# The canonical run uses the batched kernel (--batch=$CANON_BATCH): the
-# kernel is bit-exact vs the scalar path, so the baseline's identity
-# fields are unaffected — batch is purely the throughput configuration
-# the baseline (and therefore the gate) is measured at.
-#
 # Only a flag-free full run writes the committed baseline: --quick goes to
 # BENCH_perf_quick.json and any other flag (--trials/--seed/... change the
 # report's identity fields) goes to BENCH_perf_local.json, so experiments
@@ -28,7 +23,6 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
-CANON_BATCH=8
 
 # An explicit --out always wins; otherwise route by flags (quick beats
 # other non-canonical flags).
@@ -37,14 +31,12 @@ USER_OUT=""
 QUICK=0
 GATE=0
 OTHER=0
-BATCH_ARG="--batch=$CANON_BATCH"
 ARGS=()
 for arg in "$@"; do
   case "$arg" in
     --gate) GATE=1; continue ;;
     --out=*) USER_OUT="${arg#--out=}" ;;
     --quick) QUICK=1 ;;
-    --batch=*) BATCH_ARG=""; OTHER=1 ;;  # explicit batch: non-canonical
     *) OTHER=1 ;;
   esac
   ARGS+=("$arg")
@@ -54,10 +46,10 @@ cmake -B "$BUILD_DIR" -S . > /dev/null
 cmake --build "$BUILD_DIR" -j --target perf_suite > /dev/null
 
 if [[ "$GATE" == 1 ]]; then
-  # Gate mode: measure at the canonical batch against the committed
-  # baseline. perf_suite writes no report when gating (--out=auto).
-  exec "$BUILD_DIR/perf_suite" $BATCH_ARG \
-       --baseline=BENCH_perf.json "${ARGS[@]+"${ARGS[@]}"}"
+  # Gate mode: measure against the committed baseline. perf_suite writes
+  # no report when gating (--out=auto).
+  exec "$BUILD_DIR/perf_suite" --baseline=BENCH_perf.json \
+       "${ARGS[@]+"${ARGS[@]}"}"
 fi
 
 if [[ -n "$USER_OUT" ]]; then
@@ -68,5 +60,5 @@ elif [[ "$OTHER" == 1 ]]; then
   OUT=BENCH_perf_local.json
 fi
 
-"$BUILD_DIR/perf_suite" $BATCH_ARG "${ARGS[@]+"${ARGS[@]}"}" --out="$OUT"
+"$BUILD_DIR/perf_suite" "${ARGS[@]+"${ARGS[@]}"}" --out="$OUT"
 "$BUILD_DIR/perf_suite" --validate="$OUT"

@@ -63,14 +63,13 @@ ctest --output-on-failure -j
 ./perf_suite --quick --threads=2 --out=perf_smoke.json
 ./perf_suite --validate=perf_smoke.json
 
-# Bench gate: re-measure every full-suite cell at the canonical batch
-# size and fail on any cell whose rounds/sec dropped more than 30% below
-# the committed BENCH_perf.json. Speedups never fail (refreshing the
-# baseline after a legitimate win is a deliberate, reviewed act — see
-# docs/PERFORMANCE.md). Sanitizer builds skip the gate: instrumentation
-# alone is a guaranteed "regression".
+# Bench gate: re-measure every full-suite cell and fail on any cell whose
+# rounds/sec dropped more than 30% below the committed BENCH_perf.json.
+# Speedups never fail (refreshing the baseline after a legitimate win is a
+# deliberate, reviewed act — see docs/PERFORMANCE.md). Sanitizer builds
+# skip the gate: instrumentation alone is a guaranteed "regression".
 if [[ "$SANITIZE" == 0 ]]; then
-  ./perf_suite --batch=8 --baseline="$ROOT/BENCH_perf.json" --tolerance=0.30
+  ./perf_suite --baseline="$ROOT/BENCH_perf.json" --tolerance=0.30
 else
   echo "bench gate: skipped under --sanitize"
 fi
@@ -182,7 +181,7 @@ if grep -q '"ok":false' fault_ci_a.json; then
 fi
 
 # Service smoke: the same campaigns served through the fnrd daemon must
-# produce byte-identical merged JSON to the batch surface — across a
+# produce byte-identical merged JSON to the bench/sweep surface — across a
 # mid-stream client disconnect, a daemon kill -9, and a RESUME in a fresh
 # daemon process. Campaign ci-b is paused mid-campaign (--max-cells=2,
 # the deterministic stand-in for a kill; its checkpoint holds 2 of the
@@ -232,7 +231,7 @@ start_fnrd
 ./fnrc --socket="$FNRD_SOCK" --verb=resume --campaign=ci-b
 ./fnrc --socket="$FNRD_SOCK" --verb=wait --campaign=ci-b >/dev/null
 
-# Both reports must match the batch bench/sweep bytes exactly (ci-a's
+# Both reports must match the bench/sweep bytes exactly (ci-a's
 # comes from its report file, written before the kill; ci-b's from the
 # resumed run).
 ./fnrc --socket="$FNRD_SOCK" --verb=report --campaign=ci-a --raw \
@@ -244,7 +243,7 @@ diff sweep_ci_a.json fnrd_ci_b.json
 kill "$FNRD_PID"
 wait "$FNRD_PID" 2>/dev/null || true
 FNRD_PID=0
-echo "fnrd smoke: daemon reports byte-identical to the batch surface"
+echo "fnrd smoke: daemon reports byte-identical to the bench/sweep surface"
 
 # Service parallel identity: a daemon running campaigns at --jobs=4 must
 # stream the exact frame sequence of a sequential daemon — cell frames

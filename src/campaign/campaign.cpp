@@ -338,7 +338,6 @@ CampaignRun Campaign::run(const CellCallback& on_cell) {
   ExecutorOptions eopts;
   eopts.jobs = options_.jobs;
   eopts.trial_threads = options_.threads;
-  eopts.batch = options_.batch;
   eopts.min_shard_trials = options_.min_shard_trials;
   eopts.max_cells = options_.max_cells;
   eopts.graph_cache_capacity = options_.graph_cache_capacity;

@@ -1,13 +1,10 @@
 // The campaign core: the spec → grid → shard → checkpoint → merge
 // lifecycle as a reusable, resumable, cancelable object.
 //
-// Historically this lifecycle lived inside the batch-only sweep engine
-// (src/sweep/engine.cpp) and was reachable only through one-shot CLI
-// binaries. The campaign layer extracts it so *any* execution surface — the
-// bench/sweep CLI, the fnrd service daemon, an in-process test — drives the
-// identical machinery: sweep::run_sweep is now a thin wrapper over
-// Campaign, and fnrd's workers run Campaign directly with a streaming
-// callback.
+// Every execution surface — the bench/sweep CLI, the fnrd service daemon,
+// an in-process test — drives this identical machinery: bench/sweep runs
+// one Campaign per invocation, and fnrd's workers run Campaign directly
+// with a streaming callback.
 //
 // Execution model. expand(spec) defines the canonical grid; a shard owns
 // the cells with index % shard_count == shard_index, so any number of
@@ -20,16 +17,15 @@
 // emitted in canonical grid order — execution order is invisible in
 // every artifact, and `--jobs=1` vs `--jobs=4` are byte-identical.
 //
-// Determinism contract. A cell's aggregate depends only on its key: trial
-// batches run through scenario::run_scenario_trials, whose aggregates are
+// Determinism contract. A cell's aggregate depends only on its key: its
+// trials run through scenario::run_scenario_trial_span, whose aggregates are
 // bit-identical across thread counts, and graph generation draws only from
 // Rng(cell.seed, kGraphStream). Checkpoint lines carry the aggregate JSON
 // verbatim, and to_json() orders cells by grid index and excludes all
 // timing fields — so an interrupted-then-resumed campaign (even resumed
-// with a different thread count, a different batch size, or through a
-// different surface: CLI vs daemon) produces byte-identical merged JSON to
-// an uninterrupted run. scripts/ci.sh asserts exactly that on every build,
-// for both surfaces.
+// with a different thread count, or through a different surface: CLI vs
+// daemon) produces byte-identical merged JSON to an uninterrupted run.
+// scripts/ci.sh asserts exactly that on every build, for both surfaces.
 //
 // Incremental results. Campaign::run invokes a per-cell callback the
 // moment a cell finishes (after its checkpoint line is flushed, so a
@@ -103,11 +99,6 @@ struct CampaignOptions {
   /// use this as a deterministic "kill mid-campaign"; the daemon exposes it
   /// per SUBMIT for the same purpose.
   std::uint64_t max_cells = 0;
-  /// Lock-step batch size for the SoA trial kernel (0 or 1 = scalar path).
-  /// Purely a throughput lever: the kernel is bit-exact against the scalar
-  /// Scheduler, so merged JSON is byte-identical either way (faulty cells
-  /// always run scalar). Deliberately NOT part of any cell key.
-  std::uint64_t batch = 0;
   /// Generated-topology cache slots (graphs are keyed by
   /// SweepCell::graph_key(); eviction is least-recently-used). The default
   /// covers every predefined spec's distinct keys — cells now execute in

@@ -105,8 +105,7 @@ struct CellState {
 /// that cannot run is a recorded result, not a dead campaign.
 std::string run_cell_span(const SweepCell& cell, GraphCache& cache,
                           const runner::TrialRunner& trial_runner,
-                          std::uint64_t batch, std::uint64_t first,
-                          std::uint64_t count,
+                          std::uint64_t first, std::uint64_t count,
                           runner::TrialAccumulator* acc) {
   try {
     const std::shared_ptr<const graph::Graph> g = cache.get_shared(cell);
@@ -120,8 +119,7 @@ std::string run_cell_span(const SweepCell& cell, GraphCache& cache,
     options.seed = cell.seed;
     options.fault = cell.fault;
     *acc = scenario::run_scenario_trial_span(scen, cell.program, *g, options,
-                                             first, count, trial_runner,
-                                             batch);
+                                             first, count, trial_runner);
     return {};
   } catch (const CheckError& error) {
     std::string text = error.what();
@@ -187,8 +185,8 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
       CellResult result;
       result.cell = cell;
       runner::TrialAccumulator acc;
-      result.error = run_cell_span(cell, cache, trial_runner, options_.batch,
-                                   0, cell.trials, &acc);
+      result.error =
+          run_cell_span(cell, cache, trial_runner, 0, cell.trials, &acc);
       if (result.error.empty()) {
         for (const auto& out : acc.sorted_outcomes())
           result.total_rounds += out.rounds;
@@ -320,8 +318,8 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
         const SweepCell& cell = cells[unit->slot];
         CellState& state = states[unit->slot];
         state.errors[unit->shard] =
-            run_cell_span(cell, cache, trial_runner, options_.batch,
-                          unit->first, unit->count, &state.accs[unit->shard]);
+            run_cell_span(cell, cache, trial_runner, unit->first,
+                          unit->count, &state.accs[unit->shard]);
         if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           // Last shard standing: merge, measure, stage for the flusher.
           CellResult result = assemble(cell, state);

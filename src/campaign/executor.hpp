@@ -54,11 +54,9 @@ struct ExecutorOptions {
   /// jobs == 1, but 1 at jobs > 1 (cell-parallel runs default to one
   /// trial thread per worker; anything else multiplies the two pools).
   unsigned trial_threads = 0;
-  /// Lock-step SoA batch size handed to each cell (0/1 = scalar path).
-  std::uint64_t batch = 0;
   /// Split threshold: a cell with >= 2 × this many trials may shard.
   std::uint64_t min_shard_trials = 32;
-  /// Run only the first N cells of the batch (0 = no limit). Restricting
+  /// Run only the first N cells of the run (0 = no limit). Restricting
   /// the *schedulable set* — rather than counting starts in completion
   /// order — keeps the executed set identical to the sequential path at
   /// any jobs count, and means a paused campaign never discards work.
@@ -101,7 +99,7 @@ class CellCostModel {
   std::map<std::string, double> rate_;  ///< EMA seconds-per-weight
 };
 
-/// Runs one batch of cells. Construct per campaign run; run() is callable
+/// Runs one list of cells. Construct per campaign run; run() is callable
 /// once. The executor owns its graph cache and cost model.
 class CellExecutor {
  public:

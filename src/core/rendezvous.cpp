@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <sstream>
 
 #include "core/no_whiteboard.hpp"
 #include "graph/analysis.hpp"
-#include "sim/batch_scheduler.hpp"
 
 namespace fnr::core {
 
@@ -125,7 +123,7 @@ runner::TrialAccumulator run_trials(Strategy strategy, const graph::Graph& g,
                                     std::uint64_t n_trials,
                                     const runner::TrialRunner& trial_runner) {
   // One SchedulerScratch per worker: trial 2..N on a worker reuse its warm
-  // arena, so the batch allocates no scheduler-side heap after warm-up.
+  // arena, so the trial loop allocates no scheduler-side heap after warm-up.
   return trial_runner.run_with_scratch<sim::SchedulerScratch>(
       n_trials, options.seed,
       [&](sim::SchedulerScratch& scratch, std::uint64_t trial,
@@ -138,97 +136,6 @@ runner::TrialAccumulator run_trials(Strategy strategy, const graph::Graph& g,
         const auto report = run_rendezvous(g, placement, trial_options, scratch);
         return runner::TrialOutcome::from_run(trial, seed, report.run,
                                               report.agent_b_marks);
-      });
-}
-
-namespace {
-
-/// Per-worker scratch for the batched path: the warm SoA kernel plus
-/// per-block agent storage. Deques give the stable addresses the kernel
-/// needs while agents of one block are alive (Agent is non-movable).
-struct BatchTrialScratch {
-  sim::BatchSchedulerScratch kernel;
-  std::deque<WhiteboardAgentA> wb_a;
-  std::deque<WhiteboardAgentB> wb_b;
-  std::deque<NoWhiteboardAgentA> nwb_a;
-  std::deque<NoWhiteboardAgentB> nwb_b;
-
-  void clear_agents() {
-    wb_a.clear();
-    wb_b.clear();
-    nwb_a.clear();
-    nwb_b.clear();
-  }
-};
-
-}  // namespace
-
-runner::TrialAccumulator run_trials_batched(
-    Strategy strategy, const graph::Graph& g, const RendezvousOptions& options,
-    std::uint64_t n_trials, const runner::TrialRunner& trial_runner,
-    std::uint64_t batch_size) {
-  if (batch_size <= 1)
-    return run_trials(strategy, g, options, n_trials, trial_runner);
-
-  FNR_CHECK_MSG(g.min_degree() >= 1, "graph must have no isolated vertices");
-  if (strategy == Strategy::NoWhiteboard)
-    FNR_CHECK_MSG(g.tight_ids(),
-                  "Theorem 2 requires tight naming (n' = O(n))");
-  const sim::Model model = strategy == Strategy::NoWhiteboard
-                               ? sim::Model::no_whiteboards()
-                               : sim::Model::full();
-  // The cap and δ are graph-level constants: hoist them out of the trial
-  // loop (the scalar path re-derives them per trial with the same values).
-  const std::uint64_t cap =
-      options.max_rounds > 0 ? options.max_rounds
-                             : auto_round_cap(g, strategy, options.params);
-  const double delta = static_cast<double>(g.min_degree());
-  const bool doubling = strategy == Strategy::WhiteboardDoubling;
-
-  return trial_runner.run_batched<BatchTrialScratch>(
-      n_trials, options.seed, batch_size,
-      [&](BatchTrialScratch& scratch, std::uint64_t first, std::uint64_t count,
-          runner::TrialOutcome* outs) {
-        sim::BatchScheduler& kernel = scratch.kernel.kernel_for(g, model);
-        kernel.begin_batch(sim::Gathering::AnyPair);
-        scratch.clear_agents();
-        for (std::uint64_t j = 0; j < count; ++j) {
-          const std::uint64_t seed =
-              runner::trial_seed(options.seed, first + j);
-          // Stream discipline identical to the scalar trial lambda: the
-          // placement comes from stream 3 of the trial seed, the agents'
-          // private streams from consecutive splits of the raw seed.
-          Rng placement_rng(seed, /*stream=*/3);
-          const auto placement =
-              sim::random_adjacent_placement(g, placement_rng);
-          // Adjacent by construction (an oriented uniform edge), so the
-          // scalar path's BFS distance check is vacuous here.
-          Rng seed_rng(seed);
-          Rng rng_a = seed_rng.split();
-          Rng rng_b = seed_rng.split();
-          sim::ScenarioPlacement starts;
-          starts.starts = {placement.a_start, placement.b_start};
-          if (strategy == Strategy::NoWhiteboard) {
-            auto& agent_a =
-                scratch.nwb_a.emplace_back(options.params, delta, rng_a);
-            auto& agent_b =
-                scratch.nwb_b.emplace_back(options.params, delta, rng_b);
-            kernel.add_trial({&agent_a, &agent_b}, starts, cap);
-          } else {
-            auto& agent_a = scratch.wb_a.emplace_back(
-                options.params, doubling ? -1.0 : delta, rng_a);
-            auto& agent_b = scratch.wb_b.emplace_back(rng_b);
-            kernel.add_trial({&agent_a, &agent_b}, starts, cap);
-          }
-        }
-        const auto results = kernel.run();
-        for (std::uint64_t j = 0; j < count; ++j) {
-          const std::uint64_t marks =
-              strategy == Strategy::NoWhiteboard ? 0 : scratch.wb_b[j].marks();
-          outs[j] = runner::TrialOutcome::from_run(
-              first + j, runner::trial_seed(options.seed, first + j),
-              results[j].to_run_result(), marks);
-        }
       });
 }
 

@@ -56,7 +56,7 @@ struct RendezvousReport {
                                               sim::Placement placement,
                                               const RendezvousOptions& options);
 
-/// Same, executing on the caller's scheduler scratch: batch loops pass one
+/// Same, executing on the caller's scheduler scratch: trial loops pass one
 /// scratch per worker so every trial after the first reuses a warm arena
 /// (zero scheduler-side heap allocation; see docs/PERFORMANCE.md). Results
 /// are bit-identical to the scratch-free overload.
@@ -65,10 +65,10 @@ struct RendezvousReport {
                                               const RendezvousOptions& options,
                                               sim::SchedulerScratch& scratch);
 
-/// Batch entry point: runs `n_trials` independent instances of `strategy`
+/// Trial entry point: runs `n_trials` independent instances of `strategy`
 /// through the parallel TrialRunner. Each trial t derives its own RNG stream
 /// from (options.seed, t) — the seed split makes the aggregate bit-identical
-/// no matter how many threads execute the batch — and draws a fresh uniform
+/// no matter how many threads execute them — and draws a fresh uniform
 /// adjacent placement from that stream. options.strategy is overridden by
 /// the explicit `strategy` argument.
 [[nodiscard]] runner::TrialAccumulator run_trials(
@@ -76,23 +76,11 @@ struct RendezvousReport {
     const RendezvousOptions& options, std::uint64_t n_trials,
     unsigned threads = 0);
 
-/// Same batch, executed on a caller-provided runner (reuse one pool across
+/// Same trials, executed on a caller-provided runner (reuse one pool across
 /// cells and keep any reporting about it accurate).
 [[nodiscard]] runner::TrialAccumulator run_trials(
     Strategy strategy, const graph::Graph& g,
     const RendezvousOptions& options, std::uint64_t n_trials,
     const runner::TrialRunner& trial_runner);
-
-/// Same batch again, executed `batch_size` trials at a time on the
-/// lock-step SoA kernel (sim::BatchScheduler) instead of one scalar
-/// Scheduler run per trial. Every trial still derives its streams from
-/// (options.seed, t) exactly as the scalar path does, and the kernel is
-/// bit-exact against it, so the returned accumulator aggregates
-/// byte-identically to run_trials — the batch is purely a throughput
-/// lever. batch_size <= 1 falls back to the scalar path.
-[[nodiscard]] runner::TrialAccumulator run_trials_batched(
-    Strategy strategy, const graph::Graph& g,
-    const RendezvousOptions& options, std::uint64_t n_trials,
-    const runner::TrialRunner& trial_runner, std::uint64_t batch_size);
 
 }  // namespace fnr::core

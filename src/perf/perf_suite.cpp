@@ -194,7 +194,7 @@ std::vector<PerfCellSpec> perf_cell_specs(const PerfConfig& config) {
                                  swarm_trials});
   }
   // Campaign cells trail the sweep. Their identity is fully pinned by the
-  // grid (config.trials/seed/batch do not apply): trials = grid cell
+  // grid (config.trials/seed do not apply): trials = grid cell
   // count, n = the grid's largest requested size.
   const auto& grid_spec = campaign_spec(config.quick);
   const std::uint64_t grid_cells = sweep::expand(grid_spec).size();
@@ -228,7 +228,6 @@ PerfReport run_perf_suite(const PerfConfig& config) {
   report.quick = config.quick;
   report.threads = trial_runner.threads();
   report.seed = config.seed;
-  report.batch = config.batch;
 
   // Build each topology once up front; the spec list then drives the loop,
   // so the emitted cell order IS perf_cell_specs order by construction
@@ -307,10 +306,8 @@ PerfReport run_perf_suite(const PerfConfig& config) {
             scenario::find_program(spec.strategy);
         scenario::ScenarioOptions scenario_options;
         scenario_options.seed = config.seed;
-        // The cell exists to measure the occupancy-count meeting engine.
-        // Pin the detection mode (rather than trusting the Auto cutover)
-        // and ignore config.batch: the lock-step kernel keeps a pairwise
-        // scan, so batching would time the wrong code path.
+        // The cell exists to measure the occupancy-count meeting engine:
+        // pin the detection mode rather than trusting the Auto cutover.
         scenario_options.detection = sim::MeetingDetection::Occupancy;
         return scenario::run_scenario_trials(scen, program, g,
                                              scenario_options, spec.trials,
@@ -318,12 +315,8 @@ PerfReport run_perf_suite(const PerfConfig& config) {
       }
       core::RendezvousOptions options;
       options.seed = config.seed;
-      return config.batch > 1
-                 ? core::run_trials_batched(strategy_named(spec.strategy), g,
-                                            options, spec.trials,
-                                            trial_runner, config.batch)
-                 : core::run_trials(strategy_named(spec.strategy), g, options,
-                                    spec.trials, trial_runner);
+      return core::run_trials(strategy_named(spec.strategy), g, options,
+                              spec.trials, trial_runner);
     }();
     const auto stop = std::chrono::steady_clock::now();
     const double seconds =
@@ -358,9 +351,8 @@ std::string PerfReport::to_json() const {
      << "  \"schema\": \"" << schema << "\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
      << "  \"threads\": " << threads << ",\n"
-     << "  \"seed\": " << seed << ",\n";
-  if (batch > 0) os << "  \"batch\": " << batch << ",\n";
-  os << "  \"cells\": [\n";
+     << "  \"seed\": " << seed << ",\n"
+     << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
     os << "    {\"strategy\":\"" << c.strategy << "\",";
@@ -445,7 +437,9 @@ PerfReport parse_report(const std::string& json) {
     } else if (key == "seed") {
       report.seed = cursor.parse_uint64();
     } else if (key == "batch") {
-      report.batch = cursor.parse_uint64();
+      // Legacy field (the removed lock-step batch size); older reports,
+      // the committed baseline included, still carry it. Ignored.
+      (void)cursor.parse_uint64();
     } else if (key == "cells") {
       cursor.expect('[');
       while (!cursor.peek_is(']')) {
@@ -587,7 +581,7 @@ GateResult gate_against_baseline(const PerfReport& baseline,
       continue;
     }
     // Workload identity: any drift means the measured computation changed
-    // (e.g. the batched kernel stopped being bit-exact), not that the
+    // (e.g. a strategy now takes different round counts), not that the
     // machine got slower — no tolerance applies. success_rate is compared
     // through the JSON formatting so an in-memory report gates identically
     // to its own round-tripped bytes.

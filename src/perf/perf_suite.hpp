@@ -35,13 +35,8 @@ inline constexpr int kSchemaVersion = 1;
 struct PerfConfig {
   bool quick = false;       ///< smoke mode: two small cells per strategy
   unsigned threads = 0;     ///< trial-runner pool size; 0 = hardware threads
-  std::uint64_t seed = 7;   ///< base seed for every cell's trial batch
+  std::uint64_t seed = 7;   ///< base seed for every cell's trials
   std::uint64_t trials = 0; ///< per-cell trials; 0 = mode default (8 / 256)
-  /// Lock-step SoA batch size (0 or 1 = scalar path). A pure throughput
-  /// lever: the batched kernel is bit-exact against the scalar Scheduler,
-  /// so every identity field of the report is unchanged — only the timing
-  /// fields move.
-  std::uint64_t batch = 0;
 };
 
 /// Identity of one measurement cell: which strategy ran on which graph.
@@ -78,7 +73,7 @@ struct PerfCell {
   std::uint64_t trials = 0;
   std::uint64_t total_rounds = 0;  ///< rounds executed across all trials
   double success_rate = 0.0;
-  double seconds = 0.0;            ///< wall-clock for the whole batch
+  double seconds = 0.0;            ///< wall-clock for all the cell's trials
   double rounds_per_sec = 0.0;
   double trials_per_sec = 0.0;
 };
@@ -87,12 +82,8 @@ struct PerfCell {
 struct PerfReport {
   std::string schema;      ///< "fnr-perf/<version>"
   bool quick = false;
-  unsigned threads = 0;    ///< actual pool size the batches ran on
+  unsigned threads = 0;    ///< actual pool size the trials ran on
   std::uint64_t seed = 0;
-  /// SoA batch size the suite ran with (0 = scalar path). Emitted only
-  /// when non-zero, and defaulted to 0 on parse, so reports written before
-  /// the field existed still round-trip.
-  std::uint64_t batch = 0;
   std::vector<PerfCell> cells;
 
   /// Stable-key-order JSON, one cell per line (diff-friendly).
@@ -107,8 +98,8 @@ struct PerfReport {
 [[nodiscard]] std::vector<PerfCellSpec> perf_cell_specs(
     const PerfConfig& config);
 
-/// Runs every cell of `config` through core::run_trials and times the
-/// batches. Cell order matches perf_cell_specs(config); the workload
+/// Runs every cell of `config` through core::run_trials and times each
+/// one. Cell order matches perf_cell_specs(config); the workload
 /// aggregates are bit-identical across thread counts (runner contract),
 /// only the timing fields vary between machines and runs.
 [[nodiscard]] PerfReport run_perf_suite(const PerfConfig& config);
@@ -153,12 +144,12 @@ struct GateResult {
 /// Compares a fresh report against a committed baseline. Identity fields
 /// must match exactly — same cell set in the same order, and per cell the
 /// same trials, total_rounds, and success_rate (any drift there means the
-/// *workload* changed, e.g. the batched kernel stopped being bit-exact,
-/// which no tolerance should forgive). rounds_per_sec may regress by at
+/// *workload* changed, e.g. a strategy now takes a different number of
+/// rounds, which no tolerance should forgive). rounds_per_sec may regress by at
 /// most `tolerance` (fractional, e.g. 0.30): a cell fails when
 ///   current.rounds_per_sec < baseline.rounds_per_sec * (1 - tolerance).
 /// Machine-dependent fields that carry no signal — threads, seconds,
-/// trials_per_sec, batch — are ignored. Baseline cells with a zero rate
+/// trials_per_sec — are ignored. Baseline cells with a zero rate
 /// (degenerate timer) are skipped. Speedups never fail; refresh the
 /// baseline deliberately (see docs/PERFORMANCE.md) to bank them.
 [[nodiscard]] GateResult gate_against_baseline(const PerfReport& baseline,

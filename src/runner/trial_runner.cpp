@@ -221,7 +221,7 @@ TrialAccumulator TrialRunner::run(
     std::uint64_t n_trials, std::uint64_t base_seed,
     const std::function<TrialOutcome(std::uint64_t, std::uint64_t)>& fn)
     const {
-  // The scratch-free batch is the scratch batch with an empty scratch —
+  // The scratch-free run is the scratch run with an empty scratch —
   // one copy of the slot-staging/accumulation contract.
   struct NoScratch {};
   return run_with_scratch<NoScratch>(

@@ -7,8 +7,8 @@
 // Determinism contract: trial i always receives the seed
 // trial_seed(base_seed, i), workers write their outcome into slot i of a
 // pre-sized vector, and aggregation walks the slots in trial order — so the
-// aggregate is bit-identical no matter how many threads ran the batch or how
-// the OS interleaved them.
+// aggregate is bit-identical no matter how many threads ran the trials or
+// how the OS interleaved them.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@ namespace fnr::runner {
 
 /// One trial's outcome, as fed to the accumulator.
 struct TrialOutcome {
-  std::uint64_t trial = 0;  ///< trial index within the batch
+  std::uint64_t trial = 0;  ///< trial index within the run
   std::uint64_t seed = 0;   ///< the split seed the trial ran with
   bool met = false;
   std::uint64_t meeting_round = 0;
@@ -54,7 +54,7 @@ struct TrialOutcome {
                                              std::uint64_t marks = 0);
 };
 
-/// Batch-level aggregate statistics.
+/// Aggregate statistics over all trials of a run.
 struct TrialAggregate {
   std::uint64_t trials = 0;
   std::uint64_t successes = 0;
@@ -70,7 +70,7 @@ struct TrialAggregate {
   double mean_marks = 0.0;
   double mean_moves_a = 0.0;
   double mean_moves_b = 0.0;
-  /// Summed fault counters across the batch. All-zero for reliable runs —
+  /// Summed fault counters across the trials. All-zero for reliable runs —
   /// and to_json() then omits the "faults" block entirely, keeping
   /// fault-free JSON byte-identical to builds without the fault layer.
   fault::FaultStats fault_totals;
@@ -148,7 +148,7 @@ class TrialRunner {
   /// Like run(), but each worker thread owns one `Scratch` (default-
   /// constructed lazily on the worker's first trial) passed by reference to
   /// every trial that worker executes: fn(scratch, trial, seed). Per-worker
-  /// scratch is how batch loops stay allocation-free after warm-up (e.g. a
+  /// scratch is how trial loops stay allocation-free after warm-up (e.g. a
   /// sim::SchedulerScratch holding a warm arena) without sharing mutable
   /// state across threads. The determinism contract is unchanged — a trial's
   /// outcome must depend only on (trial, seed), never on scratch contents
@@ -197,63 +197,8 @@ class TrialRunner {
     return acc;
   }
 
-  /// Like run_with_scratch(), but dispatches *blocks* of consecutive trials
-  /// so a worker can hand each block to a lock-step batch kernel:
-  /// fn(scratch, first, count, outs) must fill outs[0..count) with the
-  /// outcomes of trials [first, first+count). Trial and seed fields are
-  /// stamped here afterwards (fn derives per-trial seeds itself via
-  /// trial_seed(base_seed, first + j), identical to the scalar path), and
-  /// accumulation still walks global trial order — so for a bit-exact
-  /// kernel the aggregate is byte-identical to run_with_scratch no matter
-  /// the batch size or thread count.
-  template <typename Scratch, typename Fn>
-  [[nodiscard]] TrialAccumulator run_batched(std::uint64_t n_trials,
-                                             std::uint64_t base_seed,
-                                             std::uint64_t batch_size,
-                                             Fn&& fn) const {
-    return run_span_batched<Scratch>(0, n_trials, base_seed, batch_size,
-                                     std::forward<Fn>(fn));
-  }
-
-  /// Span variant of run_batched: blocks cover the *global* trial range
-  /// [first_trial, first_trial + n_trials), and fn receives global first
-  /// indices (it already derives seeds as trial_seed(base_seed, first + j)).
-  /// Block boundaries shift when a cell is sharded, but the batch kernel is
-  /// bit-exact against the scalar path for any grouping, so merged
-  /// aggregates stay byte-identical to an unsharded run.
-  template <typename Scratch, typename Fn>
-  [[nodiscard]] TrialAccumulator run_span_batched(std::uint64_t first_trial,
-                                                  std::uint64_t n_trials,
-                                                  std::uint64_t base_seed,
-                                                  std::uint64_t batch_size,
-                                                  Fn&& fn) const {
-    struct alignas(64) Slot {
-      std::optional<Scratch> scratch;
-    };
-    const std::uint64_t stride = batch_size == 0 ? 1 : batch_size;
-    const std::uint64_t blocks = n_trials / stride + (n_trials % stride != 0);
-    std::vector<TrialOutcome> slots(n_trials);
-    std::vector<Slot> scratches(planned_workers(blocks));
-    dispatch(blocks, [&](unsigned worker, std::uint64_t block) {
-      auto& scratch = scratches[worker].scratch;
-      if (!scratch.has_value()) scratch.emplace();
-      const std::uint64_t local_first = block * stride;
-      const std::uint64_t count =
-          local_first + stride <= n_trials ? stride : n_trials - local_first;
-      const std::uint64_t first = first_trial + local_first;
-      fn(*scratch, first, count, slots.data() + local_first);
-      for (std::uint64_t j = 0; j < count; ++j) {
-        slots[local_first + j].trial = first + j;
-        slots[local_first + j].seed = trial_seed(base_seed, first + j);
-      }
-    });
-    TrialAccumulator acc;
-    for (auto& out : slots) acc.add(out);
-    return acc;
-  }
-
  private:
-  /// Number of worker threads a batch of `n_trials` will actually spawn.
+  /// Number of worker threads a run of `n_trials` will actually spawn.
   [[nodiscard]] unsigned planned_workers(std::uint64_t n_trials)
       const noexcept;
 

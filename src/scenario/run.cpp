@@ -1,11 +1,9 @@
 #include "scenario/run.hpp"
 
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <vector>
 
-#include "sim/batch_scheduler.hpp"
 #include "sim/scheduler.hpp"
 
 namespace fnr::scenario {
@@ -104,17 +102,21 @@ ScenarioReport run_scenario(const Scenario& scenario, const Program& program,
   // now, after the k agent builds, so the agents' own streams match the
   // fault-free schedule exactly. Crash revivals re-run the slot's factory
   // with fresh splits in revival order (single-threaded inside one run, so
-  // the order — and hence the replay — is deterministic).
+  // the order — and hence the replay — is deterministic). Each slot owns at
+  // most one revived instance: the scheduler swaps its pointer to the fresh
+  // one and never touches the crashed one again, so a revival frees the
+  // slot's previous revival and a crash-heavy run holds at most 2k agents.
   fault::FaultSession session(options.fault, seed_rng.split());
   Rng revive_rng = seed_rng.split();
-  std::deque<std::unique_ptr<sim::Agent>> revived;  // stable addresses
+  std::vector<std::unique_ptr<sim::Agent>> revived(scenario.num_agents);
   session.revive = [&](std::size_t slot) -> sim::Agent* {
     AgentBuild build{g,    options.params,      program,
                      slot, scenario.num_agents, revive_rng.split()};
     const AgentFactory& factory =
         def.symmetric ? def.symmetric : (slot == 0 ? def.seeker : def.marker);
-    revived.push_back(factory(build));
-    return revived.back().get();
+    revived[slot].reset();  // free the crashed instance before building
+    revived[slot] = factory(build);
+    return revived[slot].get();
   };
 
   // The scratch's scheduler outlives this call; never leave it pointing at
@@ -152,15 +154,7 @@ runner::TrialAccumulator run_scenario_trials(
     const ScenarioOptions& options, std::uint64_t n_trials,
     const runner::TrialRunner& trial_runner) {
   return run_scenario_trial_span(scenario, program, g, options, 0, n_trials,
-                                 trial_runner, /*batch_size=*/0);
-}
-
-runner::TrialAccumulator run_scenario_trials(
-    const Scenario& scenario, const Program& program, const graph::Graph& g,
-    const ScenarioOptions& options, std::uint64_t n_trials,
-    const runner::TrialRunner& trial_runner, std::uint64_t batch_size) {
-  return run_scenario_trial_span(scenario, program, g, options, 0, n_trials,
-                                 trial_runner, batch_size);
+                                 trial_runner);
 }
 
 runner::TrialAccumulator run_scenario_trial_span(
@@ -168,75 +162,26 @@ runner::TrialAccumulator run_scenario_trial_span(
     const ScenarioOptions& options, std::uint64_t first_trial,
     std::uint64_t n_trials, const runner::TrialRunner& trial_runner,
     std::uint64_t batch_size) {
-  // Faulty cells keep the scalar oracle: fault sites draw from the session
-  // stream in global round order, which a lock-step batch would reorder.
-  // (Per-trial fault streams split off the trial seed, so spans are safe.)
-  if (batch_size <= 1 || options.fault.active()) {
-    // One SchedulerScratch per worker keeps the batch loop on warm arenas.
-    return trial_runner.run_span_with_scratch<sim::SchedulerScratch>(
-        first_trial, n_trials, options.seed,
-        [&](sim::SchedulerScratch& scratch, std::uint64_t trial,
-            std::uint64_t seed) {
-          // Stream 11 draws the instance; the agents split their own streams
-          // from the bare seed inside run_scenario. Both derive only from the
-          // per-trial split seed — bit-identical across thread counts.
-          Rng instance_rng(seed, /*stream=*/11);
-          const auto placement = draw_instance(scenario, g, instance_rng);
-          ScenarioOptions trial_options = options;
-          trial_options.seed = seed;
-          const auto report = run_scenario(scenario, program, g, placement,
-                                           trial_options, scratch);
-          return to_outcome(trial, seed, report.run);
-        });
-  }
-
-  // Trial-invariant validation and the round cap, hoisted out of the loop
-  // (the scalar path re-derives them per trial with identical results).
-  scenario.validate();
-  const ProgramDef& def = program.def();
-  FNR_CHECK_MSG(g.min_degree() >= 1, "graph must have no isolated vertices");
-  check_runnable(def, g);
-  const std::uint64_t cap =
-      options.max_rounds > 0
-          ? options.max_rounds
-          : auto_round_cap(g, scenario, program, options.params);
-
-  return trial_runner.run_span_batched<sim::BatchSchedulerScratch>(
-      first_trial, n_trials, options.seed, batch_size,
-      [&](sim::BatchSchedulerScratch& scratch, std::uint64_t first,
-          std::uint64_t count, runner::TrialOutcome* outs) {
-        sim::BatchScheduler& kernel = scratch.kernel_for(g, def.model);
-        kernel.begin_batch(scenario.gathering);
-        // One agent team per staged trial, alive until the kernel ran.
-        std::vector<std::vector<std::unique_ptr<sim::Agent>>> teams;
-        teams.reserve(count);
-        std::vector<sim::Agent*> pointers;
-        for (std::uint64_t j = 0; j < count; ++j) {
-          const std::uint64_t seed =
-              runner::trial_seed(options.seed, first + j);
-          // Stream discipline identical to the scalar trial lambda: stream
-          // 11 draws the instance, the agent builds split the bare seed in
-          // slot order.
-          Rng instance_rng(seed, /*stream=*/11);
-          const auto placement = draw_instance(scenario, g, instance_rng);
-          FNR_CHECK_MSG(placement.num_agents() == scenario.num_agents,
-                        "placement has " << placement.num_agents()
-                                         << " starts for a "
-                                         << scenario.num_agents
-                                         << "-agent scenario");
-          Rng seed_rng(seed);
-          teams.push_back(build_agents(program, scenario.num_agents, g,
-                                       options.params, seed_rng));
-          pointers.clear();
-          for (const auto& agent : teams.back())
-            pointers.push_back(agent.get());
-          kernel.add_trial(pointers, placement, cap);
-        }
-        const auto results = kernel.run();
-        for (std::uint64_t j = 0; j < count; ++j)
-          outs[j] = to_outcome(first + j,
-                               runner::trial_seed(options.seed, first + j),
-                               results[j]);
+  FNR_CHECK_MSG(batch_size <= 1,
+                "batch size " << batch_size
+                              << " requested, but the lock-step batch kernel "
+                                 "was removed");
+  // One SchedulerScratch per worker keeps the trial loop on warm arenas.
+  return trial_runner.run_span_with_scratch<sim::SchedulerScratch>(
+      first_trial, n_trials, options.seed,
+      [&](sim::SchedulerScratch& scratch, std::uint64_t trial,
+          std::uint64_t seed) {
+        // Stream 11 draws the instance; the agents split their own streams
+        // from the bare seed inside run_scenario. Both derive only from the
+        // per-trial split seed — bit-identical across thread counts.
+        Rng instance_rng(seed, /*stream=*/11);
+        const auto placement = draw_instance(scenario, g, instance_rng);
+        ScenarioOptions trial_options = options;
+        trial_options.seed = seed;
+        const auto report =
+            run_scenario(scenario, program, g, placement, trial_options,
+                         scratch);
+        return to_outcome(trial, seed, report.run);
       });
 }
 

@@ -76,7 +76,7 @@ struct ScenarioReport {
                                           const ScenarioOptions& options);
 
 /// Same, executing on the caller's scheduler scratch (one per worker in
-/// batch loops, so repeated trials reuse a warm arena). Bit-identical to
+/// trial loops, so repeated trials reuse a warm arena). Bit-identical to
 /// the scratch-free overload.
 [[nodiscard]] ScenarioReport run_scenario(const Scenario& scenario,
                                           const Program& program,
@@ -92,26 +92,14 @@ struct ScenarioReport {
     std::uint64_t trial, std::uint64_t seed,
     const sim::ScenarioRunResult& run);
 
-/// Batch entry point: n_trials independent instances of (scenario, program)
+/// Trial entry point: n_trials independent instances of (scenario, program)
 /// through the parallel TrialRunner. Trial t draws its placement, delays,
 /// and agent randomness from the split seed trial_seed(options.seed, t), so
-/// the aggregate is bit-identical no matter how many threads ran the batch.
+/// the aggregate is bit-identical no matter how many threads ran them.
 [[nodiscard]] runner::TrialAccumulator run_scenario_trials(
     const Scenario& scenario, const Program& program, const graph::Graph& g,
     const ScenarioOptions& options, std::uint64_t n_trials,
     const runner::TrialRunner& trial_runner);
-
-/// Same batch, executed `batch_size` trials at a time on the lock-step SoA
-/// kernel (sim::BatchScheduler). Seeds, placements, and agent builds follow
-/// the scalar schedule exactly and the kernel is bit-exact against the
-/// scalar Scheduler, so aggregates are byte-identical to the overload
-/// above. Falls back to the scalar path when batch_size <= 1 or the
-/// options carry an active fault plan (fault sites consume RNG in round
-/// order, which lock-stepping would re-interleave).
-[[nodiscard]] runner::TrialAccumulator run_scenario_trials(
-    const Scenario& scenario, const Program& program, const graph::Graph& g,
-    const ScenarioOptions& options, std::uint64_t n_trials,
-    const runner::TrialRunner& trial_runner, std::uint64_t batch_size);
 
 /// Span entry: runs *global* trials [first_trial, first_trial + n_trials)
 /// of the cell whose base seed is options.seed. Trial t (global index)
@@ -120,11 +108,13 @@ struct ScenarioReport {
 /// merged through TrialAccumulator::merge aggregates bit-identically to
 /// one unsharded run (the campaign executor's monster-cell path). Faulty
 /// cells shard safely too: fault draws come from per-trial split streams.
-/// Both run_scenario_trials overloads are the first_trial = 0 case.
+/// run_scenario_trials is the first_trial = 0 case. `batch_size` is kept
+/// only for source compatibility with older callers: 0 and 1 mean the one
+/// scalar path, and anything larger is a CheckError.
 [[nodiscard]] runner::TrialAccumulator run_scenario_trial_span(
     const Scenario& scenario, const Program& program, const graph::Graph& g,
     const ScenarioOptions& options, std::uint64_t first_trial,
     std::uint64_t n_trials, const runner::TrialRunner& trial_runner,
-    std::uint64_t batch_size);
+    std::uint64_t batch_size = 0);
 
 }  // namespace fnr::scenario

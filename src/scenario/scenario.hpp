@@ -10,7 +10,7 @@
 //
 // A Scenario is a static descriptor; draw_instance materializes one concrete
 // trial (starts + delays) from it deterministically given an Rng, so trial
-// batches stay bit-identical across thread counts.
+// aggregates stay bit-identical across thread counts.
 #pragma once
 
 #include <cstdint>

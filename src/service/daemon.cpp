@@ -155,7 +155,6 @@ struct Daemon::Impl {
     copts.checkpoint_path = checkpoint_path(info->name);
     copts.resume = info->resume;
     copts.max_cells = info->request.max_cells;
-    copts.batch = info->request.batch;
     try {
       campaign::Campaign campaign(info->spec, std::move(copts));
       {

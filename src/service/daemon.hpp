@@ -20,7 +20,7 @@
 // RESUME re-reads the submit frame, re-runs the campaign with resume
 // semantics (finished cells restore from the checkpoint byte-for-byte),
 // and the merged report `<workdir>/<name>.json` comes out identical to a
-// batch bench/sweep run of the same spec — that equivalence is asserted in
+// bench/sweep run of the same spec — that equivalence is asserted in
 // CI.
 //
 // Backpressure, two layers: SUBMIT fails with "queue full" when the work

@@ -52,7 +52,6 @@ std::string serialize_request(const Request& request) {
   if (!request.spec_text.empty())
     os << ",\"spec\":\"" << json_escape(request.spec_text) << "\"";
   if (request.trials != 0) os << ",\"trials\":" << request.trials;
-  if (request.batch != 0) os << ",\"batch\":" << request.batch;
   if (request.max_cells != 0) os << ",\"max_cells\":" << request.max_cells;
   os << "}";
   return os.str();
@@ -79,7 +78,9 @@ Request parse_request(const std::string& payload) {
     } else if (field == "trials") {
       request.trials = cursor.parse_uint64();
     } else if (field == "batch") {
-      request.batch = cursor.parse_uint64();
+      // Legacy SUBMIT field (the removed lock-step batch size): persisted
+      // submit frames and old clients may still carry it. Ignored.
+      (void)cursor.parse_uint64();
     } else if (field == "max_cells") {
       request.max_cells = cursor.parse_uint64();
     } else {

@@ -4,7 +4,7 @@
 // Requests are single JSON objects with a "verb" field:
 //
 //   {"verb":"submit","campaign":"smoke","spec":"<spec text>",
-//    "trials":0,"batch":0,"max_cells":0}   // 0 fields may be omitted
+//    "trials":0,"max_cells":0}             // 0 fields may be omitted
 //   {"verb":"status"[,"campaign":"smoke"]} // no campaign ⇒ all campaigns
 //   {"verb":"stream","campaign":"smoke"}
 //   {"verb":"cancel","campaign":"smoke"}
@@ -43,7 +43,6 @@ struct Request {
   std::string campaign;   ///< campaign name; may be empty for STATUS only
   std::string spec_text;  ///< SUBMIT only: the spec to parse and run
   std::uint64_t trials = 0;     ///< SUBMIT only: per-cell trial override
-  std::uint64_t batch = 0;      ///< SUBMIT only: SoA batch size
   std::uint64_t max_cells = 0;  ///< SUBMIT only: stop after N cells (CI)
 };
 
@@ -58,7 +57,9 @@ struct Request {
 
 /// Parses wire JSON into a Request. Throws CheckError on malformed JSON,
 /// an unknown verb or field, a missing campaign on verbs that need one, or
-/// an invalid campaign name.
+/// an invalid campaign name. The legacy SUBMIT field "batch" (the removed
+/// lock-step batch size) still parses and is ignored, so persisted submit
+/// frames and old clients keep working.
 [[nodiscard]] Request parse_request(const std::string& payload);
 
 // --- response payload builders ----------------------------------------------

@@ -3,7 +3,7 @@
 // The tables themselves — neighbor IDs and arrival ports per adjacency
 // slot, the dense ID→index array, the small-graph port_by_pair table — are
 // built once per graph in GraphBuilder::build and live in graph::Graph,
-// where every Scheduler, BatchScheduler and View reads them directly.
+// where every Scheduler and View reads them directly.
 // NeighborTable only re-exposes them in row form (ids[v][port],
 // rev[v][port]) for code that inspects the tables as a whole; constructing
 // one copies nothing and allocates nothing.

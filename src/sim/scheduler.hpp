@@ -28,18 +28,20 @@
 // zero-delay run prefixed by d inert rounds (tests pin this).
 //
 // Performance: a Scheduler is a reusable arena. All per-run scratch —
-// positions, arrival ports (a flat uint32 array with a no-port sentinel,
-// the batch kernel's SoA layout), staged actions, per-agent Views, the
-// per-vertex occupancy counts, the whiteboard store — lives in the
-// Scheduler and is reset (not reallocated) at the start of each run, so
-// repeated trials on one Scheduler perform zero heap allocation after the
-// first (warm-up) run. The arena holds no per-graph tables: Views observe
-// neighbor IDs through spans into the graph's per-slot arrays, and moves
-// resolve arrival ports with one load from Graph::reverse_ports — both
-// built once per graph in GraphBuilder::build and shared read-only by
-// every Scheduler on that graph. Scheduler::run additionally takes a
-// branch-light two-agent fast path with no per-run vectors at all. tests/test_alloc_guard.cpp enforces these
-// invariants; docs/PERFORMANCE.md and docs/ARCHITECTURE.md document them.
+// positions, arrival ports (a flat uint32 array with a no-port sentinel),
+// staged actions, per-agent Views, the per-vertex occupancy counts, the
+// whiteboard store — lives in the Scheduler and is reset (not reallocated) at
+// the start of each run, so repeated trials on one Scheduler perform zero heap
+// allocation after the first (warm-up) run. The arena holds no per-graph
+// tables: Views observe neighbor IDs through spans into the graph's per-slot
+// arrays, and moves resolve arrival ports with one load from
+// Graph::reverse_ports — both built once per graph in GraphBuilder::build and
+// shared read-only by every Scheduler on that graph. Scheduler::run
+// additionally takes a branch-light two-agent fast path with no per-run vectors
+// at all. tests/test_alloc_guard.cpp enforces these invariants;
+// docs/PERFORMANCE.md and docs/ARCHITECTURE.md document them. The Scheduler is
+// the only round loop for scenario trials: independent trials run one after
+// another on a warm arena, never in lock step.
 //
 // Meeting detection: every gathering predicate is a per-vertex co-location
 // threshold (Gathering::threshold), and run_scenario can evaluate it two
@@ -48,7 +50,7 @@
 // at/above the threshold incrementally, so a round boundary costs O(1) and
 // each move O(1) — the massive-k path. Both report byte-identical results
 // (meeting round/vertex/pair and all metrics); tests/test_swarm_differential
-// enforces that, mirroring the batch kernel's scalar-oracle contract.
+// enforces that.
 #pragma once
 
 #include <cstdint>
@@ -168,8 +170,7 @@ class Scheduler {
 
  private:
   /// Sentinel in arrival_port_ / the fast-path arrays: no arrival port
-  /// (start vertex, stay, or blocked move). Same encoding as the batch
-  /// kernel's kNoPort.
+  /// (start vertex, stay, or blocked move).
   static constexpr std::uint32_t kNoArrival = 0xFFFFFFFFu;
 
   /// Grows the per-agent arena to `k` slots and resets the per-run state,
@@ -224,7 +225,7 @@ class Scheduler {
 };
 
 /// Per-worker scheduler cache: hands out a Scheduler arena for a
-/// (graph, model) pair. Batch loops (core::run_trials,
+/// (graph, model) pair. Trial loops (core::run_trials,
 /// scenario::run_scenario_trials) keep one SchedulerScratch per worker
 /// thread, so after the first trial every subsequent trial on that worker
 /// reuses a warm arena and the trial loop stays allocation-free.

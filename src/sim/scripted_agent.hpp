@@ -3,7 +3,7 @@
 // The paper's algorithms are written as sequential programs ("visit v,
 // return, repeat"), while the simulator drives agents one round at a time.
 // ScriptedAgent bridges the two: subclasses implement on_idle(), which runs
-// whenever the operation queue is empty and enqueues the next short batch
+// whenever the operation queue is empty and enqueues the next short run
 // of per-round operations (moves addressed by neighbor ID, whiteboard
 // writes, waits). Requires the KT1 model because moves are addressed by ID.
 #pragma once

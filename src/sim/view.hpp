@@ -30,7 +30,6 @@ class FaultSession;
 namespace fnr::sim {
 
 class Scheduler;
-class BatchScheduler;
 
 class View {
  public:
@@ -90,7 +89,6 @@ class View {
 
  private:
   friend class Scheduler;
-  friend class BatchScheduler;
 
   AgentName agent_ = AgentName::A;
   std::uint64_t round_ = 0;

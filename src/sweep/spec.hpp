@@ -4,10 +4,10 @@
 // one size, one seed, one topology. A SweepSpec names whole *axes* —
 // program × scenario (which bundles k, delay model, and gathering
 // predicate) × topology family × n × seed block — and expands them into a
-// deterministic cell grid the sweep engine can shard across workers and
-// resume mid-campaign (see engine.hpp). Everything about a cell is derived
-// from the spec text, so two machines given the same spec enumerate the
-// same grid in the same order with the same keys.
+// deterministic cell grid the campaign core can shard across workers and
+// resume mid-campaign (see campaign/campaign.hpp). Everything about a cell
+// is derived from the spec text, so two machines given the same spec
+// enumerate the same grid in the same order with the same keys.
 //
 // Spec text format (parse_spec): one `key = value` per line, `#` comments.
 //

@@ -326,7 +326,7 @@ TEST(CellExecutor, CancelMidParallelResumesToIdenticalBytes) {
 
 TEST(CellExecutor, FailedCellsFlowThroughUnchangedAtAnyJobs) {
   // A cell whose run throws CheckError becomes an ok=false result (the
-  // batch keeps going) — and the error artifact is identical across pool
+  // run keeps going) — and the error artifact is identical across pool
   // sizes like any other cell. expand() never emits an unrunnable cell,
   // so tamper one: an unknown scenario name fails deterministically at
   // find_scenario, the same catch boundary every runtime failure hits.

@@ -6,17 +6,21 @@
 // interrupt/resume and shard merges byte-for-byte.
 #include "fault/fault.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "campaign/campaign.hpp"
+#include "graph/generators.hpp"
 #include "scenario/run.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/view.hpp"
-#include "sweep/engine.hpp"
+#include "sweep/spec.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
 
@@ -188,6 +192,57 @@ TEST(FaultScenario, CrashLosesStateAndRestartsAfterDowntime) {
   EXPECT_LE(agg.fault_totals.restarts, agg.fault_totals.crashes);
   // The aggregate records the injections in its JSON for the sweep report.
   EXPECT_NE(agg.to_json().find("\"faults\""), std::string::npos);
+}
+
+/// Live and peak instance counts of CountedSitter (single-threaded use).
+std::size_t g_live_sitters = 0;
+std::size_t g_peak_sitters = 0;
+
+class CountedSitter final : public sim::Agent {
+ public:
+  CountedSitter() {
+    g_peak_sitters = std::max(g_peak_sitters, ++g_live_sitters);
+  }
+  ~CountedSitter() override { --g_live_sitters; }
+  sim::Action step(const sim::View&) override { return sim::Action::stay(); }
+};
+
+TEST(FaultScenario, CrashRevivalsKeepAtMostTwoInstancesPerSlot) {
+  // Each revival replaces the slot's previous revived instance, so a long
+  // crash-heavy run holds the k originals plus at most k revivals — not
+  // one instance per crash.
+  if (!scenario::has_program("test-counted-sitter")) {
+    scenario::ProgramDef def;
+    def.label = "test-counted-sitter";
+    def.description = "registered by the test suite: counts live agents";
+    def.paper_ref = "test";
+    def.caps.supports_multi_agent = true;
+    def.symmetric =
+        [](scenario::AgentBuild&) -> std::unique_ptr<sim::Agent> {
+      return std::make_unique<CountedSitter>();
+    };
+    def.round_cap = [](const graph::Graph&, const core::Params&) {
+      return std::uint64_t{64};
+    };
+    scenario::register_program(def);
+  }
+  scenario::Scenario crowd;
+  crowd.name = "counted-crowd";
+  crowd.num_agents = 4;
+  crowd.placement = scenario::PlacementModel::RandomDistinct;
+  const auto g = graph::make_ring(16);
+  sim::ScenarioPlacement placement;
+  placement.starts = {0, 4, 8, 12};  // sitters never gather
+  auto options = options_with("crash?rate=0.5&downtime=1", 3);
+  options.max_rounds = 2000;
+  g_live_sitters = g_peak_sitters = 0;
+  const auto program = scenario::find_program("test-counted-sitter");
+  const auto report =
+      scenario::run_scenario(crowd, program, g, placement, options);
+  EXPECT_FALSE(report.run.met);
+  EXPECT_GT(report.run.faults.restarts, 100u);
+  EXPECT_LE(g_peak_sitters, 2 * crowd.num_agents);
+  EXPECT_EQ(g_live_sitters, 0u);  // every instance freed with the run
 }
 
 TEST(FaultScenario, CrashWithoutReviverIsACheckError) {
@@ -386,38 +441,38 @@ TEST(FaultSweep, MissingTwinEmitsNoVsFaultFreeBlock) {
   // twin lives elsewhere; its report entry must then simply carry no
   // vs_fault_free block — not deltas computed against a fabricated control.
   const auto spec = sweep::parse_spec(kFaultSweepSpec);
-  const auto full = sweep::run_sweep(spec, sweep::SweepOptions{});
+  const auto full = campaign::Campaign(spec, campaign::CampaignOptions{}).run();
   ASSERT_TRUE(full.complete);
-  EXPECT_NE(sweep::to_json(spec, full.cells).find("\"vs_fault_free\""),
+  EXPECT_NE(campaign::to_json(spec, full.cells).find("\"vs_fault_free\""),
             std::string::npos);
 
   // Split the campaign the worst way: every faulty cell in one "shard",
   // every control twin in the other.
-  std::vector<sweep::CellResult> faulty_only;
-  std::vector<sweep::CellResult> controls_only;
+  std::vector<campaign::CellResult> faulty_only;
+  std::vector<campaign::CellResult> controls_only;
   for (const auto& cell : full.cells)
     (cell.cell.fault.active() ? faulty_only : controls_only).push_back(cell);
   ASSERT_FALSE(faulty_only.empty());
   ASSERT_FALSE(controls_only.empty());
 
-  const std::string orphaned = sweep::to_json(spec, faulty_only);
+  const std::string orphaned = campaign::to_json(spec, faulty_only);
   EXPECT_EQ(orphaned.find("\"vs_fault_free\""), std::string::npos);
   // The cells themselves are intact — only the comparison block is gone.
   EXPECT_NE(orphaned.find("\"fault\":\"crash?downtime=2&rate=0.2\""),
             std::string::npos);
   EXPECT_NE(orphaned.find("\"agg\""), std::string::npos);
-  EXPECT_EQ(sweep::to_json(spec, controls_only).find("\"vs_fault_free\""),
+  EXPECT_EQ(campaign::to_json(spec, controls_only).find("\"vs_fault_free\""),
             std::string::npos);
 }
 
 TEST(FaultSweep, InterruptedResumedAndShardedCampaignsMatchByteForByte) {
   const auto spec = sweep::parse_spec(kFaultSweepSpec);
 
-  sweep::SweepOptions uninterrupted;
+  campaign::CampaignOptions uninterrupted;
   uninterrupted.threads = 2;
-  const auto full = sweep::run_sweep(spec, uninterrupted);
+  const auto full = campaign::Campaign(spec, uninterrupted).run();
   ASSERT_TRUE(full.complete);
-  const std::string full_json = sweep::to_json(spec, full.cells);
+  const std::string full_json = campaign::to_json(spec, full.cells);
   // Faulty cells carry the plan key and robustness deltas vs their twin.
   EXPECT_NE(full_json.find("\"fault\":\"crash?downtime=2&rate=0.2\""),
             std::string::npos);
@@ -427,34 +482,34 @@ TEST(FaultSweep, InterruptedResumedAndShardedCampaignsMatchByteForByte) {
 
   // Kill after 2 cells, then resume with a different thread count.
   const TempPath checkpoint("fault_sweep_resume.jsonl");
-  sweep::SweepOptions interrupted;
+  campaign::CampaignOptions interrupted;
   interrupted.threads = 2;
   interrupted.checkpoint_path = checkpoint.str();
   interrupted.max_cells = 2;
-  ASSERT_FALSE(sweep::run_sweep(spec, interrupted).complete);
-  sweep::SweepOptions resumed = interrupted;
+  ASSERT_FALSE(campaign::Campaign(spec, interrupted).run().complete);
+  campaign::CampaignOptions resumed = interrupted;
   resumed.threads = 1;
   resumed.max_cells = 0;
   resumed.resume = true;
-  const auto finished = sweep::run_sweep(spec, resumed);
+  const auto finished = campaign::Campaign(spec, resumed).run();
   ASSERT_TRUE(finished.complete);
-  EXPECT_EQ(sweep::to_json(spec, finished.cells), full_json);
+  EXPECT_EQ(campaign::to_json(spec, finished.cells), full_json);
 
   // Two shards merged cover the same campaign byte-for-byte.
   const TempPath ckpt0("fault_sweep_shard0.jsonl");
   const TempPath ckpt1("fault_sweep_shard1.jsonl");
-  std::vector<std::map<std::string, sweep::CheckpointEntry>> checkpoints;
+  std::vector<std::map<std::string, campaign::CheckpointEntry>> checkpoints;
   for (std::uint32_t shard = 0; shard < 2; ++shard) {
-    sweep::SweepOptions options;
+    campaign::CampaignOptions options;
     options.threads = 1;
     options.shard_index = shard;
     options.shard_count = 2;
     options.checkpoint_path = shard == 0 ? ckpt0.str() : ckpt1.str();
-    ASSERT_TRUE(sweep::run_sweep(spec, options).complete);
-    checkpoints.push_back(sweep::load_checkpoint(options.checkpoint_path));
+    ASSERT_TRUE(campaign::Campaign(spec, options).run().complete);
+    checkpoints.push_back(campaign::load_checkpoint(options.checkpoint_path));
   }
-  const auto merged = sweep::results_from_checkpoints(spec, checkpoints);
-  EXPECT_EQ(sweep::to_json(spec, merged), full_json);
+  const auto merged = campaign::results_from_checkpoints(spec, checkpoints);
+  EXPECT_EQ(campaign::to_json(spec, merged), full_json);
 }
 
 }  // namespace

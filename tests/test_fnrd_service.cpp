@@ -2,7 +2,7 @@
 // socket, driven through service::Connection exactly as fnrc drives the
 // real binary. Covers concurrent campaigns, the replay-then-follow stream
 // contract, mid-stream client disconnects, max_cells pause + RESUME, the
-// report-equals-batch-bytes determinism guarantee, and the hostile-input
+// report-equals-sweep-bytes determinism guarantee, and the hostile-input
 // battery (invalid JSON requests, framing violations) that must never take
 // the daemon down.
 #include "service/daemon.hpp"
@@ -152,8 +152,8 @@ std::vector<std::string> stream_to_end(Connection& connection,
   }
 }
 
-/// The batch-surface reference bytes for kServiceSpec.
-std::string batch_report() {
+/// The bench/sweep reference bytes for kServiceSpec.
+std::string sweep_report() {
   const auto spec = sweep::parse_spec(kServiceSpec);
   campaign::CampaignOptions options;
   options.threads = 2;
@@ -191,15 +191,15 @@ TEST(FnrdService, ServesTwoConcurrentCampaignsWithStreamedResults) {
     EXPECT_EQ(cells_a[i], renamed);
   }
 
-  // Both reports match the batch surface byte-for-byte.
-  const std::string expected = batch_report();
+  // Both reports match the bench/sweep surface byte-for-byte.
+  const std::string expected = sweep_report();
   for (const char* name : {"alpha", "beta"}) {
     Connection reporter = daemon.connect();
     reporter.send(serialize_request(verb_request(Verb::Report, name)));
     const std::string payload = reporter.recv();
     EXPECT_EQ(frame_type(payload), "report");
     EXPECT_NE(payload.find(expected), std::string::npos)
-        << "report for " << name << " diverges from the batch bytes";
+        << "report for " << name << " diverges from the sweep bytes";
   }
 }
 
@@ -244,7 +244,7 @@ TEST(FnrdService, MidStreamDisconnectLosesNothing) {
   EXPECT_EQ(cells.size(), sweep::expand(spec).size());
 }
 
-TEST(FnrdService, MaxCellsPausesThenResumeCompletesWithBatchBytes) {
+TEST(FnrdService, MaxCellsPausesThenResumeCompletesWithSweepBytes) {
   DaemonFixture daemon("resume");
   Connection client = daemon.connect();
   client.send(serialize_request(submit_request("pauser", /*max_cells=*/2)));
@@ -271,7 +271,7 @@ TEST(FnrdService, MaxCellsPausesThenResumeCompletesWithBatchBytes) {
   Connection reporter = daemon.connect();
   reporter.send(serialize_request(verb_request(Verb::Report, "pauser")));
   const std::string report = reporter.recv();
-  EXPECT_NE(report.find(batch_report()), std::string::npos);
+  EXPECT_NE(report.find(sweep_report()), std::string::npos);
 }
 
 TEST(FnrdService, ResumeAfterRestartRecoversFromPersistedState) {
@@ -302,7 +302,7 @@ TEST(FnrdService, ResumeAfterRestartRecoversFromPersistedState) {
 
   Connection reporter = daemon.connect();
   reporter.send(serialize_request(verb_request(Verb::Report, "phoenix")));
-  EXPECT_NE(reporter.recv().find(batch_report()), std::string::npos);
+  EXPECT_NE(reporter.recv().find(sweep_report()), std::string::npos);
 }
 
 TEST(FnrdService, RejectsDuplicateSubmitsAndUnknownCampaigns) {

@@ -5,7 +5,7 @@
 // synchronous two-agent scheduler (the seed of this PR), so they guard the
 // acceptance invariant "a k = 2, delay = 0 scenario reproduces the
 // pre-change synchronous scheduler output bit-for-bit" — through three
-// paths: core::run_trials batches, a single run_rendezvous trace, and the
+// paths: core::run_trials aggregates, a single run_rendezvous trace, and the
 // same trace replayed through the scenario engine's sync-pair descriptor.
 // If any of these numbers move, a refactor silently shifted the simulated
 // distributions; that must be a deliberate, documented change.

@@ -14,6 +14,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/id_space.hpp"
+#include "sim/neighbor_table.hpp"
 #include "util/rng.hpp"
 
 namespace fnr::graph {
@@ -403,6 +404,30 @@ TEST(GraphTables, NonEdgesAndUnknownIdsStillThrow) {
   EXPECT_TRUE(sparse.index_by_id().empty());
   EXPECT_EQ(sparse.try_index_of(sparse.id_bound() + 1), kNoVertex);
   EXPECT_EQ(small.try_index_of(small.id_bound()), kNoVertex);
+}
+
+TEST(GraphTables, NeighborTableRowsServeExactNeighborViews) {
+  // sim::NeighborTable is the row view over the per-slot tables: it must
+  // serve exactly the neighbor-ID sequence, arrival ports and ID→index
+  // mapping the graph defines.
+  Rng graph_rng(23, 17);
+  const Graph g = make_near_regular(32, 5, graph_rng);
+  const sim::NeighborTable table(g);
+  ASSERT_EQ(table.ids.size(), g.num_vertices());
+  std::size_t rows = 0;
+  for (const auto row : table.ids) rows += row.size() > 0;
+  EXPECT_EQ(rows, g.num_vertices());
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    ASSERT_EQ(table.ids[v].size(), nbrs.size());
+    ASSERT_EQ(table.rev[v].size(), nbrs.size());
+    for (std::size_t port = 0; port < nbrs.size(); ++port) {
+      EXPECT_EQ(table.ids[v][port], g.id_of(nbrs[port]));
+      ASSERT_LT(table.ids[v][port], table.index_by_id.size());
+      EXPECT_EQ(table.index_by_id[table.ids[v][port]], nbrs[port]);
+      EXPECT_EQ(g.neighbors(nbrs[port])[table.rev[v][port]], v);
+    }
+  }
 }
 
 // Parameterized structural sweep: every random family, several sizes/seeds.

@@ -150,7 +150,7 @@ TEST(ProgramRegistry, ParameterOverridesReachTheAgents) {
 TEST(ProgramRegistry, EveryProgramRunsOnACompatibleSmokeScenario) {
   // The registration contract behind the CI registry smoke: for every
   // program there is a compatible built-in scenario, and one tiny trial
-  // batch on a suitable graph completes without throwing.
+  // run on a suitable graph completes without throwing.
   Rng rng(3, 911);
   const auto sparse = graph::make_near_regular(16, 6, rng);
   const auto complete = graph::make_complete(16);

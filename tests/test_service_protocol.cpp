@@ -34,15 +34,27 @@ TEST(ServiceProtocol, SubmitRoundTripsAllFields) {
   request.campaign = "smoke-1";
   request.spec_text = "name = tiny\ntrials = 2\n";
   request.trials = 8;
-  request.batch = 16;
   request.max_cells = 3;
   const Request parsed = round_trip(request);
   EXPECT_EQ(parsed.verb, Verb::Submit);
   EXPECT_EQ(parsed.campaign, "smoke-1");
   EXPECT_EQ(parsed.spec_text, request.spec_text);
   EXPECT_EQ(parsed.trials, 8u);
-  EXPECT_EQ(parsed.batch, 16u);
   EXPECT_EQ(parsed.max_cells, 3u);
+}
+
+TEST(ServiceProtocol, LegacyBatchFieldParsesAndIsIgnored) {
+  // Submit frames persisted (or sent by clients) while the lock-step batch
+  // kernel existed carry "batch"; they must parse to the same request.
+  const std::string plain =
+      R"({"verb":"submit","campaign":"old","spec":"name = t\n","trials":4})";
+  const std::string legacy =
+      R"({"verb":"submit","campaign":"old","spec":"name = t\n","trials":4,)"
+      R"("batch":16})";
+  const Request expected = parse_request(plain);
+  const Request parsed = parse_request(legacy);
+  EXPECT_EQ(serialize_request(parsed), serialize_request(expected));
+  EXPECT_EQ(serialize_request(parsed), plain);
 }
 
 TEST(ServiceProtocol, SpecTextSurvivesEscaping) {

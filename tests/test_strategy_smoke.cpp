@@ -1,5 +1,5 @@
 // Smoke test: every Strategy succeeds within its automatic round cap on a
-// small dense graph, both one-at-a-time and through the batch entry point.
+// small dense graph, both one-at-a-time and through the trial entry point.
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
@@ -25,7 +25,7 @@ TEST_P(StrategySmoke, FiveTrialsSucceedWithinAutoCap) {
   }
 }
 
-TEST_P(StrategySmoke, BatchRunTrialsAllSucceed) {
+TEST_P(StrategySmoke, RunTrialsAllSucceed) {
   const auto g = test::dense_graph(160, 91);
   RendezvousOptions options;
   options.seed = 77;

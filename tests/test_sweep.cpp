@@ -1,9 +1,9 @@
-// Sweep-engine contract tests: spec parsing, grid expansion, sharding,
-// graph caching, checkpoint round-trips, and the headline determinism
-// guarantee — an interrupted-then-resumed campaign produces byte-identical
-// merged JSON to an uninterrupted one (the CI smoke asserts the same thing
-// through the bench/sweep CLI).
-#include "sweep/engine.hpp"
+// Sweep contract tests: spec parsing, grid expansion, sharding, graph
+// caching, checkpoint round-trips, and the headline determinism guarantee —
+// an interrupted-then-resumed campaign produces byte-identical merged JSON
+// to an uninterrupted one, at any thread count (the CI smoke asserts the
+// same thing through the bench/sweep CLI).
+#include "sweep/spec.hpp"
 
 #include <cstdio>
 #include <fstream>
@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/campaign.hpp"
 #include "util/check.hpp"
 
 namespace fnr::sweep {
 namespace {
+
+using namespace campaign;
 
 constexpr const char* kTinySpec = R"(
 # two programs x one scenario x two topologies x two sizes
@@ -383,19 +386,19 @@ TEST(SweepCheckpoint, ResumingOverATornLineCompactsTheFile) {
   // record and silently drop every later cell on the *following* resume.
   const SweepSpec spec = parse_spec(kTinySpec);
   const TempPath checkpoint("sweep_torn_resume.jsonl");
-  SweepOptions interrupted;
+  CampaignOptions interrupted;
   interrupted.threads = 1;
   interrupted.checkpoint_path = checkpoint.str();
   interrupted.max_cells = 2;
-  ASSERT_FALSE(run_sweep(spec, interrupted).complete);
+  ASSERT_FALSE(Campaign(spec, interrupted).run().complete);
   {
     std::ofstream out(checkpoint.str(), std::ios::app);
     out << "{\"key\":\"torn-mid-wri";  // no newline, killed mid-write
   }
-  SweepOptions resumed = interrupted;
+  CampaignOptions resumed = interrupted;
   resumed.max_cells = 0;
   resumed.resume = true;
-  const auto finished = run_sweep(spec, resumed);
+  const auto finished = Campaign(spec, resumed).run();
   ASSERT_TRUE(finished.complete);
   EXPECT_EQ(finished.restored, 2u);
   // Every cell of the grid is now a loadable checkpoint line.
@@ -439,9 +442,9 @@ TEST(SweepCheckpoint, MissingFileIsEmpty) {
 
 TEST(SweepEngine, RunsACompleteCampaign) {
   const SweepSpec spec = parse_spec(kTinySpec);
-  SweepOptions options;
+  CampaignOptions options;
   options.threads = 2;
-  const auto result = run_sweep(spec, options);
+  const auto result = Campaign(spec, options).run();
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.cells.size(), 8u);
   EXPECT_EQ(result.executed, 8u);
@@ -458,49 +461,66 @@ TEST(SweepEngine, RunsACompleteCampaign) {
 TEST(SweepEngine, InterruptedThenResumedMatchesUninterruptedByteForByte) {
   const SweepSpec spec = parse_spec(kTinySpec);
 
-  SweepOptions uninterrupted;
+  CampaignOptions uninterrupted;
   uninterrupted.threads = 2;
-  const auto full = run_sweep(spec, uninterrupted);
+  const auto full = Campaign(spec, uninterrupted).run();
   ASSERT_TRUE(full.complete);
   const std::string full_json = to_json(spec, full.cells);
 
   const TempPath checkpoint("sweep_resume.jsonl");
-  SweepOptions interrupted;
+  CampaignOptions interrupted;
   interrupted.threads = 2;
   interrupted.checkpoint_path = checkpoint.str();
   interrupted.max_cells = 3;
-  const auto partial = run_sweep(spec, interrupted);
+  const auto partial = Campaign(spec, interrupted).run();
   EXPECT_FALSE(partial.complete);
   EXPECT_EQ(partial.executed, 3u);
 
-  SweepOptions resumed = interrupted;
+  CampaignOptions resumed = interrupted;
   resumed.threads = 1;  // thread count must not leak into the artifact
   resumed.max_cells = 0;
   resumed.resume = true;
-  const auto finished = run_sweep(spec, resumed);
+  const auto finished = Campaign(spec, resumed).run();
   ASSERT_TRUE(finished.complete);
   EXPECT_EQ(finished.restored, 3u);
   EXPECT_EQ(finished.executed, 5u);
   EXPECT_EQ(to_json(spec, finished.cells), full_json);
 }
 
+TEST(SweepEngine, MergedJsonIsByteIdenticalAcrossThreadCounts) {
+  // registry-smoke runs every registered program on every compatible
+  // scenario, so it covers each agent family's trial path.
+  for (const SweepSpec& spec :
+       {parse_spec(kTinySpec), find_spec("registry-smoke")}) {
+    CampaignOptions serial;
+    serial.threads = 1;
+    const auto one = Campaign(spec, serial).run();
+    CampaignOptions pooled;
+    pooled.threads = 2;
+    const auto two = Campaign(spec, pooled).run();
+    ASSERT_TRUE(one.complete && two.complete) << spec.name;
+    EXPECT_EQ(to_json(spec, one.cells), to_json(spec, two.cells))
+        << spec.name;
+  }
+}
+
 TEST(SweepEngine, ShardMergeMatchesSingleShardRun) {
   const SweepSpec spec = parse_spec(kTinySpec);
-  SweepOptions single;
+  CampaignOptions single;
   single.threads = 2;
-  const auto full = run_sweep(spec, single);
+  const auto full = Campaign(spec, single).run();
   const std::string full_json = to_json(spec, full.cells);
 
   const TempPath ckpt0("sweep_shard0.jsonl");
   const TempPath ckpt1("sweep_shard1.jsonl");
   std::vector<std::map<std::string, CheckpointEntry>> checkpoints;
   for (std::uint32_t shard = 0; shard < 2; ++shard) {
-    SweepOptions options;
+    CampaignOptions options;
     options.threads = 1;
     options.shard_index = shard;
     options.shard_count = 2;
     options.checkpoint_path = shard == 0 ? ckpt0.str() : ckpt1.str();
-    const auto result = run_sweep(spec, options);
+    const auto result = Campaign(spec, options).run();
     ASSERT_TRUE(result.complete);
     ASSERT_EQ(result.cells.size(), 4u);
     checkpoints.push_back(load_checkpoint(options.checkpoint_path));
@@ -525,10 +545,10 @@ TEST(SweepEngine, FailedCellsAreRecordedNotFatal) {
                                     "sizes = 16\n"
                                     "seeds = 1\n");
   const TempPath checkpoint("sweep_failing.jsonl");
-  SweepOptions options;
+  CampaignOptions options;
   options.threads = 1;
   options.checkpoint_path = checkpoint.str();
-  const auto result = run_sweep(spec, options);
+  const auto result = Campaign(spec, options).run();
   ASSERT_TRUE(result.complete);
   ASSERT_EQ(result.cells.size(), 2u);
   const CellResult& failed = result.cells[0];  // canonical order
@@ -541,9 +561,9 @@ TEST(SweepEngine, FailedCellsAreRecordedNotFatal) {
 
   // The failure round-trips through the checkpoint: a resumed campaign
   // restores it (rather than retrying forever) and emits identical JSON.
-  SweepOptions resumed = options;
+  CampaignOptions resumed = options;
   resumed.resume = true;
-  const auto again = run_sweep(spec, resumed);
+  const auto again = Campaign(spec, resumed).run();
   ASSERT_TRUE(again.complete);
   EXPECT_EQ(again.restored, 2u);
   EXPECT_EQ(again.executed, 0u);
@@ -552,9 +572,9 @@ TEST(SweepEngine, FailedCellsAreRecordedNotFatal) {
 
 TEST(SweepReport, CsvListsOkCellsWithAggregateColumns) {
   const SweepSpec spec = parse_spec(kTinySpec);
-  SweepOptions options;
+  CampaignOptions options;
   options.threads = 1;
-  const auto result = run_sweep(spec, options);
+  const auto result = Campaign(spec, options).run();
   const std::string csv = to_csv(result.cells);
   std::istringstream lines(csv);
   std::string header;

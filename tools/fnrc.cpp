@@ -11,7 +11,6 @@
 //                     daemon-wide status
 //   --spec=NAME|PATH  submit only: predefined spec name or spec-file path
 //   --trials=N        submit only: per-cell trial override
-//   --batch=N         submit only: SoA batch size
 //   --max-cells=N     submit only: pause after N cells (the CI uses this as
 //                     a deterministic interrupt; resume clears it)
 //   --max-frames=N    stream only: disconnect after N frames (0 = stream to
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
     const std::string campaign = cli.get_string("campaign", "");
     const std::string spec_arg = cli.get_string("spec", "");
     const auto trials = cli.get_int("trials", 0);
-    const auto batch = cli.get_int("batch", 0);
     const auto max_cells = cli.get_int("max-cells", 0);
     const auto max_frames = cli.get_int("max-frames", 0);
     const auto timeout_ms = cli.get_int("timeout-ms", 120'000);
@@ -106,8 +104,8 @@ int main(int argc, char** argv) {
     cli.reject_unknown();
     FNR_CHECK_MSG(!socket_path.empty(), "--socket=PATH is required");
     FNR_CHECK_MSG(!verb_arg.empty(), "--verb=VERB is required");
-    FNR_CHECK_MSG(trials >= 0 && batch >= 0 && max_cells >= 0 &&
-                      max_frames >= 0 && timeout_ms > 0,
+    FNR_CHECK_MSG(trials >= 0 && max_cells >= 0 && max_frames >= 0 &&
+                      timeout_ms > 0,
                   "numeric flags must be non-negative (timeout positive)");
 
     const int timeout = static_cast<int>(timeout_ms);
@@ -143,7 +141,6 @@ int main(int argc, char** argv) {
       FNR_CHECK_MSG(!spec_arg.empty(), "submit needs --spec=NAME|PATH");
       request.spec_text = resolve_spec_text(spec_arg);
       request.trials = static_cast<std::uint64_t>(trials);
-      request.batch = static_cast<std::uint64_t>(batch);
       request.max_cells = static_cast<std::uint64_t>(max_cells);
     }
     connection.send(service::serialize_request(request));
