@@ -40,13 +40,14 @@ cmake --build "$BUILD_DIR" -j
 cd "$BUILD_DIR"
 
 # ThreadSanitizer leg: instrumentation is 5-15x, so it runs exactly the
-# concurrency surface — the executor / campaign / service test batteries
-# plus a --jobs=4 campaign smoke (worker pool, shard splits, shared graph
-# cache, reorder buffer all live under TSan) — and skips the perf and
-# byte-identity sections the plain leg covers.
+# concurrency surface — the executor / campaign / service test batteries,
+# the util tests (the logger is shared by every thread), plus a --jobs=4
+# campaign smoke (worker pool, shard splits, shared graph cache, reorder
+# buffer all live under TSan) — and skips the perf and byte-identity
+# sections the plain leg covers.
 if [[ "$SANITIZE" == thread ]]; then
   ctest --output-on-failure -j \
-        -R 'test_(executor|campaign|sweep|fnrd_service|service_protocol|trial_runner)'
+        -R 'test_(executor|campaign|sweep|fnrd_service|service_protocol|trial_runner|util)'
   rm -f tsan_j1.json tsan_j4.json
   ./sweep --spec=smoke --checkpoint= --out=tsan_j1.json --quiet
   ./sweep --spec=smoke --checkpoint= --out=tsan_j4.json --jobs=4 --quiet
@@ -62,6 +63,16 @@ ctest --output-on-failure -j
 # conforms to the fnr-perf schema (see docs/PERFORMANCE.md).
 ./perf_suite --quick --threads=2 --out=perf_smoke.json
 ./perf_suite --validate=perf_smoke.json
+
+# Benchmark smoke: perfbench's own tests build the benchmark from this
+# checkout and run every workload at tiny sizes; their pinned smoke
+# digests cover each workload's graphs and report bytes. Sanitizer builds
+# skip it: the benchmark builds its own uninstrumented binaries.
+if [[ "$SANITIZE" == 0 ]]; then
+  python3 "$ROOT/perfbench/test_smoke.py"
+else
+  echo "benchmark smoke: skipped under --sanitize"
+fi
 
 # Bench gate: re-measure every full-suite cell and fail on any cell whose
 # rounds/sec dropped more than 30% below the committed BENCH_perf.json.

@@ -23,8 +23,21 @@ Graph GraphBuilder::build(IdSpace ids) && {
   FNR_CHECK_MSG(ids.ids.size() == n_,
                 "ID space size " << ids.ids.size() << " != n=" << n_);
 
-  // Deduplicate parallel edges.
-  std::sort(edges_.begin(), edges_.end());
+  // Stable counting sorts by v, then by u: an O(n + m) LSD radix sort that
+  // leaves the pairs in (u, v) order, parallel edges side by side.
+  {
+    std::vector<std::pair<VertexIndex, VertexIndex>> scratch(edges_.size());
+    std::vector<std::size_t> start(n_ + 1);
+    const auto counting_pass = [&start](const auto& from, auto& to,
+                                        auto key) {
+      std::fill(start.begin(), start.end(), 0);
+      for (const auto& e : from) ++start[key(e) + 1];
+      std::partial_sum(start.begin(), start.end(), start.begin());
+      for (const auto& e : from) to[start[key(e)]++] = e;
+    };
+    counting_pass(edges_, scratch, [](const auto& e) { return e.second; });
+    counting_pass(scratch, edges_, [](const auto& e) { return e.first; });
+  }  // frees the scratch pairs before the CSR arrays are allocated
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
   Graph g;
@@ -34,17 +47,18 @@ Graph GraphBuilder::build(IdSpace ids) && {
     ++g.offsets_[v + 1];
   }
   std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
+  // Rows fill in ascending order with no per-row sort: edges arrive in
+  // (u, v) order with u < v, so row w first receives its smaller neighbors
+  // u (edges (u, w), ascending u) and then its larger ones v (edges (w, v),
+  // ascending v). The reverse-port sweep below relies on the same order.
   g.adjacency_.resize(edges_.size() * 2);
   std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (const auto& [u, v] : edges_) {
     g.adjacency_[cursor[u]++] = v;
     g.adjacency_[cursor[v]++] = u;
   }
-  for (std::size_t v = 0; v < n_; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
-  }
+  // The edge list is spent: free it before the per-slot tables grow.
+  std::vector<std::pair<VertexIndex, VertexIndex>>().swap(edges_);
 
   g.min_degree_ = n_ > 0 ? g.degree(0) : 0;
   g.max_degree_ = 0;

@@ -3,7 +3,9 @@
 // Generators work in index space [0, n); the ID space (naming regime) is
 // attached at build() time. The builder rejects self-loops and silently
 // deduplicates parallel edges, so generators may add an edge from both
-// endpoints without bookkeeping.
+// endpoints, in any order, without bookkeeping. build() is O(n + m): a
+// two-pass counting sort orders the edges by (u, v), so every CSR row comes
+// out sorted by construction, with no per-row sort.
 #pragma once
 
 #include <utility>

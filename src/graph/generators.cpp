@@ -8,6 +8,28 @@
 
 namespace fnr::graph {
 
+namespace {
+
+/// Joins every u in [0, range) to `out_degree` distinct uniform picks in
+/// [0, range) \ {u}. picked_by[v] == u marks v as drawn by u, and u stamps
+/// itself first, so a loop is rejected like a repeat.
+void add_uniform_out_edges(GraphBuilder& b, std::size_t range,
+                           std::size_t out_degree, Rng& rng) {
+  std::vector<VertexIndex> picked_by(range, kNoVertex);
+  for (VertexIndex u = 0; u < range; ++u) {
+    picked_by[u] = u;
+    for (std::size_t picks = 0; picks < out_degree;) {
+      const auto v = static_cast<VertexIndex>(rng.below(range));
+      if (picked_by[v] == u) continue;
+      picked_by[v] = u;
+      b.add_edge(u, v);
+      ++picks;
+    }
+  }
+}
+
+}  // namespace
+
 Graph make_complete(std::size_t n) {
   FNR_CHECK(n >= 2);
   GraphBuilder b(n);
@@ -87,16 +109,7 @@ Graph make_near_regular(std::size_t n, std::size_t out_degree, Rng& rng) {
   FNR_CHECK_MSG(out_degree >= 1 && out_degree < n,
                 "out_degree must be in [1, n)");
   GraphBuilder b(n);
-  std::unordered_set<VertexIndex> picked;
-  for (VertexIndex u = 0; u < n; ++u) {
-    picked.clear();
-    while (picked.size() < out_degree) {
-      const auto v = static_cast<VertexIndex>(rng.below(n));
-      if (v == u || picked.contains(v)) continue;
-      picked.insert(v);
-      b.add_edge(u, v);
-    }
-  }
+  add_uniform_out_edges(b, n, out_degree, rng);
   return std::move(b).build_identity_ids();
 }
 
@@ -113,16 +126,7 @@ Graph make_hub_augmented(std::size_t n, std::size_t base_out_degree,
     for (VertexIndex v = 0; v < n; ++v)
       if (v != h && (v < hub_start || v > h)) b.add_edge(h, v);
   // Near-regular base among non-hub vertices.
-  std::unordered_set<VertexIndex> picked;
-  for (VertexIndex u = 0; u < hub_start; ++u) {
-    picked.clear();
-    while (picked.size() < base_out_degree) {
-      const auto v = static_cast<VertexIndex>(rng.below(hub_start));
-      if (v == u || picked.contains(v)) continue;
-      picked.insert(v);
-      b.add_edge(u, v);
-    }
-  }
+  add_uniform_out_edges(b, hub_start, base_out_degree, rng);
   return std::move(b).build_identity_ids();
 }
 
@@ -169,16 +173,14 @@ Graph make_barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
       slots.push_back(u);
       slots.push_back(v);
     }
-  std::unordered_set<VertexIndex> picked;
-  std::vector<VertexIndex> picks;  // in pick order: slot layout must not
-                                   // depend on hash-set iteration order
+  std::vector<VertexIndex> picked_by(n, kNoVertex);  // == v: v drew it
+  std::vector<VertexIndex> picks;                    // v's picks, in order
   for (VertexIndex v = static_cast<VertexIndex>(m + 1); v < n; ++v) {
-    picked.clear();
     picks.clear();
-    while (picked.size() < m) {
+    while (picks.size() < m) {
       const VertexIndex target = slots[rng.below(slots.size())];
-      if (picked.contains(target)) continue;  // attachments are distinct
-      picked.insert(target);
+      if (picked_by[target] == v) continue;  // attachments are distinct
+      picked_by[target] = v;
       picks.push_back(target);
       b.add_edge(v, target);
     }
@@ -316,9 +318,9 @@ std::vector<std::pair<VertexIndex, VertexIndex>> radius_edges(
   // Grid bucketing: each point only tests the 3x3 cell block around it, so
   // the scan is O(n + edges) in expectation instead of the old all-pairs
   // O(n^2). The (i < j) filter emits each pair exactly once, and the edge
-  // set is identical to the all-pairs scan (the builder sorts + dedups, so
-  // emission order is immaterial; we sort anyway for determinism of the
-  // raw edge list handed to callers).
+  // set is identical to the all-pairs scan. Emission order is left as is:
+  // the builder sorts in O(n + m), and the connectivity patching depends
+  // only on the edge set (see make_random_geometric_connected).
   std::vector<std::pair<VertexIndex, VertexIndex>> edges;
   const double r2 = radius * radius;
   const PointGrid grid(points, radius);
@@ -338,7 +340,6 @@ std::vector<std::pair<VertexIndex, VertexIndex>> radius_edges(
                                static_cast<VertexIndex>(j));
         });
   }
-  std::sort(edges.begin(), edges.end());
   return edges;
 }
 
@@ -461,7 +462,9 @@ GeometricGraph make_random_geometric_connected(std::size_t n, double radius,
   // Bridge the globally closest inter-component pair until one component
   // remains; the points are fixed, so the patching is deterministic (and
   // picks the same pairs, tie-breaks included, as the historical all-pairs
-  // scan — see closest_inter_component_pair).
+  // scan — see closest_inter_component_pair). Neither step depends on edge
+  // order: the union-find only compares roots for equality, and the bridge
+  // is the global minimum of (d², u, v).
   const PointGrid grid(out.points, radius);
   while (num_components > 1) {
     const auto [best_u, best_v] =

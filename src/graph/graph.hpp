@@ -5,6 +5,8 @@
 // vertices are dense indices [0, n); the ID space is attached at build time
 // (see id_space.hpp). Adjacency is CSR with per-vertex neighbor lists sorted
 // by neighbor index — that order defines the local port numbering ˆP_v.
+// GraphBuilder::build emits the rows in that order by construction (an
+// O(n + m) counting sort of the edge list; no per-row sort).
 //
 // The observation tables agents read every round (KT1 neighbor IDs, the
 // arrival port behind each move, ID → index) are built once in

@@ -1,9 +1,12 @@
 #include "util/log.hpp"
 
+#include <atomic>
+#include <cstdio>
+
 namespace fnr {
 
 namespace {
-LogLevel g_level = LogLevel::Warn;
+std::atomic<LogLevel> g_level{LogLevel::Warn};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -17,12 +20,20 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() noexcept { return g_level; }
-void set_log_level(LogLevel level) noexcept { g_level = level; }
+LogLevel log_level() noexcept {
+  return g_level.load(std::memory_order_relaxed);
+}
+void set_log_level(LogLevel level) noexcept {
+  g_level.store(level, std::memory_order_relaxed);
+}
 
 namespace detail {
 void emit_log(LogLevel level, const std::string& msg) {
-  std::cerr << '[' << level_name(level) << "] " << msg << '\n';
+  std::string line = std::string("[") + level_name(level) + "] ";
+  line += msg;
+  line += '\n';
+  // One fwrite holds stderr's lock for the whole line.
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 }  // namespace detail
 

@@ -1,10 +1,10 @@
 // Lightweight leveled logging.
 //
 // Off (Warn) by default so benches stay quiet; tests and examples can raise
-// the level to trace protocol behaviour round by round.
+// the level to trace protocol behaviour round by round. Safe to call from
+// any thread: executor workers and fnrd threads log concurrently.
 #pragma once
 
-#include <iostream>
 #include <sstream>
 #include <string>
 
@@ -12,11 +12,14 @@ namespace fnr {
 
 enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Off = 4 };
 
-/// Process-wide log threshold (single-threaded simulator; plain global).
+/// Process-wide log threshold: an atomic read with relaxed ordering, so a
+/// level change reaches other threads promptly but orders nothing else.
 [[nodiscard]] LogLevel log_level() noexcept;
 void set_log_level(LogLevel level) noexcept;
 
 namespace detail {
+/// Writes "[LEVEL] msg\n" to stderr in one write, so concurrent lines never
+/// interleave.
 void emit_log(LogLevel level, const std::string& msg);
 }
 

@@ -8,13 +8,19 @@
 // and ID-space distinctness under every naming regime.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "graph/id_space.hpp"
+#include "sweep/spec.hpp"
 #include "test_support.hpp"
 
 namespace fnr::graph {
@@ -293,6 +299,90 @@ TEST(GeneratorProperties, NamingRegimesKeepIdsDistinct) {
       EXPECT_EQ(permuted.graph.degree(image), base.degree(v));
     }
   }
+}
+
+// --- pinned bytes ------------------------------------------------------------
+//
+// The property tests above accept any graph that keeps each family's
+// promises; these digests pin the exact bytes. A change to a generator's
+// draw sequence or to the builder's row order moves a digest here, in
+// tier-1, before it can move a report.
+
+/// 64-bit FNV-1a over every row's neighbors, neighbor IDs and reverse ports,
+/// each value fed as 8 little-endian bytes.
+std::uint64_t row_digest(const Graph& g) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto feed = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  feed(g.num_vertices());
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    feed(g.degree(v));
+    for (const VertexIndex u : g.neighbors(v)) feed(u);
+    for (const VertexId id : g.neighbor_ids(v)) feed(id);
+    for (const std::uint32_t port : g.reverse_ports(v)) feed(port);
+  }
+  return hash;
+}
+
+TEST(GeneratorDigests, PinnedForEveryFamily) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const auto& [n, seed] :
+       {std::pair<std::uint64_t, std::uint64_t>{200, 1}, {1500, 7}}) {
+    for (const auto& family : sweep::topology_families())
+      graphs.emplace_back(family + " n=" + std::to_string(n),
+                          sweep::parse_topology(family).build(n, seed));
+  }
+  Rng rng(31, 5);
+  graphs.emplace_back("hub-augmented", make_hub_augmented(600, 6, 3, rng));
+  graphs.emplace_back("barabasi-albert m=5",
+                      make_barabasi_albert(700, 5, rng));
+  const Graph base = make_near_regular(500, 12, rng);
+  graphs.emplace_back("permute-indices", permute_indices(base, rng).graph);
+  graphs.emplace_back("sparse-ids", with_ids(base, sparse_ids(500, 2.0, rng)));
+
+  // Recorded before the builder's counting sort and the generators' stamp
+  // arrays replaced std::sort and hash sets; they must not move.
+  const std::vector<std::uint64_t> expected = {
+      0x3efe4018b774c38dULL,  // ring n=200
+      0xb8a434ea933e998dULL,  // path n=200
+      0x7de589a05b75f30dULL,  // complete n=200
+      0xb95a27397b4e8fe1ULL,  // grid n=200
+      0x9fbfba5526d78081ULL,  // torus n=200
+      0xc961c9afbaf76845ULL,  // hypercube n=200
+      0xfe04204e3ee95275ULL,  // near-regular n=200
+      0xa31e03f37553092cULL,  // erdos-renyi n=200
+      0x82a0b4bb115efc61ULL,  // barabasi-albert n=200
+      0xd372b7f1e3c44e23ULL,  // watts-strogatz n=200
+      0x3367b0c8bcccedc5ULL,  // random-geometric n=200
+      0xd3145d3810deb5e2ULL,  // ring n=1500
+      0x89741d5749dd5126ULL,  // path n=1500
+      0x88b718476effe2beULL,  // complete n=1500
+      0xa36803451b948ef6ULL,  // grid n=1500
+      0x399baeeabb12c462ULL,  // torus n=1500
+      0x9365e0ed372b4939ULL,  // hypercube n=1500
+      0xc2c16087659669f8ULL,  // near-regular n=1500
+      0x52fdfb6292ccd4b1ULL,  // erdos-renyi n=1500
+      0xdd3ba39c52e683baULL,  // barabasi-albert n=1500
+      0xdd8bd54098e5d6c0ULL,  // watts-strogatz n=1500
+      0xb1b5caf01b132f17ULL,  // random-geometric n=1500
+      0x23657887f26b30a4ULL,  // hub-augmented
+      0x864ac17becc21603ULL,  // barabasi-albert m=5
+      0xc504bcc53c729fbfULL,  // permute-indices
+      0x281a8ff60ce648a3ULL,  // sparse-ids
+  };
+  std::ostringstream actual;
+  for (const auto& [label, g] : graphs)
+    actual << "      0x" << std::hex << row_digest(g) << "ULL,  // " << label
+           << "\n";
+  ASSERT_EQ(graphs.size(), expected.size()) << actual.str();
+  for (std::size_t i = 0; i < graphs.size(); ++i)
+    EXPECT_EQ(row_digest(graphs[i].second), expected[i])
+        << graphs[i].first << "; all digests:\n"
+        << actual.str();
 }
 
 }  // namespace

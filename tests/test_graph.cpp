@@ -394,6 +394,44 @@ TEST(GraphTables, MatchAccessorsOnEveryFamilyAndNaming) {
   EXPECT_TRUE(saw_dense && saw_sparse);
 }
 
+TEST(GraphTables, ShuffledEdgeListsBuildAscendingRows) {
+  // Rows come out ascending from the builder's edge order alone (there is
+  // no per-row sort): feed it edges in random order, in both orientations,
+  // with duplicates, and compare every row with a std::set reference.
+  Rng rng(77, 3);
+  for (const std::size_t n : {2, 3, 17, 500, 2048, 2049, 4000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<std::pair<VertexIndex, VertexIndex>> edges;
+    const std::size_t draws = 6 * n;
+    for (std::size_t i = 0; i < draws; ++i) {
+      const auto u = static_cast<VertexIndex>(rng.below(n));
+      const auto v = static_cast<VertexIndex>(rng.below(n));
+      if (u == v) continue;
+      edges.emplace_back(u, v);
+      if (rng.bernoulli(0.25)) edges.emplace_back(v, u);  // duplicate
+    }
+    shuffle(edges, rng);
+    std::vector<std::set<VertexIndex>> reference(n);
+    GraphBuilder b(n);
+    for (const auto& [u, v] : edges) {
+      b.add_edge(u, v);
+      reference[u].insert(v);
+      reference[v].insert(u);
+    }
+    const Graph g = std::move(b).build(shuffled_ids(n, rng));
+    std::size_t slots = 0;
+    for (VertexIndex v = 0; v < n; ++v) {
+      const auto row = g.neighbors(v);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), reference[v].begin(),
+                             reference[v].end()))
+          << "row " << v << " is not the ascending, duplicate-free set";
+      slots += reference[v].size();
+    }
+    EXPECT_EQ(g.num_edges(), slots / 2);
+    EXPECT_TRUE(tables_match(g));
+  }
+}
+
 TEST(GraphTables, NonEdgesAndUnknownIdsStillThrow) {
   const Graph small = make_ring(8);  // pair table
   EXPECT_THROW((void)small.port_to(0, 4), CheckError);

@@ -3,9 +3,14 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -343,6 +348,38 @@ TEST(Check, MacroThrowsWithMessage) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("ctx 42"), std::string::npos);
   }
+}
+
+TEST(Log, ConcurrentLinesNeverInterleave) {
+  // Worker threads log while another thread flips the level: every captured
+  // line must be one whole message (the level is atomic, each line one
+  // write).
+  constexpr int kThreads = 4;
+  constexpr int kLines = 200;
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::Debug);
+  ::testing::internal::CaptureStderr();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([t] {
+      for (int i = 0; i < kLines; ++i)
+        FNR_WARN("thread " << t << " line " << i << " end");
+    });
+  threads.emplace_back([] {
+    for (int i = 0; i < kLines; ++i)
+      set_log_level(i % 2 == 0 ? LogLevel::Info : LogLevel::Debug);
+  });
+  for (auto& thread : threads) thread.join();
+  std::istringstream captured(::testing::internal::GetCapturedStderr());
+  set_log_level(saved);
+  int lines = 0;
+  for (std::string line; std::getline(captured, line); ++lines) {
+    ASSERT_EQ(line.rfind("[WARN] thread ", 0), 0u) << line;
+    ASSERT_EQ(line.find("[", 1), std::string::npos) << line;
+    ASSERT_GE(line.size(), 4u);
+    ASSERT_EQ(line.substr(line.size() - 4), " end") << line;
+  }
+  EXPECT_EQ(lines, kThreads * kLines);
 }
 
 }  // namespace
