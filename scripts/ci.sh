@@ -5,9 +5,8 @@
 #   scripts/ci.sh                         # plain build + ctest in ./build
 #   scripts/ci.sh build-asan --sanitize   # ASan/UBSan build + ctest
 #   scripts/ci.sh build-tsan --sanitize=thread
-#                                         # TSan build + the concurrency
-#                                         # battery (executor / campaign /
-#                                         # service tests, --jobs=4 smoke)
+#                                         # TSan build + the whole test
+#                                         # suite + a --jobs=4 smoke
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,20 +38,18 @@ cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
 cmake --build "$BUILD_DIR" -j
 cd "$BUILD_DIR"
 
-# ThreadSanitizer leg: instrumentation is 5-15x, so it runs exactly the
-# concurrency surface — the executor / campaign / service test batteries,
-# the util tests (the logger is shared by every thread), plus a --jobs=4
-# campaign smoke (worker pool, shard splits, shared graph cache, reorder
-# buffer all live under TSan) — and skips the perf and byte-identity
-# sections the plain leg covers.
+# ThreadSanitizer leg: runs every test under TSan (the concurrency
+# batteries — executor, campaign, service, the shared logger — and the
+# single-threaded rest alike), plus a --jobs=4 campaign smoke (worker pool,
+# shard splits, shared graph cache, reorder buffer all live under TSan),
+# and skips the perf and byte-identity sections the plain leg covers.
 if [[ "$SANITIZE" == thread ]]; then
-  ctest --output-on-failure -j \
-        -R 'test_(executor|campaign|sweep|fnrd_service|service_protocol|trial_runner|util)'
+  ctest --output-on-failure -j "$(nproc)"
   rm -f tsan_j1.json tsan_j4.json
   ./sweep --spec=smoke --checkpoint= --out=tsan_j1.json --quiet
   ./sweep --spec=smoke --checkpoint= --out=tsan_j4.json --jobs=4 --quiet
   diff tsan_j1.json tsan_j4.json
-  echo "tsan: executor/campaign/service battery clean"
+  echo "tsan: full suite and --jobs=4 smoke clean"
   exit 0
 fi
 

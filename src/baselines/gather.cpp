@@ -1,42 +1,77 @@
 #include "baselines/gather.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 
 #include "util/check.hpp"
 
 namespace fnr::baselines {
 
+std::size_t GatherAtMinAgent::probe(graph::VertexId id) const noexcept {
+  // Fibonacci hashing: the top log2(size) bits of id * 2^64/phi spread
+  // dense (0..n-1) and sparse ID spaces alike.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ULL) >>
+                                           (64 - std::bit_width(mask)));
+  while (slots_[s].local != kNone && slots_[s].id != id) s = (s + 1) & mask;
+  return s;
+}
+
+GatherAtMinAgent::Local GatherAtMinAgent::find(
+    graph::VertexId id) const noexcept {
+  return slots_.empty() ? kNone : slots_[probe(id)].local;
+}
+
+bool GatherAtMinAgent::discover(graph::VertexId id, Local parent) {
+  if (2 * (vertices_.size() + 1) > slots_.size()) grow_slots();
+  Slot& slot = slots_[probe(id)];
+  if (slot.local != kNone) return false;
+  const auto local = static_cast<Local>(vertices_.size());
+  FNR_CHECK(local != kNone);
+  slot = Slot{id, local};
+  vertices_.push_back(Vertex{id, parent, 0, kNone, kNone});
+  return true;
+}
+
+void GatherAtMinAgent::grow_slots() {
+  slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()),
+                Slot{0, kNone});
+  for (Local local = 0; local < vertices_.size(); ++local)
+    slots_[probe(vertices_[local].id)] = Slot{vertices_[local].id, local};
+}
+
 void GatherAtMinAgent::on_idle(const sim::View& view) {
   const graph::VertexId here = view.here();
-  if (!init_) {
-    root_ = here;
+  if (vertices_.empty()) {
     min_seen_ = here;
-    parent_[here] = here;
-    init_ = true;
+    discover(here, 0);  // the root: local index 0, its own parent
   }
   if (arrived_) return;  // camped on the rally vertex
 
   if (!rallying_) {
-    if (!adjacency_.contains(here)) {
+    // Every vertex the DFS stands on was discovered before it moved there.
+    const Local h = find(here);
+    FNR_CHECK_MSG(h != kNone, "DFS stands on undiscovered vertex " << here);
+    if (vertices_[h].adj_begin == kNone) {
       const auto ids = view.neighbor_ids();
-      adjacency_[here].assign(ids.begin(), ids.end());
-      adjacency_words_ += 1 + ids.size();
+      FNR_CHECK(neighbors_.size() + ids.size() < kNone);
+      vertices_[h].adj_begin = static_cast<Local>(neighbors_.size());
+      vertices_[h].cursor = vertices_[h].adj_begin;
+      neighbors_.insert(neighbors_.end(), ids.begin(), ids.end());
+      vertices_[h].adj_end = static_cast<Local>(neighbors_.size());
+      ++visited_;
       min_seen_ = std::min(min_seen_, here);
     }
     // Resume this vertex's child scan where it left off (keeps the whole
     // DFS O(m) bookkeeping instead of O(sum deg^2)).
-    const auto& nbrs = adjacency_[here];
-    std::size_t& cursor = next_child_[here];
-    while (cursor < nbrs.size()) {
-      const graph::VertexId u = nbrs[cursor++];
-      if (parent_.contains(u)) continue;
-      parent_[u] = here;
+    while (vertices_[h].cursor < vertices_[h].adj_end) {
+      const graph::VertexId u = neighbors_[vertices_[h].cursor++];
+      if (!discover(u, h)) continue;
       plan_move(u);
       return;
     }
-    if (here != root_) {
-      plan_move(parent_.at(here));
+    if (h != 0) {
+      plan_move(vertices_[vertices_[h].parent].id);
       return;
     }
     // DFS spent and we are back at the root: the map is complete for the
@@ -46,7 +81,7 @@ void GatherAtMinAgent::on_idle(const sim::View& view) {
       arrived_ = true;
       return;
     }
-    plan_route(route(here, min_seen_));
+    plan_route(route(h, find(min_seen_)));
     return;
   }
   // Route consumed: we stand on the rally vertex.
@@ -54,33 +89,41 @@ void GatherAtMinAgent::on_idle(const sim::View& view) {
   arrived_ = true;
 }
 
-std::vector<graph::VertexId> GatherAtMinAgent::route(graph::VertexId from,
-                                                     graph::VertexId to) const {
-  std::unordered_map<graph::VertexId, graph::VertexId> prev;
-  std::deque<graph::VertexId> frontier{from};
+std::vector<graph::VertexId> GatherAtMinAgent::route(Local from,
+                                                     Local to) const {
+  // Only discovered vertices can lie on a route: an ID seen in a neighbor
+  // list but never discovered has no neighbors on record, so skipping it
+  // leaves every other vertex's BFS predecessor unchanged. (A vertex never
+  // visited has the empty slice [kNone, kNone).)
+  std::vector<Local> prev(vertices_.size(), kNone);
+  std::vector<Local> frontier;
+  frontier.reserve(vertices_.size());
+  frontier.push_back(from);
   prev[from] = from;
-  while (!frontier.empty() && !prev.contains(to)) {
-    const graph::VertexId v = frontier.front();
-    frontier.pop_front();
-    const auto it = adjacency_.find(v);
-    if (it == adjacency_.end()) continue;  // neighbor seen but never visited
-    for (const graph::VertexId u : it->second) {
-      if (prev.contains(u)) continue;
+  for (std::size_t next = 0; next < frontier.size() && prev[to] == kNone;) {
+    const Local v = frontier[next++];
+    for (Local i = vertices_[v].adj_begin; i < vertices_[v].adj_end; ++i) {
+      const Local u = find(neighbors_[i]);
+      if (u == kNone || prev[u] != kNone) continue;
       prev[u] = v;
       frontier.push_back(u);
     }
   }
-  FNR_CHECK_MSG(prev.contains(to),
-                "rally vertex " << to << " unreachable in the learned map");
+  FNR_CHECK_MSG(prev[to] != kNone, "rally vertex " << vertices_[to].id
+                                                   << " unreachable in the "
+                                                      "learned map");
   std::vector<graph::VertexId> hops;
-  for (graph::VertexId v = to; v != from; v = prev.at(v)) hops.push_back(v);
+  for (Local v = to; v != from; v = prev[v]) hops.push_back(vertices_[v].id);
   std::reverse(hops.begin(), hops.end());
   return hops;
 }
 
 std::size_t GatherAtMinAgent::memory_words() const {
-  return sim::ScriptedAgent::memory_words() + 4 + adjacency_words_ +
-         2 * parent_.size() + 2 * next_child_.size();
+  // The words of the learned map as it would be held keyed by ID: an
+  // adjacency list (1 + degree) and a child cursor (2) per visited vertex,
+  // a parent link (2) per discovered one.
+  return sim::ScriptedAgent::memory_words() + 4 + visited_ +
+         neighbors_.size() + 2 * vertices_.size() + 2 * visited_;
 }
 
 }  // namespace fnr::baselines

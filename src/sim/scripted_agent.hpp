@@ -6,10 +6,14 @@
 // whenever the operation queue is empty and enqueues the next short run
 // of per-round operations (moves addressed by neighbor ID, whiteboard
 // writes, waits). Requires the KT1 model because moves are addressed by ID.
+//
+// The plan is a vector read from a head index, emptied when drained and
+// before on_idle refills it: its capacity is reused for every later plan,
+// so a long run stops allocating once the longest plan has been seen.
 #pragma once
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "sim/view.hpp"
 
@@ -34,15 +38,17 @@ class ScriptedAgent : public Agent {
       last_move_.reset();
     }
 
-    if (ops_.empty()) on_idle(view);
-    if (ops_.empty()) return Action::stay();
+    if (plan_empty()) {
+      plan_clear();
+      on_idle(view);
+      if (plan_empty()) return Action::stay();
+    }
 
-    Op op = ops_.front();
-    ops_.pop_front();
+    const Op& op = ops_[head_++];
 
     if (op.wait_until.has_value()) {
       // Hold position until the given absolute round; re-arm while early.
-      if (view.round() + 1 < *op.wait_until) ops_.push_front(op);
+      if (view.round() + 1 < *op.wait_until) --head_;
       Action action = Action::stay();
       action.whiteboard_write = op.write;
       return action;
@@ -60,7 +66,7 @@ class ScriptedAgent : public Agent {
   /// Plan storage, two words per queued operation (subclasses add their
   /// own state on top).
   [[nodiscard]] std::size_t memory_words() const override {
-    return ops_.size() * 2;
+    return (ops_.size() - head_) * 2;
   }
 
  protected:
@@ -96,9 +102,14 @@ class ScriptedAgent : public Agent {
   }
 
   /// True when no operations are queued (on_idle will run next round).
-  [[nodiscard]] bool plan_empty() const noexcept { return ops_.empty(); }
+  [[nodiscard]] bool plan_empty() const noexcept {
+    return head_ == ops_.size();
+  }
   /// Drops every queued operation (e.g. on a protocol restart).
-  void plan_clear() noexcept { ops_.clear(); }
+  void plan_clear() noexcept {
+    ops_.clear();
+    head_ = 0;
+  }
 
  private:
   struct Op {
@@ -106,7 +117,9 @@ class ScriptedAgent : public Agent {
     std::optional<std::uint64_t> write;
     std::optional<std::uint64_t> wait_until;
   };
-  std::deque<Op> ops_;
+  std::vector<Op> ops_;
+  /// Index of the next operation to run; ops_[0, head_) are spent.
+  std::size_t head_ = 0;
   /// Target of the last issued move, pending arrival confirmation (churn
   /// blocks traversals; the hop is retried until the agent stands there).
   std::optional<graph::VertexId> last_move_;

@@ -7,6 +7,8 @@
 //      once the arena is warm.
 //   2. run_scenario's per-ROUND loop is allocation-free: a 64x-longer run
 //      allocates exactly as much as a short one (only the per-run result).
+//   3. An explore-rally agent learns its map in flat arrays: one whole
+//      exploration allocates O(log n) times, not once per vertex.
 // Plus bit-exactness regressions for arena reuse (a reused scheduler must
 // reproduce a fresh scheduler's run exactly, including after a k-downsize).
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "baselines/gather.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "sim/scheduler.hpp"
@@ -202,6 +205,40 @@ TEST(AllocGuard, FaultLayerLeavesTheDisarmedHotPathAllocationFree) {
   EXPECT_EQ(ours.whiteboard_writes, theirs.whiteboard_writes);
   EXPECT_EQ(ours.whiteboards_used, theirs.whiteboards_used);
   EXPECT_FALSE(ours.faults.any());
+}
+
+TEST(AllocGuard, ExploreRallyAllocatesLogarithmicallyInN) {
+  // Heap allocations of one explore-rally exploration (agent construction,
+  // DFS over the whole graph, rally route, destruction) on a warm
+  // scheduler. The learned map lives in a handful of doubling arrays, so
+  // the count grows by a constant per doubling of n.
+  const auto count_exploration = [](std::size_t n) {
+    Rng rng(7, 3);
+    const auto g = graph::make_near_regular(n, 6, rng);
+    sim::Scheduler scheduler(g, sim::Model::full());
+    {
+      baselines::GatherAtMinAgent warm;
+      (void)scheduler.run_single(warm, 0, 8 * n);
+    }
+    const auto before = allocation_count();
+    {
+      baselines::GatherAtMinAgent agent;
+      // Start away from vertex 0 (the minimum ID) so a rally route is
+      // planned after the DFS.
+      const auto start = static_cast<graph::VertexIndex>(n / 2);
+      (void)scheduler.run_single(agent, start, 8 * n);
+      EXPECT_TRUE(agent.arrived());
+      EXPECT_EQ(agent.visited_count(), n);
+    }
+    return allocation_count() - before;
+  };
+
+  const auto at_1k = count_exploration(1024);
+  const auto at_4k = count_exploration(4096);
+  EXPECT_LE(at_1k, 64u) << "n = 1024 exploration allocated " << at_1k
+                        << " times";
+  EXPECT_LE(at_4k, at_1k + 16) << "n = 4096 exploration allocated " << at_4k
+                               << " times (n = 1024: " << at_1k << ")";
 }
 
 void expect_same_run(const sim::RunResult& x, const sim::RunResult& y) {

@@ -1,5 +1,7 @@
 // Unit tests for ScriptedAgent: plan execution, write+move rounds,
-// wait-until semantics, and on_idle re-entry.
+// wait-until semantics, on_idle re-entry, and the plan queue itself
+// (pending-op accounting, appends mid-plan, clears, re-armed waits across
+// refills).
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
@@ -131,6 +133,148 @@ TEST(ScriptedAgent, PlanWaitCounts) {
   ASSERT_GE(a.idle_rounds.size(), 2u);
   EXPECT_EQ(a.idle_rounds[0], 0u);
   EXPECT_EQ(a.idle_rounds[1], 3u);
+}
+
+// --- the plan queue --------------------------------------------------------
+
+/// A ScriptedAgent whose plan a test can extend or clear between rounds,
+/// recording every on_idle call.
+class OpenPlanAgent final : public ScriptedAgent {
+ public:
+  struct Idle {
+    std::uint64_t round;
+    graph::VertexId here;
+  };
+  std::vector<Idle> idles;
+  /// Route planned by the first on_idle.
+  std::vector<graph::VertexId> first_plan;
+
+  void append_move(graph::VertexId v) { plan_move(v); }
+  void clear() { plan_clear(); }
+  [[nodiscard]] bool empty() const { return plan_empty(); }
+
+ protected:
+  void on_idle(const View& view) override {
+    idles.push_back({view.round(), view.here()});
+    if (idles.size() == 1) plan_route(first_plan);
+  }
+};
+
+/// Steps an inner agent, calling `before` ahead of each round and recording
+/// the inner agent's memory_words() after it.
+template <class Inner, class Before>
+class Probe final : public Agent {
+ public:
+  Probe(Inner& inner, Before before) : inner_(inner), before_(before) {}
+  Action step(const View& view) override {
+    before_(view.round());
+    const Action action = inner_.step(view);
+    words.push_back(inner_.memory_words());
+    return action;
+  }
+  std::vector<std::size_t> words;
+
+ private:
+  Inner& inner_;
+  Before before_;
+};
+
+TEST(ScriptedAgentQueue, MemoryWordsCountOnlyPendingOps) {
+  const auto g = graph::make_path(8);
+  Scheduler scheduler(g, Model::full());
+  OpenPlanAgent agent;
+  agent.first_plan = {1, 2, 3, 4, 5};
+  Probe probe(agent, [](std::uint64_t) {});
+  (void)scheduler.run_single(probe, 0, 7);
+  // Two words per op still queued: 5 planned, one spent per round; the
+  // spent ops stop counting as soon as they run.
+  const std::vector<std::size_t> expected = {8, 6, 4, 2, 0, 0, 0};
+  EXPECT_EQ(probe.words, expected);
+  ASSERT_EQ(agent.idles.size(), 3u);  // rounds 0, 5, 6
+  EXPECT_EQ(agent.idles[1].round, 5u);
+  EXPECT_EQ(agent.idles[1].here, 5u);
+}
+
+TEST(ScriptedAgentQueue, AppendWhileQueuedRunsInOrder) {
+  const auto g = graph::make_path(8);
+  Scheduler scheduler(g, Model::full());
+  OpenPlanAgent agent;
+  agent.first_plan = {1, 2};
+  // Before round 1 the route 1 -> 2 is half spent; the appended hops must
+  // run after it, not before.
+  Probe probe(agent, [&agent](std::uint64_t round) {
+    if (round == 1) {
+      agent.append_move(3);
+      agent.append_move(4);
+    }
+  });
+  (void)scheduler.run_single(probe, 0, 6);
+  const std::vector<std::size_t> expected = {2, 4, 2, 0, 0, 0};
+  EXPECT_EQ(probe.words, expected);
+  ASSERT_GE(agent.idles.size(), 2u);
+  EXPECT_EQ(agent.idles[1].round, 4u);
+  EXPECT_EQ(agent.idles[1].here, 4u);
+}
+
+TEST(ScriptedAgentQueue, PlanClearEmptiesTheQueue) {
+  const auto g = graph::make_path(8);
+  Scheduler scheduler(g, Model::full());
+  OpenPlanAgent agent;
+  agent.first_plan = {1, 2, 3, 4, 5};
+  bool cleared_empty = false;
+  Probe probe(agent, [&](std::uint64_t round) {
+    if (round == 2) {
+      agent.clear();
+      cleared_empty = agent.empty();
+    }
+  });
+  (void)scheduler.run_single(probe, 0, 4);
+  EXPECT_TRUE(cleared_empty);
+  // Two hops ran; the clear dropped the other three, so round 2 idles at
+  // vertex 2 with nothing queued.
+  const std::vector<std::size_t> expected = {8, 6, 0, 0};
+  EXPECT_EQ(probe.words, expected);
+  ASSERT_EQ(agent.idles.size(), 3u);
+  EXPECT_EQ(agent.idles[1].round, 2u);
+  EXPECT_EQ(agent.idles[1].here, 2u);
+}
+
+/// Each on_idle plans "wait until three rounds from now, then step on":
+/// the re-armed wait must hold exactly across every refill.
+class WaitThenStep final : public ScriptedAgent {
+ public:
+  std::vector<std::uint64_t> idle_rounds;
+
+ protected:
+  void on_idle(const View& view) override {
+    idle_rounds.push_back(view.round());
+    plan_wait_until(view.round() + 3);
+    plan_move(view.neighbor_ids()[0] == last_ ? view.neighbor_ids().back()
+                                              : view.neighbor_ids()[0]);
+    last_ = view.here();
+  }
+
+ private:
+  graph::VertexId last_ = static_cast<graph::VertexId>(-1);
+};
+
+TEST(ScriptedAgentQueue, WaitUntilReArmHoldsAcrossRefills) {
+  const auto g = graph::make_ring(16);
+  Scheduler scheduler(g, Model::full());
+  WaitThenStep agent;
+  Probe probe(agent, [](std::uint64_t) {});
+  const auto result = scheduler.run_single(probe, 0, 20);
+  // Waits hold rounds r, r+1, r+2; the move runs at r+3; the next refill
+  // is at r+4.
+  const std::vector<std::uint64_t> expected = {0, 4, 8, 12, 16};
+  EXPECT_EQ(agent.idle_rounds, expected);
+  EXPECT_EQ(result.metrics.moves[0], 5u);
+  // Both ops stay pending while the wait is re-armed, then one, then none.
+  for (std::size_t r = 0; r < 20; ++r) {
+    const std::size_t phase = r % 4;
+    EXPECT_EQ(probe.words[r], phase < 2 ? 4u : phase == 2 ? 2u : 0u)
+        << "round " << r;
+  }
 }
 
 }  // namespace
