@@ -43,17 +43,9 @@ inline bool handle_registry_listings(int argc, const char* const* argv) {
   return false;
 }
 
-/// A bench's main(): runs `body`, turning a CheckError (bad flags, a
-/// degenerate configuration) into its message on stderr and exit code 2
-/// instead of an abort through std::terminate.
-inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
-  try {
-    return body(argc, argv);
-  } catch (const CheckError& error) {
-    std::cerr << error.what() << "\n";
-    return 2;
-  }
-}
+/// A bench's main() runs through fnr::guarded_main (util/cli.hpp): a
+/// CheckError becomes its message on stderr and exit code 2.
+using fnr::guarded_main;
 
 /// Standard experiment knobs shared by every binary.
 struct BenchConfig {

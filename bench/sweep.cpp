@@ -29,14 +29,12 @@
 //                      sweep_<spec>[_shardI-OF].json; empty skips; only
 //                      written when the (shard's) campaign is complete
 //   --trials=N         override the spec's per-cell trial count
-//   --jobs=N           concurrent cells (executor worker pool; default 1,
-//                      0 = hardware threads). Checkpoints, callbacks, and
-//                      merged JSON are byte-identical for every value —
-//                      results flush in canonical grid order regardless
-//                      of completion order
-//   --threads=N        trial-runner pool size *within* one cell
-//                      (0 = hardware threads at --jobs=1, 1 at --jobs>1;
-//                      see docs/PERFORMANCE.md before setting both)
+//   --threads=N        threads for the run: the cell executor's worker
+//                      pool, each worker running one cell or trial shard
+//                      (default 0 = hardware threads, 1 = sequential).
+//                      Checkpoints, callbacks, and merged JSON are
+//                      byte-identical for every value — results flush in
+//                      canonical grid order regardless of completion order
 //   --csv / --json     also print the report to stdout
 //   --quiet            suppress per-cell progress lines
 #include <atomic>
@@ -126,9 +124,6 @@ int main(int argc, char** argv) {
     const auto threads = cli.get_int("threads", 0);
     FNR_CHECK_MSG(threads >= 0 && threads <= 4096,
                   "--threads must be in [0, 4096], got " << threads);
-    const auto jobs = cli.get_int("jobs", 1);
-    FNR_CHECK_MSG(jobs >= 0 && jobs <= 4096,
-                  "--jobs must be in [0, 4096], got " << jobs);
     const bool csv = cli.get_flag("csv");
     const bool json = cli.get_flag("json");
     const bool quiet = cli.get_flag("quiet");
@@ -157,7 +152,6 @@ int main(int argc, char** argv) {
 
     campaign::CampaignOptions options;
     options.threads = static_cast<unsigned>(threads);
-    options.jobs = static_cast<unsigned>(jobs);
     parse_shard(shard_arg, &options);
     options.resume = resume;
     options.max_cells = static_cast<std::uint64_t>(max_cells);
@@ -203,7 +197,7 @@ int main(int argc, char** argv) {
     g_active.store(nullptr, std::memory_order_relaxed);
     std::cout << "sweep '" << spec.name << "' shard " << options.shard_index
               << "/" << options.shard_count << ": " << result.executed
-              << " executed (" << options.jobs << " jobs, "
+              << " executed (" << result.threads << " threads, "
               << result.split_cells << " split, " << result.shards
               << " units), " << result.restored << " restored, "
               << result.discarded << " discarded, graph cache "

@@ -16,7 +16,7 @@
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace fnr;
   Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 4096));
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
               << report.delta_used << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fnr::guarded_main(argc, argv, run_example);
 }

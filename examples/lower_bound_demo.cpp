@@ -22,7 +22,7 @@ void banner(const std::string& text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   Cli cli(argc, argv);
   auto n = static_cast<std::size_t>(cli.get_int("n", 512));
   cli.reject_unknown();
@@ -110,4 +110,8 @@ int main(int argc, char** argv) {
               << randomized.run.meeting_round << " rounds.\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fnr::guarded_main(argc, argv, run_example);
 }

@@ -13,7 +13,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace fnr;
   Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 2048));
@@ -77,4 +77,8 @@ int main(int argc, char** argv) {
   std::cout << "(complete-graph specialist Anderson-Weber [6] omitted: this "
                "instance is not complete)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fnr::guarded_main(argc, argv, run_example);
 }

@@ -71,7 +71,7 @@ class ConstructTracer final : public sim::ScriptedAgent {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 64));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
@@ -142,4 +142,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n(re-run with --verbose for per-phase debug logging)\n";
   return report.run.met ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return fnr::guarded_main(argc, argv, run_example);
 }

@@ -10,7 +10,7 @@
 #include "sim/scheduler.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace fnr;
   Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 1024));
@@ -42,4 +42,8 @@ int main(int argc, char** argv) {
   std::cout << "Theorem 1 bound shape for this graph: ~" << std::llround(bound)
             << " rounds; measured " << report.run.meeting_round << "\n";
   return report.run.met ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return fnr::guarded_main(argc, argv, run_example);
 }

@@ -6,7 +6,7 @@
 #   scripts/ci.sh build-asan --sanitize   # ASan/UBSan build + ctest
 #   scripts/ci.sh build-tsan --sanitize=thread
 #                                         # TSan build + the whole test
-#                                         # suite + a --jobs=4 smoke
+#                                         # suite + a --threads=4 smoke
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,16 +40,16 @@ cd "$BUILD_DIR"
 
 # ThreadSanitizer leg: runs every test under TSan (the concurrency
 # batteries — executor, campaign, service, the shared logger — and the
-# single-threaded rest alike), plus a --jobs=4 campaign smoke (worker pool,
-# shard splits, shared graph cache, reorder buffer all live under TSan),
-# and skips the perf and byte-identity sections the plain leg covers.
+# single-threaded rest alike), plus a --threads=4 campaign smoke (worker
+# pool, shard splits, shared graph cache, reorder buffer all live under
+# TSan), and skips the perf and byte-identity sections the plain leg covers.
 if [[ "$SANITIZE" == thread ]]; then
   ctest --output-on-failure -j "$(nproc)"
-  rm -f tsan_j1.json tsan_j4.json
-  ./sweep --spec=smoke --checkpoint= --out=tsan_j1.json --quiet
-  ./sweep --spec=smoke --checkpoint= --out=tsan_j4.json --jobs=4 --quiet
-  diff tsan_j1.json tsan_j4.json
-  echo "tsan: full suite and --jobs=4 smoke clean"
+  rm -f tsan_t1.json tsan_t4.json
+  ./sweep --spec=smoke --checkpoint= --out=tsan_t1.json --threads=1 --quiet
+  ./sweep --spec=smoke --checkpoint= --out=tsan_t4.json --threads=4 --quiet
+  diff tsan_t1.json tsan_t4.json
+  echo "tsan: full suite and --threads=4 smoke clean"
   exit 0
 fi
 
@@ -82,14 +82,15 @@ else
   echo "bench gate: skipped under --sanitize"
 fi
 
-# Sweep smoke: run a tiny campaign uninterrupted, then again "killed"
-# after 2 cells (--max-cells is the deterministic stand-in for a mid-
-# campaign kill; the workflow also does a real kill -9) and resumed on a
-# different thread count. The merged JSON must be byte-identical — that is
-# the sweep engine's determinism contract (see docs/PERFORMANCE.md).
+# Sweep smoke: run a tiny campaign uninterrupted and sequentially, then
+# again "killed" after 2 cells (--max-cells is the deterministic stand-in
+# for a mid-campaign kill; the workflow also does a real kill -9) and
+# resumed on a different thread count. The merged JSON must be
+# byte-identical — that is the sweep engine's determinism contract (see
+# docs/PERFORMANCE.md).
 rm -f sweep_ci_a.jsonl sweep_ci_b.jsonl sweep_ci_a.json sweep_ci_b.json
 ./sweep --spec=smoke --checkpoint=sweep_ci_a.jsonl --out=sweep_ci_a.json \
-        --threads=2 --quiet
+        --threads=1 --quiet
 ./sweep --spec=smoke --checkpoint=sweep_ci_b.jsonl --out=sweep_ci_b.json \
         --threads=2 --max-cells=2 --quiet
 ./sweep --spec=smoke --checkpoint=sweep_ci_b.jsonl --out=sweep_ci_b.json \
@@ -105,23 +106,23 @@ rm -f sweep_large_default.json sweep_large_t1.json
         --quiet
 diff sweep_large_default.json sweep_large_t1.json
 
-# Executor byte-identity: the same campaign at --jobs=4 (work-stealing
+# Executor byte-identity: the same campaign at --threads=4 (work-stealing
 # cell pool) must emit byte-identical merged JSON AND byte-identical
 # checkpoint lines — modulo the informational "seconds" field, the only
 # wall-clock that reaches a checkpoint — to the sequential run above.
 # Completion order is staged through the reorder buffer, so the pool size
 # is invisible in every artifact.
-rm -f sweep_ci_j4.jsonl sweep_ci_j4.json
-./sweep --spec=smoke --checkpoint=sweep_ci_j4.jsonl --out=sweep_ci_j4.json \
-        --jobs=4 --quiet
-diff sweep_ci_a.json sweep_ci_j4.json
+rm -f sweep_ci_t4.jsonl sweep_ci_t4.json
+./sweep --spec=smoke --checkpoint=sweep_ci_t4.jsonl --out=sweep_ci_t4.json \
+        --threads=4 --quiet
+diff sweep_ci_a.json sweep_ci_t4.json
 diff <(sed 's/,"seconds":[^,}]*//' sweep_ci_a.jsonl) \
-     <(sed 's/,"seconds":[^,}]*//' sweep_ci_j4.jsonl)
+     <(sed 's/,"seconds":[^,}]*//' sweep_ci_t4.jsonl)
 
 # Real kill -9 mid-parallel-run: a heterogeneous grid (16x size spread,
 # scan-heavy near-regular against cheap torus) big enough that the kill
-# lands mid-campaign; resumed at --jobs=4 it must rebuild the exact
-# --jobs=1 bytes. Growing delays walk the kill point across the run; a
+# lands mid-campaign; resumed at --threads=4 it must rebuild the exact
+# --threads=1 bytes. Growing delays walk the kill point across the run; a
 # kill that lands after completion still exercises resume-on-complete.
 cat > sweep_ci_kill.spec <<'SPEC'
 name       = ci-kill
@@ -132,21 +133,22 @@ topologies = near-regular:deg=32, torus
 sizes      = 1024, 16384
 seeds      = 1
 SPEC
-rm -f kill_ref.json kill_j4.json
-./sweep --spec=sweep_ci_kill.spec --checkpoint= --out=kill_ref.json --quiet
+rm -f kill_ref.json
+./sweep --spec=sweep_ci_kill.spec --checkpoint= --out=kill_ref.json \
+        --threads=1 --quiet
 for i in 1 2 3; do
   rm -f kill_run.json kill_run.jsonl
   ./sweep --spec=sweep_ci_kill.spec --checkpoint=kill_run.jsonl \
-          --out=kill_run.json --jobs=4 --quiet &
+          --out=kill_run.json --threads=4 --quiet &
   SWEEP_PID=$!
   sleep "0.$((15 * i))"
   kill -9 "$SWEEP_PID" 2>/dev/null || true
   wait "$SWEEP_PID" 2>/dev/null || true
   ./sweep --spec=sweep_ci_kill.spec --checkpoint=kill_run.jsonl \
-          --out=kill_run.json --jobs=4 --resume --quiet
+          --out=kill_run.json --threads=4 --resume --quiet
   diff kill_ref.json kill_run.json
 done
-echo "executor smoke: --jobs=4 byte-identical (merged, checkpoint, kill -9 + resume)"
+echo "executor smoke: --threads=4 byte-identical (merged, checkpoint, kill -9 + resume)"
 
 # Registry smoke: every registered program runs one tiny trial on every
 # compatible scenario (the registry-smoke spec's wildcard axes resolve
@@ -204,8 +206,8 @@ cleanup_fnrd() {
 }
 trap cleanup_fnrd EXIT
 start_fnrd() {
-  ./fnrd --socket="$FNRD_SOCK" --workdir="$FNRD_DIR" --workers=2 \
-         --threads=2 --quiet "$@" &
+  ./fnrd --socket="$FNRD_SOCK" --workdir="$FNRD_DIR" --workers=2 --quiet \
+         "$@" &
   FNRD_PID=$!
   for _ in $(seq 1 100); do
     ./fnrc --socket="$FNRD_SOCK" --verb=status >/dev/null 2>&1 && return 0
@@ -215,7 +217,7 @@ start_fnrd() {
   return 1
 }
 
-start_fnrd
+start_fnrd --threads=2
 # Two concurrent campaigns; ci-b pauses after 2 cells.
 ./fnrc --socket="$FNRD_SOCK" --verb=submit --campaign=ci-a --spec=smoke
 ./fnrc --socket="$FNRD_SOCK" --verb=submit --campaign=ci-b --spec=smoke \
@@ -235,7 +237,7 @@ FNRD_PID=0
 
 # A fresh daemon knows nothing in memory; RESUME rebuilds ci-b from its
 # persisted submit frame + checkpoint and runs it to completion.
-start_fnrd
+start_fnrd --threads=2
 ./fnrc --socket="$FNRD_SOCK" --verb=resume --campaign=ci-b
 ./fnrc --socket="$FNRD_SOCK" --verb=wait --campaign=ci-b >/dev/null
 
@@ -253,36 +255,36 @@ wait "$FNRD_PID" 2>/dev/null || true
 FNRD_PID=0
 echo "fnrd smoke: daemon reports byte-identical to the bench/sweep surface"
 
-# Service parallel identity: a daemon running campaigns at --jobs=4 must
+# Service parallel identity: a daemon running campaigns at --threads=4 must
 # stream the exact frame sequence of a sequential daemon — cell frames
 # append to the replay log in the executor's canonical flush order, so a
 # streaming client cannot tell the pool sizes apart. Fresh workdirs per
 # daemon keep the campaigns independent.
 rm -rf "$FNRD_DIR"
 mkdir "$FNRD_DIR"
-start_fnrd
+start_fnrd --threads=1
 ./fnrc --socket="$FNRD_SOCK" --verb=submit --campaign=ci-j --spec=smoke
 ./fnrc --socket="$FNRD_SOCK" --verb=stream --campaign=ci-j \
-       > fnrd_frames_j1.txt
+       > fnrd_frames_t1.txt
 ./fnrc --socket="$FNRD_SOCK" --verb=report --campaign=ci-j --raw \
-       > fnrd_ci_j1.json
+       > fnrd_ci_t1.json
 kill "$FNRD_PID"
 wait "$FNRD_PID" 2>/dev/null || true
 FNRD_PID=0
 
 rm -rf "$FNRD_DIR"
 mkdir "$FNRD_DIR"
-start_fnrd --jobs=4
+start_fnrd --threads=4
 ./fnrc --socket="$FNRD_SOCK" --verb=submit --campaign=ci-j --spec=smoke
 ./fnrc --socket="$FNRD_SOCK" --verb=stream --campaign=ci-j \
-       > fnrd_frames_j4.txt
+       > fnrd_frames_t4.txt
 ./fnrc --socket="$FNRD_SOCK" --verb=report --campaign=ci-j --raw \
-       > fnrd_ci_j4.json
+       > fnrd_ci_t4.json
 kill "$FNRD_PID"
 wait "$FNRD_PID" 2>/dev/null || true
 FNRD_PID=0
 
-diff fnrd_frames_j1.txt fnrd_frames_j4.txt
-diff fnrd_ci_j1.json fnrd_ci_j4.json
-diff sweep_ci_a.json fnrd_ci_j4.json
-echo "fnrd smoke: --jobs=4 daemon frames byte-identical to sequential"
+diff fnrd_frames_t1.txt fnrd_frames_t4.txt
+diff fnrd_ci_t1.json fnrd_ci_t4.json
+diff sweep_ci_a.json fnrd_ci_t4.json
+echo "fnrd smoke: --threads=4 daemon frames byte-identical to sequential"

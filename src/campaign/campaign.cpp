@@ -313,8 +313,8 @@ CampaignRun Campaign::run(const CellCallback& on_cell) {
   std::vector<char> have(cells_.size(), 0);
 
   // Restored cells replay first, in canonical grid order — always before
-  // any newly-run cell's result flushes, whatever the jobs count (the
-  // resume + --jobs contract: a streaming client sees the full replay
+  // any newly-run cell's result flushes, whatever the thread count (the
+  // resume + --threads contract: a streaming client sees the full replay
   // prefix, then live results, in one canonical sequence).
   std::vector<SweepCell> pending;
   std::vector<std::size_t> pending_slots;
@@ -331,13 +331,12 @@ CampaignRun Campaign::run(const CellCallback& on_cell) {
     }
   }
 
-  // The executor runs the rest (inline at jobs == 1, on a worker pool
+  // The executor runs the rest (inline at threads == 1, on a worker pool
   // above) and emits finished results on this thread in exactly the
   // pending order — the contiguous canonical prefix. Checkpoint writes,
   // progress lines, and the callback all happen here, serialized.
   ExecutorOptions eopts;
-  eopts.jobs = options_.jobs;
-  eopts.trial_threads = options_.threads;
+  eopts.threads = options_.threads;
   eopts.min_shard_trials = options_.min_shard_trials;
   eopts.max_cells = options_.max_cells;
   eopts.graph_cache_capacity = options_.graph_cache_capacity;
@@ -368,6 +367,7 @@ CampaignRun Campaign::run(const CellCallback& on_cell) {
   const ExecutorStats stats = executor.run(pending, emit, cancel_);
   if (cancel_requested()) result.cancelled = true;
 
+  result.threads = stats.threads;
   result.discarded = stats.discarded;
   result.split_cells = stats.split_cells;
   result.shards = stats.shards;
@@ -473,7 +473,7 @@ namespace {
 
 /// The canonical graph-cache workload of a spec: an LRU simulation over
 /// the full grid in canonical cell order at the default capacity. A pure
-/// function of the spec text — never of this run's jobs count, shard,
+/// function of the spec text — never of this run's thread count, shard,
 /// resume point, or configured capacity — so the merged report's "cache"
 /// block cannot break the byte-identity contract (the *live* counters,
 /// which resume and sharding legitimately perturb, are reported in

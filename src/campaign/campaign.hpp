@@ -9,13 +9,14 @@
 // Execution model. expand(spec) defines the canonical grid; a shard owns
 // the cells with index % shard_count == shard_index, so any number of
 // worker processes can split a campaign without coordination. Within a
-// shard, cells run on the cell executor (src/campaign/executor.hpp):
-// `jobs` worker threads pull cells off a work-stealing queue seeded in
-// longest-processing-time order by an online-refined cost model, huge
-// cells split into mergeable trial shards, and a reorder buffer stages
-// completed results so checkpoint lines, callbacks, and reports are
-// emitted in canonical grid order — execution order is invisible in
-// every artifact, and `--jobs=1` vs `--jobs=4` are byte-identical.
+// shard, cells run on the cell executor (src/campaign/executor.hpp), the
+// campaign's one thread pool: `threads` workers pull cells off a
+// work-stealing queue seeded in longest-processing-time order by an
+// online-refined cost model, big cells split into mergeable trial shards,
+// and a reorder buffer stages completed results so checkpoint lines,
+// callbacks, and reports are emitted in canonical grid order — execution
+// order is invisible in every artifact, and `--threads=1` vs `--threads=4`
+// are byte-identical.
 //
 // Determinism contract. A cell's aggregate depends only on its key: its
 // trials run through scenario::run_scenario_trial_span, whose aggregates are
@@ -36,8 +37,8 @@
 // Cancelation. cancel() is thread- and signal-safe (one relaxed atomic
 // store); workers stop pulling new work, in-flight cells complete, and
 // the contiguous canonical prefix of their results is flushed — exactly
-// the boundary resume needs (at jobs > 1, completed cells stuck behind an
-// unfinished one are discarded and re-run on resume).
+// the boundary resume needs (at threads > 1, completed cells stuck behind
+// an unfinished one are discarded and re-run on resume).
 //
 // Checkpoints are append-only JSONL (one completed cell per line, flushed
 // per cell); a campaign killed mid-write leaves at most one torn final
@@ -72,20 +73,19 @@ inline constexpr int kSweepSchemaVersion = 1;
 inline constexpr std::size_t kDefaultGraphCacheCapacity = 12;
 
 struct CampaignOptions {
-  /// Trial-runner pool size *inside* one cell (0 = hardware threads at
-  /// jobs == 1; at jobs > 1 the default drops to 1 thread per cell so the
-  /// box runs jobs × 1 threads — see docs/PERFORMANCE.md for the
-  /// oversubscription math before setting both).
+  /// Threads for the whole run: the cell executor's worker-pool size, each
+  /// worker running one cell or trial shard on one thread (1 = sequential
+  /// on the calling thread, 0 = hardware threads). Any value produces
+  /// byte-identical checkpoints, callbacks, and merged JSON — results are
+  /// staged and flushed in canonical grid order regardless of completion
+  /// order.
   unsigned threads = 0;
-  /// Concurrent cells: the executor's worker-pool size (1 = sequential,
-  /// 0 = hardware threads). Any value produces byte-identical checkpoints,
-  /// callbacks, and merged JSON — results are staged and flushed in
-  /// canonical grid order regardless of completion order.
-  unsigned jobs = 1;
-  /// A cell with at least 2 × this many trials may be split into
-  /// contiguous trial shards (never smaller than this) that run on
-  /// different workers and merge through TrialAccumulator — so one
-  /// monster cell cannot serialize a parallel campaign's tail.
+  /// A cell with at least 2 × this many trials may be split into trial
+  /// shards (each worth at least this many trials) that run on different
+  /// workers and merge through TrialAccumulator — so one monster cell
+  /// cannot serialize a parallel campaign's tail. When the grid has fewer
+  /// cells than workers the floor drops to one trial, so a small grid
+  /// still fills the pool.
   std::uint64_t min_shard_trials = 32;
   /// This campaign owns grid cells with index % shard_count == shard_index.
   std::uint32_t shard_index = 0;
@@ -207,11 +207,11 @@ struct CheckpointEntry {
 /// Deterministic merged report: cells sorted by grid index, aggregate
 /// bytes verbatim, no timing fields. Byte-identical for resumed vs
 /// uninterrupted campaigns, for CLI vs daemon execution, and for any
-/// --jobs value. The "cache" block is the *canonical* graph-cache workload
-/// of the full grid (an LRU simulation over canonical cell order at the
-/// default capacity) — a deterministic property of the spec, not the live
-/// counters of this particular run, which resume/sharding would perturb
-/// (live counters are reported per run in CampaignRun). Active-fault
+/// --threads value. The "cache" block is the *canonical* graph-cache
+/// workload of the full grid (an LRU simulation over canonical cell order
+/// at the default capacity) — a deterministic property of the spec, not
+/// the live counters of this particular run, which resume/sharding would
+/// perturb (live counters are reported per run in CampaignRun). Active-fault
 /// cells additionally carry a "fault" field (the plan key) and — when
 /// their fault-free twin cell is present and ok — a "vs_fault_free" block
 /// with the rounds overhead ratio and the success-rate drop; fault-free
@@ -236,13 +236,15 @@ struct CampaignRun {
   /// run was cancelled while they sat behind an unfinished cell in the
   /// reorder buffer. Their work is discarded — flushing them would tear a
   /// hole in the canonical-prefix checkpoint — and they re-run on resume.
-  /// Always 0 at jobs == 1 (and under max_cells, which restricts the
+  /// Always 0 at threads == 1 (and under max_cells, which restricts the
   /// schedulable set instead of truncating completions).
   std::uint64_t discarded = 0;
   bool complete = false;       ///< every cell of this shard has a result
   bool cancelled = false;      ///< run stopped because cancel() was called
-  /// Executor telemetry: cells split into trial shards, total work units
-  /// executed, and rounds summed over newly-run cells (runtime-only).
+  /// Executor telemetry: the resolved worker count, cells split into
+  /// trial shards, total work units executed, and rounds summed over
+  /// newly-run cells (runtime-only).
+  unsigned threads = 0;
   std::uint64_t split_cells = 0;
   std::uint64_t shards = 0;
   std::uint64_t total_rounds = 0;
@@ -253,8 +255,8 @@ struct CampaignRun {
 
 /// Invoked once per finished cell. Restored cells are replayed first, in
 /// canonical grid order, with from_checkpoint = true — always before any
-/// newly-run cell's result flushes (the resume + --jobs contract); newly
-/// run cells then fire in canonical grid order regardless of jobs. The
+/// newly-run cell's result flushes (the resume + --threads contract); newly
+/// run cells then fire in canonical grid order at any thread count. The
 /// cell's checkpoint line is already flushed when the callback fires.
 using CellCallback = std::function<void(const CellResult&)>;
 
@@ -281,7 +283,7 @@ class Campaign {
   }
 
   /// Executes the shard: replays checkpointed cells first (canonical
-  /// order), runs the rest on the cell executor (options.jobs workers,
+  /// order), runs the rest on the cell executor (options.threads workers,
   /// results flushed in canonical order), appends + flushes a checkpoint
   /// line per cell, and invokes `on_cell` for every finished cell. Stops
   /// early on max_cells or cancel(). Callable once.

@@ -78,35 +78,64 @@ void CellCostModel::observe(const SweepCell& cell, double seconds) {
 
 namespace {
 
-/// One schedulable unit: a contiguous trial span of one cell (the whole
-/// cell when unsplit).
+/// One schedulable unit: one shard of one cell (the whole cell when
+/// unsplit).
 struct Unit {
   std::size_t slot = 0;  ///< index into the input cell vector
-  std::uint64_t first = 0;
-  std::uint64_t count = 0;
   std::uint64_t shard = 0;  ///< shard index within the cell
 };
 
-/// Shared per-cell completion state. Shard workers write disjoint slots
-/// of accs/errors; the final fetch_sub(acq_rel) hands the merge to the
-/// last finisher with all writes visible.
+/// How many shards a cell of `trials` trials splits into when `cells`
+/// cells share `workers` workers: at most one per worker, and only when
+/// each gets at least `min_shard_trials` trials (0 disables splitting). A
+/// grid with fewer cells than workers cannot fill the pool with whole
+/// cells, so its floor drops to one trial. A pure function of its
+/// arguments, never of timing — and shards are invisible in the merged
+/// bytes either way.
+std::uint64_t shard_count(std::uint64_t trials, unsigned workers,
+                          std::size_t cells, std::uint64_t min_shard_trials) {
+  if (min_shard_trials == 0) return 1;
+  const std::uint64_t floor = cells < workers ? 1 : min_shard_trials;
+  if (trials < 2 * floor) return 1;
+  return std::min<std::uint64_t>(workers, trials / floor);
+}
+
+/// A shard's failed chunk: its first trial and the CheckError text.
+struct ShardError {
+  std::uint64_t first = 0;
+  std::string text;  ///< empty = shard ok
+};
+
+/// Shared per-cell completion state. Shards claim chunks of the cell's
+/// trials from `next` and write disjoint slots of accs/errors; the final
+/// fetch_sub(acq_rel) hands the merge to the last finisher with all
+/// writes visible.
 struct CellState {
   std::atomic<std::uint64_t> remaining{0};
+  std::atomic<std::uint64_t> next{0};  ///< first unclaimed trial
+  std::atomic<bool> failed{false};
   std::vector<runner::TrialAccumulator> accs;
-  std::vector<std::string> errors;  ///< per shard; empty = shard ok
+  std::vector<ShardError> errors;
   std::chrono::steady_clock::time_point start{};
   bool started = false;  ///< guarded by the queue mutex
   std::uint64_t shard_count = 1;
 };
 
-/// Runs trials [first, first+count) of `cell` into `acc`. Returns the
-/// CheckError text on a deterministic cell failure (empty = ok) — the
-/// same catch boundary the sequential path has always had, so a cell
-/// that cannot run is a recorded result, not a dead campaign.
-std::string run_cell_span(const SweepCell& cell, GraphCache& cache,
-                          const runner::TrialRunner& trial_runner,
-                          std::uint64_t first, std::uint64_t count,
-                          runner::TrialAccumulator* acc) {
+/// Runs one shard of `cell` into `acc`. The shard claims chunks of the
+/// cell's trials until none are left, by guided self-scheduling: each claim
+/// takes half an even share of what remains (at least one trial), so chunks
+/// start large and shrink toward the end, and a shard on a slower core
+/// simply claims fewer. An unsplit cell claims all its trials at once.
+/// Which shard runs which trials depends on timing; the merged bytes do
+/// not.
+///
+/// A CheckError becomes the shard's recorded failure — the same catch
+/// boundary the sequential path has always had, so a cell that cannot run
+/// is a recorded result, not a dead campaign.
+void run_shard(const SweepCell& cell, CellState& state, GraphCache& cache,
+               const runner::TrialRunner& trial_runner,
+               runner::TrialAccumulator* acc, ShardError* error) {
+  std::uint64_t first = 0;
   try {
     const std::shared_ptr<const graph::Graph> g = cache.get_shared(cell);
     scenario::Scenario scen = scenario::find_scenario(cell.scenario);
@@ -118,13 +147,30 @@ std::string run_cell_span(const SweepCell& cell, GraphCache& cache,
     scenario::ScenarioOptions options;
     options.seed = cell.seed;
     options.fault = cell.fault;
-    *acc = scenario::run_scenario_trial_span(scen, cell.program, *g, options,
-                                             first, count, trial_runner);
-    return {};
-  } catch (const CheckError& error) {
-    std::string text = error.what();
+    first = state.next.load(std::memory_order_relaxed);
+    while (first < cell.trials &&
+           !state.failed.load(std::memory_order_relaxed)) {
+      const std::uint64_t left = cell.trials - first;
+      const std::uint64_t count =
+          state.shard_count == 1
+              ? left
+              : std::max<std::uint64_t>(1, left / (2 * state.shard_count));
+      if (!state.next.compare_exchange_weak(first, first + count,
+                                            std::memory_order_relaxed))
+        continue;  // `first` now holds the current cursor
+      acc->merge(scenario::run_scenario_trial_span(
+          scen, cell.program, *g, options, first, count, trial_runner));
+      first = state.next.load(std::memory_order_relaxed);
+    }
+  } catch (const CheckError& e) {
+    // Claims only move forward, so every chunk below this one is already
+    // claimed and records its own failure: assemble() keeps the lowest,
+    // whatever the timing. A failure before the first claim (graph or
+    // scenario) is the same in every shard.
+    std::string text = e.what();
     if (text.empty()) text = "CheckError";
-    return text;
+    *error = ShardError{first, std::move(text)};
+    state.failed.store(true, std::memory_order_relaxed);
   }
 }
 
@@ -135,16 +181,16 @@ std::string run_cell_span(const SweepCell& cell, GraphCache& cache,
 CellResult assemble(const SweepCell& cell, CellState& state) {
   CellResult result;
   result.cell = cell;
-  for (const std::string& error : state.errors) {
-    if (!error.empty()) {
-      // Deterministic failures throw identically in every shard; take the
-      // lowest shard's text, which is what a sequential run would record.
-      result.ok = false;
-      result.error = error;
-      break;
-    }
-  }
-  if (result.ok) {
+  // The failure of the lowest failing chunk is the one a sequential run,
+  // which stops at its first failing trial, would record.
+  const ShardError* error = nullptr;
+  for (const ShardError& e : state.errors)
+    if (!e.text.empty() && (error == nullptr || e.first < error->first))
+      error = &e;
+  if (error != nullptr) {
+    result.ok = false;
+    result.error = error->text;
+  } else {
     runner::TrialAccumulator merged;
     for (const auto& acc : state.accs) merged.merge(acc);
     for (const auto& out : merged.sorted_outcomes())
@@ -168,36 +214,27 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
   ExecutorStats stats;
   GraphCache cache(options_.graph_cache_capacity);
 
-  unsigned jobs = options_.jobs;
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
+  unsigned threads = options_.threads;
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  stats.threads = threads;
+  // The worker pool is the run's only parallelism: every unit runs its
+  // trials on one thread.
+  const runner::TrialRunner trial_runner(runner::RunnerOptions{1});
 
-  // --- jobs == 1: inline on the calling thread — the reference path the
+  // --- threads == 1: inline on the calling thread — the reference path the
   // parallel one is pinned against (no pool, no staging, no split cells).
-  if (jobs == 1) {
-    const runner::TrialRunner trial_runner(
-        runner::RunnerOptions{options_.trial_threads});
-    CellCostModel model;  // observed for symmetry; nothing to schedule
+  if (threads == 1) {
     for (const SweepCell& cell : cells) {
       if (cancel.load(std::memory_order_relaxed)) break;
       if (options_.max_cells > 0 && stats.executed >= options_.max_cells)
         break;
-      const auto start = std::chrono::steady_clock::now();
-      CellResult result;
-      result.cell = cell;
-      runner::TrialAccumulator acc;
-      result.error =
-          run_cell_span(cell, cache, trial_runner, 0, cell.trials, &acc);
-      if (result.error.empty()) {
-        for (const auto& out : acc.sorted_outcomes())
-          result.total_rounds += out.rounds;
-        result.agg_json = acc.aggregate().to_json();
-      } else {
-        result.ok = false;
-      }
-      result.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      model.observe(cell, result.seconds);
+      CellState state;
+      state.start = std::chrono::steady_clock::now();
+      state.accs.resize(1);
+      state.errors.resize(1);
+      run_shard(cell, state, cache, trial_runner, &state.accs[0],
+                &state.errors[0]);
+      CellResult result = assemble(cell, state);
       stats.total_rounds += result.total_rounds;
       ++stats.shards;
       ++stats.executed;
@@ -211,13 +248,6 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
 
   // --- parallel path ---------------------------------------------------------
 
-  // Cell-parallel runs default to one trial thread per worker: the worker
-  // pool is the parallelism. An explicit trial_threads multiplies the two
-  // pools (deliberate oversubscription — see docs/PERFORMANCE.md).
-  const unsigned trial_threads =
-      options_.trial_threads == 0 ? 1 : options_.trial_threads;
-  const runner::TrialRunner trial_runner(
-      runner::RunnerOptions{trial_threads});
   CellCostModel model;
 
   // max_cells restricts the *schedulable set* to the first N pending
@@ -231,32 +261,21 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
                 options_.max_cells, cells.size()))
           : cells.size();
 
-  // Build the unit list: one unit per cell, or several contiguous trial
-  // shards for cells big enough to split (>= 2 × min_shard_trials, at most
-  // one shard per worker, never below min_shard_trials per shard).
+  // Build the unit list: one unit per cell, or several shards for cells
+  // big enough to split (see shard_count).
   std::vector<CellState> states(cells.size());
   std::vector<Unit> queue;
   for (std::size_t slot = 0; slot < limit; ++slot) {
     const SweepCell& cell = cells[slot];
-    std::uint64_t shards = 1;
-    if (options_.min_shard_trials > 0 &&
-        cell.trials >= 2 * options_.min_shard_trials)
-      shards = std::min<std::uint64_t>(
-          jobs, cell.trials / options_.min_shard_trials);
+    const std::uint64_t shards =
+        shard_count(cell.trials, threads, limit, options_.min_shard_trials);
     CellState& state = states[slot];
     state.shard_count = shards;
     state.remaining.store(shards, std::memory_order_relaxed);
     state.accs.resize(shards);
     state.errors.resize(shards);
     if (shards > 1) ++stats.split_cells;
-    const std::uint64_t base = cell.trials / shards;
-    const std::uint64_t rem = cell.trials % shards;
-    std::uint64_t first = 0;
-    for (std::uint64_t s = 0; s < shards; ++s) {
-      const std::uint64_t count = base + (s < rem ? 1 : 0);
-      queue.push_back(Unit{slot, first, count, s});
-      first += count;
-    }
+    for (std::uint64_t s = 0; s < shards; ++s) queue.push_back(Unit{slot, s});
   }
 
   // Shared scheduling + staging state. The queue mutex serializes pops
@@ -317,9 +336,8 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
         if (!unit.has_value()) break;
         const SweepCell& cell = cells[unit->slot];
         CellState& state = states[unit->slot];
-        state.errors[unit->shard] =
-            run_cell_span(cell, cache, trial_runner, unit->first,
-                          unit->count, &state.accs[unit->shard]);
+        run_shard(cell, state, cache, trial_runner, &state.accs[unit->shard],
+                  &state.errors[unit->shard]);
         if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           // Last shard standing: merge, measure, stage for the flusher.
           CellResult result = assemble(cell, state);
@@ -350,7 +368,7 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
   };
 
   const unsigned worker_count =
-      static_cast<unsigned>(std::min<std::size_t>(jobs, queue.size()));
+      static_cast<unsigned>(std::min<std::size_t>(threads, queue.size()));
   std::vector<std::thread> pool;
   pool.reserve(worker_count);
   {

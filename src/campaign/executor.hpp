@@ -1,15 +1,18 @@
 // The cell executor: a worker pool that runs a campaign's cells
 // *concurrently* while every observable artifact stays byte-identical to a
-// sequential run.
+// sequential run. It is the campaign's only parallelism layer.
 //
 // Why. BENCH_perf.json spans ~2600× between the cheapest and the most
-// expensive cell, so intra-cell trial threading alone leaves most cores
-// idle on the long tail of small cells: a campaign's wall-clock is the sum
-// of its cells. The executor makes it the max of its critical path
-// instead: `jobs` workers pull cells off a shared queue, and a huge cell
-// is additionally split into contiguous trial shards that run on several
-// workers at once and merge through TrialAccumulator (whose aggregate is
-// canonicalized by trial index, so shard boundaries are invisible).
+// expensive cell, and a campaign's wall-clock is the sum of its cells when
+// they run one after another — graph generation included, which no trial
+// pool can spread. The executor makes it the max of its critical path
+// instead: `threads` workers pull units off a shared queue, each running
+// its trials on one thread, and a big cell is split into shards that run
+// on several workers at once, claim its trials in chunks from a shared
+// cursor, and merge through TrialAccumulator (whose aggregate is
+// canonicalized by trial index, so which shard ran which trial is
+// invisible). A grid with fewer cells than workers splits down to
+// single-trial shards, so even one cell fills the pool.
 //
 // Scheduling. The queue is seeded in longest-processing-time order by a
 // cost model: an a-priori weight from the cell's shape (trials × n ×
@@ -25,14 +28,15 @@
 // reorder buffer and emit() fires on the *calling* thread, strictly in
 // canonical grid order, only for the contiguous prefix of finished cells —
 // so checkpoint lines, per-cell callbacks, fnrd replay frames, and merged
-// JSON are byte-identical between --jobs=1 and --jobs=4, and a kill -9
-// mid-parallel-run resumes cleanly (the flush boundary is unchanged).
-// When the run stops early (cancel / max_cells), results stuck behind an
-// unfinished cell are discarded rather than flushed out of order; they
-// re-run on resume.
+// JSON are byte-identical between --threads=1 and --threads=4, and a
+// kill -9 mid-parallel-run resumes cleanly (the flush boundary is
+// unchanged). When the run stops early (cancel / max_cells), results stuck
+// behind an unfinished cell are discarded rather than flushed out of
+// order; they re-run on resume.
 //
-// jobs == 1 runs inline on the calling thread (no pool, no staging
-// latency) and is the reference the parallel path is pinned against.
+// threads == 1 runs inline on the calling thread (no pool, no staging
+// latency, one thread in total) and is the reference the parallel path is
+// pinned against.
 #pragma once
 
 #include <atomic>
@@ -48,24 +52,23 @@
 namespace fnr::campaign {
 
 struct ExecutorOptions {
-  /// Worker-pool size (concurrent cells); 1 = inline, 0 = hardware threads.
-  unsigned jobs = 1;
-  /// Trial-runner pool *inside* one cell/shard. 0 = hardware threads at
-  /// jobs == 1, but 1 at jobs > 1 (cell-parallel runs default to one
-  /// trial thread per worker; anything else multiplies the two pools).
-  unsigned trial_threads = 0;
-  /// Split threshold: a cell with >= 2 × this many trials may shard.
+  /// Worker threads, each running one unit's trials on one thread:
+  /// 1 = inline on the calling thread, 0 = hardware threads.
+  unsigned threads = 0;
+  /// Split threshold: a cell with >= 2 × this many trials may shard (the
+  /// floor drops to 1 trial when the grid has fewer cells than workers).
   std::uint64_t min_shard_trials = 32;
   /// Run only the first N cells of the run (0 = no limit). Restricting
   /// the *schedulable set* — rather than counting starts in completion
   /// order — keeps the executed set identical to the sequential path at
-  /// any jobs count, and means a paused campaign never discards work.
+  /// any thread count, and means a paused campaign never discards work.
   std::uint64_t max_cells = 0;
   std::size_t graph_cache_capacity = 12;
 };
 
 /// Telemetry of one CellExecutor::run (feeds CampaignRun).
 struct ExecutorStats {
+  unsigned threads = 0;         ///< resolved worker count (1 = inline)
   std::uint64_t executed = 0;   ///< cells completed *and* emitted
   std::uint64_t discarded = 0;  ///< completed but blocked at stop — re-run
   std::uint64_t split_cells = 0;

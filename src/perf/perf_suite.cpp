@@ -121,7 +121,7 @@ std::uint64_t swarm_trials_for(const PerfConfig& config) {
 /// cells-per-second number; rounds_per_sec is what the gate tracks.
 struct CampaignWorkload {
   std::string label;  ///< the cell's scenario field
-  unsigned jobs;      ///< executor pool size (cells in flight)
+  unsigned threads;   ///< executor pool size (the run's threads)
 };
 
 const std::vector<CampaignWorkload>& campaign_workloads() {
@@ -247,11 +247,11 @@ PerfReport run_perf_suite(const PerfConfig& config) {
       FNR_CHECK_MSG(workload_it != workloads.end(),
                     "unknown campaign workload '" << spec.scenario << "'");
       campaign::CampaignOptions options;
-      options.jobs = workload_it->jobs;
-      // One trial thread per worker: these cells measure cell-parallel
-      // scheduling, not the trial pool — config.threads stays out so the
-      // jobs1 / jobs4 pair differ in exactly one variable.
-      options.threads = 1;
+      // These cells measure cell-parallel scheduling at a pinned pool
+      // size — config.threads stays out so the jobs1 / jobs4 pair differ
+      // in exactly one variable. (The labels predate the executor's
+      // `threads` knob and stay so committed reports keep their identity.)
+      options.threads = workload_it->threads;
       campaign::Campaign camp(campaign_spec(config.quick), options);
       const auto start = std::chrono::steady_clock::now();
       const auto run = camp.run();

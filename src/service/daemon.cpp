@@ -151,7 +151,6 @@ struct Daemon::Impl {
   void run_campaign(CampaignInfo* info) {
     campaign::CampaignOptions copts;
     copts.threads = options.threads;
-    copts.jobs = options.jobs;
     copts.checkpoint_path = checkpoint_path(info->name);
     copts.resume = info->resume;
     copts.max_cells = info->request.max_cells;

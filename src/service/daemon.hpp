@@ -53,13 +53,11 @@ struct DaemonOptions {
   unsigned workers = 2;
   /// Bounded work-queue capacity; SUBMIT is rejected when full.
   std::size_t queue_capacity = 8;
-  /// Per-campaign trial-runner pool size (0 = hardware threads).
+  /// Threads per campaign: its cell executor's worker pool (1 = sequential,
+  /// 0 = hardware threads). Replay logs, checkpoints, and reports are
+  /// byte-identical for every value, so this is purely a latency lever; it
+  /// multiplies with `workers` campaigns in flight.
   unsigned threads = 0;
-  /// Concurrent cells *within* one campaign (the executor's worker pool;
-  /// 1 = sequential, 0 = hardware threads). Replay logs, checkpoints, and
-  /// reports are byte-identical for every value, so this is purely a
-  /// latency lever; it multiplies with `workers` campaigns in flight.
-  unsigned jobs = 1;
   /// Per-client pending-output cap in bytes; a slower consumer is
   /// disconnected (and can recover by re-STREAMing).
   std::size_t max_client_buffer = 4u << 20;

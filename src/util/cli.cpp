@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <iostream>
+
 #include "util/check.hpp"
 #include "util/parse.hpp"
 
@@ -58,6 +60,15 @@ void Cli::reject_unknown() const {
   for (const auto& [name, value] : values_) {
     (void)value;
     FNR_CHECK_MSG(declared_.contains(name), "unknown option --" << name);
+  }
+}
+
+int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const CheckError& error) {
+    std::cerr << error.what() << "\n";
+    return 2;
   }
 }
 

@@ -44,4 +44,10 @@ class Cli {
   std::set<std::string> declared_;
 };
 
+/// A binary's main(): runs `body`, turning a CheckError (bad flags, a
+/// degenerate configuration) into its message on stderr and exit code 2
+/// instead of an abort through std::terminate.
+[[nodiscard]] int guarded_main(int argc, char** argv,
+                               int (*body)(int, char**));
+
 }  // namespace fnr

@@ -26,7 +26,7 @@ namespace {
 
 // Mirrors the CI smoke grid: 16 heterogeneous cells across two programs,
 // two scenarios, two families, two sizes — enough shape spread for the
-// LPT queue to schedule out of canonical order at jobs > 1.
+// LPT queue to schedule out of canonical order at threads > 1.
 constexpr const char* kGridSpec = R"(
 name       = executor-grid
 trials     = 3
@@ -161,12 +161,12 @@ TEST(CellCostModel, ObservedRatesRefineAndUnobservedExploresFirst) {
 TEST(CellExecutor, ParallelRunMatchesSequentialBytes) {
   const auto spec = sweep::parse_spec(kGridSpec);
   CampaignOptions sequential;
-  sequential.jobs = 1;
+  sequential.threads = 1;
   const auto reference = run_campaign(spec, sequential, "exec_seq.jsonl");
   ASSERT_TRUE(reference.run.complete);
 
   CampaignOptions parallel;
-  parallel.jobs = 4;
+  parallel.threads = 4;
   const auto candidate = run_campaign(spec, parallel, "exec_par.jsonl");
   ASSERT_TRUE(candidate.run.complete);
   EXPECT_EQ(candidate.run.executed, reference.run.executed);
@@ -184,8 +184,8 @@ TEST(CellExecutor, ParallelRunMatchesSequentialBytes) {
 }
 
 TEST(CellExecutor, MonsterCellSplitsIntoMergedShards) {
-  // One 256-trial cell: at jobs=4 with the default 32-trial shard floor it
-  // must split, run on several workers, and merge to the sequential bytes.
+  // One 256-trial cell at threads=4 must split, run on several workers,
+  // and merge to the sequential bytes.
   const auto spec = sweep::parse_spec(R"(
 name       = monster
 trials     = 256
@@ -196,11 +196,11 @@ sizes      = 64
 seeds      = 1
 )");
   CampaignOptions sequential;
-  sequential.jobs = 1;
+  sequential.threads = 1;
   const auto reference = run_campaign(spec, sequential, "monster_seq.jsonl");
 
   CampaignOptions parallel;
-  parallel.jobs = 4;
+  parallel.threads = 4;
   const auto candidate = run_campaign(spec, parallel, "monster_par.jsonl");
   ASSERT_TRUE(candidate.run.complete);
   EXPECT_EQ(candidate.run.split_cells, 1u);
@@ -210,22 +210,65 @@ seeds      = 1
   EXPECT_EQ(candidate.run.total_rounds, reference.run.total_rounds);
 }
 
+TEST(CellExecutor, LoneSmallCellSplitsAcrossEveryWorker) {
+  // A grid with fewer cells than workers drops the shard floor to one
+  // trial: one 8-trial cell at threads=4 becomes 4 two-trial units, so the
+  // pool is full even without a trial pool inside the cell.
+  const auto spec = sweep::parse_spec(R"(
+name       = lone
+trials     = 8
+programs   = whiteboard
+scenarios  = sync-pair
+topologies = near-regular:deg=64
+sizes      = 1024
+seeds      = 1
+)");
+  CampaignOptions sequential;
+  sequential.threads = 1;
+  const auto reference = run_campaign(spec, sequential, "lone_seq.jsonl");
+  ASSERT_TRUE(reference.run.complete);
+  EXPECT_EQ(reference.run.shards, 1u);
+
+  CampaignOptions parallel;
+  parallel.threads = 4;
+  const auto candidate = run_campaign(spec, parallel, "lone_par.jsonl");
+  ASSERT_TRUE(candidate.run.complete);
+  EXPECT_EQ(candidate.run.threads, 4u);
+  EXPECT_EQ(candidate.run.split_cells, 1u);
+  EXPECT_EQ(candidate.run.shards, 4u);
+  EXPECT_EQ(candidate.merged_json, reference.merged_json);
+  EXPECT_EQ(candidate.checkpoint, reference.checkpoint);
+  EXPECT_EQ(candidate.run.total_rounds, reference.run.total_rounds);
+}
+
+TEST(CellExecutor, FullGridKeepsTheShardFloor) {
+  // With at least as many cells as workers, whole cells fill the pool and
+  // the 32-trial floor holds: kGridSpec's 3-trial cells never split.
+  const auto spec = sweep::parse_spec(kGridSpec);
+  CampaignOptions options;
+  options.threads = 4;
+  const auto artifacts = run_campaign(spec, options, "exec_floor.jsonl");
+  ASSERT_TRUE(artifacts.run.complete);
+  EXPECT_EQ(artifacts.run.split_cells, 0u);
+  EXPECT_EQ(artifacts.run.shards, artifacts.run.executed);
+}
+
 TEST(CellExecutor, RestoredCellsReplayBeforeAnyLiveCell) {
-  // The resume + --jobs contract: every checkpointed cell replays through
+  // The resume + --threads contract: every checkpointed cell replays through
   // the callback, in canonical order, before the first live cell flushes —
   // a streaming consumer sees one canonical sequence, never interleaving.
   const auto spec = sweep::parse_spec(kGridSpec);
   TempPath checkpoint("exec_replay.jsonl");
 
   CampaignOptions pause;
-  pause.jobs = 4;
+  pause.threads = 4;
   pause.max_cells = 3;
   pause.checkpoint_path = checkpoint.str();
   Campaign paused(spec, pause);
   (void)paused.run();
 
   CampaignOptions resume;
-  resume.jobs = 4;
+  resume.threads = 4;
   resume.resume = true;
   resume.checkpoint_path = checkpoint.str();
   Campaign resumed(spec, resume);
@@ -245,13 +288,13 @@ TEST(CellExecutor, RestoredCellsReplayBeforeAnyLiveCell) {
 }
 
 TEST(CellExecutor, MaxCellsRunsTheCanonicalPrefixWithoutDiscards) {
-  // max_cells restricts the schedulable set, so even at jobs=4 — where the
+  // max_cells restricts the schedulable set, so even at threads=4 — where the
   // LPT queue would otherwise start the most expensive cells first — the
   // executed set is exactly the first N canonical cells and no completed
   // work is thrown away.
   const auto spec = sweep::parse_spec(kGridSpec);
   CampaignOptions options;
-  options.jobs = 4;
+  options.threads = 4;
   options.max_cells = 5;
   const auto artifacts = run_campaign(spec, options, "exec_prefix.jsonl");
   EXPECT_EQ(artifacts.run.executed, 5u);
@@ -277,7 +320,7 @@ sizes      = 32
 seeds      = 1
 )");
   CampaignOptions options;
-  options.jobs = 4;
+  options.threads = 4;
   const auto artifacts = run_campaign(spec, options, "exec_hammer.jsonl");
   ASSERT_TRUE(artifacts.run.complete);
   const std::uint64_t cells = artifacts.run.executed;
@@ -290,15 +333,15 @@ seeds      = 1
 TEST(CellExecutor, CancelMidParallelResumesToIdenticalBytes) {
   const auto spec = sweep::parse_spec(kGridSpec);
   CampaignOptions sequential;
-  sequential.jobs = 1;
+  sequential.threads = 1;
   const auto reference = run_campaign(spec, sequential, "exec_ref.jsonl");
 
-  // Cancel from the first callback of a jobs=4 run: workers may have
+  // Cancel from the first callback of a threads=4 run: workers may have
   // several more cells in flight or staged out of order; everything not in
   // the flushed canonical prefix must be discarded, not torn.
   TempPath checkpoint("exec_cancel.jsonl");
   CampaignOptions options;
-  options.jobs = 4;
+  options.threads = 4;
   options.checkpoint_path = checkpoint.str();
   Campaign interrupted(spec, options);
   const CampaignRun first =
@@ -324,7 +367,7 @@ TEST(CellExecutor, CancelMidParallelResumesToIdenticalBytes) {
   EXPECT_EQ(to_json(spec, second.cells), reference.merged_json);
 }
 
-TEST(CellExecutor, FailedCellsFlowThroughUnchangedAtAnyJobs) {
+TEST(CellExecutor, FailedCellsFlowThroughUnchangedAtAnyThreadCount) {
   // A cell whose run throws CheckError becomes an ok=false result (the
   // run keeps going) — and the error artifact is identical across pool
   // sizes like any other cell. expand() never emits an unrunnable cell,
@@ -335,9 +378,9 @@ TEST(CellExecutor, FailedCellsFlowThroughUnchangedAtAnyJobs) {
   ASSERT_GE(cells.size(), 3u);
   cells[2].scenario = "no-such-scenario";
 
-  const auto run_at = [&](unsigned jobs) {
+  const auto run_at = [&](unsigned threads) {
     ExecutorOptions options;
-    options.jobs = jobs;
+    options.threads = threads;
     CellExecutor executor(options);
     std::vector<CellResult> results;
     std::atomic<bool> cancel{false};

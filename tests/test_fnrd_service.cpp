@@ -44,16 +44,15 @@ seeds      = 1
 class DaemonFixture {
  public:
   explicit DaemonFixture(const std::string& tag, unsigned workers = 2,
-                         unsigned jobs = 1)
-      : workdir_(testing::TempDir() + "fnrd_" + tag), jobs_(jobs) {
+                         unsigned threads = 2)
+      : workdir_(testing::TempDir() + "fnrd_" + tag), threads_(threads) {
     std::filesystem::remove_all(workdir_);
     std::filesystem::create_directories(workdir_);
     DaemonOptions options;
     options.socket_path = workdir_ + "/sock";
     options.workdir = workdir_;
     options.workers = workers;
-    options.threads = 2;
-    options.jobs = jobs_;
+    options.threads = threads_;
     daemon_ = std::make_unique<Daemon>(options);
     thread_ = std::thread([this] { daemon_->run(); });
   }
@@ -79,8 +78,7 @@ class DaemonFixture {
     options.socket_path = workdir_ + "/sock";
     options.workdir = workdir_;
     options.workers = 2;
-    options.threads = 2;
-    options.jobs = jobs_;
+    options.threads = threads_;
     daemon_ = std::make_unique<Daemon>(options);
     thread_ = std::thread([this] { daemon_->run(); });
   }
@@ -102,7 +100,7 @@ class DaemonFixture {
 
  private:
   std::string workdir_;
-  unsigned jobs_ = 1;
+  unsigned threads_ = 2;
   std::unique_ptr<Daemon> daemon_;
   std::thread thread_;
 };
@@ -204,20 +202,20 @@ TEST(FnrdService, ServesTwoConcurrentCampaignsWithStreamedResults) {
 }
 
 TEST(FnrdService, ParallelExecutorStreamsIdenticalFrameSequence) {
-  // A daemon running its campaigns on the jobs=4 cell executor must
+  // A daemon running its campaigns on the threads=4 cell executor must
   // stream the exact frame sequence of a sequential daemon: cell frames
   // append to the replay log in the executor's canonical flush order, so
   // the pool size is invisible on the wire.
-  const auto frames_at = [](const std::string& tag, unsigned jobs) {
-    DaemonFixture daemon(tag, 2, jobs);
+  const auto frames_at = [](const std::string& tag, unsigned threads) {
+    DaemonFixture daemon(tag, 2, threads);
     Connection submit = daemon.connect();
     submit.send(serialize_request(submit_request("gamma")));
     EXPECT_EQ(frame_type(submit.recv()), "submitted");
     Connection stream = daemon.connect();
     return stream_to_end(stream, "gamma");
   };
-  const auto sequential = frames_at("frames_j1", 1);
-  const auto parallel = frames_at("frames_j4", 4);
+  const auto sequential = frames_at("frames_t1", 1);
+  const auto parallel = frames_at("frames_t4", 4);
   const auto grid = sweep::expand(sweep::parse_spec(kServiceSpec));
   EXPECT_EQ(sequential.size(), grid.size());
   EXPECT_EQ(parallel, sequential);

@@ -11,10 +11,10 @@
 //                     must exist (default ".")
 //   --workers=N       concurrent campaign workers (default 2)
 //   --queue=N         bounded work-queue capacity (default 8)
-//   --threads=N       per-campaign trial-runner pool (0 = hardware threads)
-//   --jobs=N          concurrent cells within one campaign (executor pool;
-//                     default 1, 0 = hardware threads) — replay logs and
-//                     reports are byte-identical for every value
+//   --threads=N       threads per campaign: its cell executor's pool
+//                     (default 0 = hardware threads, 1 = sequential) —
+//                     replay logs and reports are byte-identical for every
+//                     value
 //   --client-buffer=N per-client pending-output cap in bytes before the
 //                     slow client is disconnected (default 4 MiB)
 //   --quiet           suppress log lines
@@ -56,10 +56,6 @@ int main(int argc, char** argv) {
     FNR_CHECK_MSG(threads >= 0 && threads <= 4096,
                   "--threads must be in [0, 4096], got " << threads);
     options.threads = static_cast<unsigned>(threads);
-    const auto jobs = cli.get_int("jobs", 1);
-    FNR_CHECK_MSG(jobs >= 0 && jobs <= 4096,
-                  "--jobs must be in [0, 4096], got " << jobs);
-    options.jobs = static_cast<unsigned>(jobs);
     const auto client_buffer = cli.get_int("client-buffer", 4 << 20);
     FNR_CHECK_MSG(client_buffer >= 4096,
                   "--client-buffer must be >= 4096, got " << client_buffer);
