@@ -217,7 +217,7 @@ inline void emit_aggregate(const BenchConfig& config, const std::string& label,
 
 inline void print_fit(const char* label, const std::vector<double>& xs,
                       const std::vector<double>& ys) {
-  if (xs.size() < 2) return;
+  if (xs.size() < kMinFitPoints) return;
   const auto fit = fit_power_law(xs, ys);
   std::cout << label << ": rounds ~ n^" << format_double(fit.exponent, 2)
             << " (R^2 = " << format_double(fit.r_squared, 3) << ")\n\n";

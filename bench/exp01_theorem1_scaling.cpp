@@ -88,21 +88,16 @@ int run_bench(int argc, char** argv) {
   }
   table.print(std::cout);
   bench::print_fit("power-law fit of measured rounds", ns, rounds_series);
-  std::cout << "Reference: bound shape has fitted exponent ~"
-            << format_double(
-                   fit_power_law(
-                       ns,
-                       [&] {
-                         std::vector<double> b;
-                         for (const auto n : ns)
-                           b.push_back(core::theorem1_bound(
-                               static_cast<std::size_t>(n),
-                               std::pow(n, 0.78), 2.2 * std::pow(n, 0.78)));
-                         return b;
-                       }())
-                       .exponent,
-                   2)
-            << " over the same sweep.\n";
+  if (ns.size() >= kMinFitPoints) {
+    std::vector<double> bounds;
+    for (const auto n : ns)
+      bounds.push_back(core::theorem1_bound(static_cast<std::size_t>(n),
+                                            std::pow(n, 0.78),
+                                            2.2 * std::pow(n, 0.78)));
+    std::cout << "Reference: bound shape has fitted exponent ~"
+              << format_double(fit_power_law(ns, bounds).exponent, 2)
+              << " over the same sweep.\n";
+  }
   return 0;
 }
 

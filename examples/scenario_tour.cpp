@@ -7,10 +7,14 @@
 
 #include "graph/generators.hpp"
 #include "scenario/run.hpp"
+#include "util/cli.hpp"
 
 using namespace fnr;
 
-int main() {
+static int run_example(int argc, char** argv) {
+  Cli cli(argc, argv);
+  cli.reject_unknown();
+
   // A custom scenario slots into the same registry the benches sweep.
   if (!scenario::has_scenario("ambush-trio")) {
     scenario::Scenario custom;
@@ -58,4 +62,8 @@ int main() {
                "synchronous model; see tests/test_scenario_engine.cpp for "
                "the bit-for-bit guarantee.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fnr::guarded_main(argc, argv, run_example);
 }

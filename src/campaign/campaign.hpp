@@ -118,10 +118,14 @@ struct CellResult {
   std::string error;     ///< sanitized CheckError text when !ok
   std::string agg_json;  ///< empty when !ok
   double seconds = 0.0;  ///< wall-clock, informational (checkpoint only)
-  /// Rounds executed across all trials of this cell. Runtime-only (never
-  /// serialized; 0 for restored cells) — the perf suite's campaign cell
-  /// derives its deterministic rounds/sec identity from it.
+  /// Work summed over all trials of this cell: rounds executed, agent
+  /// moves, whiteboard writes, and trials that met. Runtime-only (never
+  /// serialized; 0 for restored cells) — the exact counters the tier-1
+  /// work gate (tests/test_work_gate.cpp) pins.
   std::uint64_t total_rounds = 0;
+  std::uint64_t total_moves = 0;
+  std::uint64_t total_writes = 0;
+  std::uint64_t trials_met = 0;
   bool from_checkpoint = false;
 };
 

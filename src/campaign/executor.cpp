@@ -46,7 +46,7 @@ double CellCostModel::weight(const SweepCell& cell) {
     }
   }
   // Neighborhood-scan families cost far more per round than constant-
-  // degree walks (BENCH_perf.json spans ~300-500× between near-regular
+  // degree walks (measured wall time spans ~300-500× between near-regular
   // and torus at equal n) — a crude factor is enough for seeding, and
   // observe() replaces it with measured rates after the first completion.
   double family = 1.0;
@@ -193,8 +193,12 @@ CellResult assemble(const SweepCell& cell, CellState& state) {
   } else {
     runner::TrialAccumulator merged;
     for (const auto& acc : state.accs) merged.merge(acc);
-    for (const auto& out : merged.sorted_outcomes())
+    for (const auto& out : merged.sorted_outcomes()) {
       result.total_rounds += out.rounds;
+      result.total_moves += out.moves_a + out.moves_b;
+      result.total_writes += out.whiteboard_marks;
+      result.trials_met += out.met ? 1 : 0;
+    }
     result.agg_json = merged.aggregate().to_json();
   }
   result.seconds = std::chrono::duration<double>(

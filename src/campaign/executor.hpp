@@ -2,8 +2,8 @@
 // *concurrently* while every observable artifact stays byte-identical to a
 // sequential run. It is the campaign's only parallelism layer.
 //
-// Why. BENCH_perf.json spans ~2600× between the cheapest and the most
-// expensive cell, and a campaign's wall-clock is the sum of its cells when
+// Why. Measured cell costs span ~2600× in wall time across the work
+// gate's cells, and a campaign's wall-clock is the sum of its cells when
 // they run one after another — graph generation included, which no trial
 // pool can spread. The executor makes it the max of its critical path
 // instead: `threads` workers pull units off a shared queue, each running

@@ -3,7 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include <unistd.h>
+#include <sys/socket.h>
 
 #include "util/check.hpp"
 
@@ -72,7 +72,7 @@ bool FrameWriter::flush_with(const WriteFn& write_some) {
 
 bool FrameWriter::flush_to_fd(int fd) {
   return flush_with([fd](const char* data, std::size_t size) -> long {
-    const ssize_t wrote = ::write(fd, data, size);
+    const ssize_t wrote = ::send(fd, data, size, MSG_NOSIGNAL);
     if (wrote >= 0) return static_cast<long>(wrote);
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
     return -1;

@@ -94,8 +94,10 @@ class FrameWriter {
   using WriteFn = std::function<long(const char* data, std::size_t size)>;
   [[nodiscard]] bool flush_with(const WriteFn& write_some);
 
-  /// flush_with over write(2) on a (typically non-blocking) fd: EAGAIN /
-  /// EWOULDBLOCK / EINTR leave bytes pending, any other errno fails.
+  /// flush_with over send(2) on a (typically non-blocking) socket: EAGAIN /
+  /// EWOULDBLOCK / EINTR leave bytes pending, any other errno fails. A
+  /// peer that has closed its end fails the flush (EPIPE) rather than
+  /// raising SIGPIPE, which would kill a process that embeds the daemon.
   [[nodiscard]] bool flush_to_fd(int fd);
 
  private:

@@ -13,6 +13,7 @@
 #include "baselines/wait_and_sweep.hpp"
 #include "core/main_rendezvous.hpp"
 #include "core/no_whiteboard.hpp"
+#include "core/rendezvous.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 
@@ -150,7 +151,6 @@ std::deque<ProgramDef> builtin_programs() {
     def.caps.needs_whiteboards = true;
     def.caps.needs_shared_neighborhood = true;
     def.model = sim::Model::full();
-    def.core_strategy = core::Strategy::Whiteboard;
     def.seeker = [](AgentBuild& build) -> std::unique_ptr<sim::Agent> {
       const auto delta = static_cast<double>(build.graph.min_degree());
       return std::make_unique<core::WhiteboardAgentA>(build.params, delta,
@@ -175,7 +175,6 @@ std::deque<ProgramDef> builtin_programs() {
     def.caps.needs_whiteboards = true;
     def.caps.needs_shared_neighborhood = true;
     def.model = sim::Model::full();
-    def.core_strategy = core::Strategy::WhiteboardDoubling;
     def.seeker = [](AgentBuild& build) -> std::unique_ptr<sim::Agent> {
       return std::make_unique<core::WhiteboardAgentA>(build.params,
                                                       /*known_delta=*/-1.0,
@@ -201,7 +200,6 @@ std::deque<ProgramDef> builtin_programs() {
     def.caps.needs_tight_ids = true;
     def.caps.needs_shared_neighborhood = true;
     def.model = sim::Model::no_whiteboards();
-    def.core_strategy = core::Strategy::NoWhiteboard;
     def.seeker = [](AgentBuild& build) -> std::unique_ptr<sim::Agent> {
       const auto delta = static_cast<double>(build.graph.min_degree());
       return std::make_unique<core::NoWhiteboardAgentA>(build.params, delta,

@@ -10,14 +10,14 @@
 // per-role agent factories (seeker / marker / symmetric), a capability mask,
 // a round-cap policy, and the parameters it accepts as `?key=value`
 // suffixes. Everything downstream — scenario trials, the sweep grid, the
-// perf suite's cell names, the bench CLIs — resolves programs through here,
-// so adding a strategy is one registration in this file (or one
-// register_program call anywhere), not a five-layer edit.
+// fnrd daemon, the bench CLIs — resolves programs through here, so adding a
+// strategy is one registration in this file (or one register_program call
+// anywhere), not a five-layer edit.
 //
 // Labels are stable identifiers: they name cells in sweep checkpoints,
-// merged JSON, and BENCH_perf.json, so renaming one is a breaking change to
-// recorded artifacts. The built-in labels and their registration order are
-// pinned by tests/test_program_registry.cpp.
+// merged JSON, and the work gate's pins, so renaming one is a breaking
+// change to recorded artifacts. The built-in labels and their registration
+// order are pinned by tests/test_program_registry.cpp.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +26,10 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/params.hpp"
-#include "core/rendezvous.hpp"
 #include "graph/graph.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/model.hpp"
@@ -107,11 +105,6 @@ struct ProgramDef {
   /// Parameters accepted via "label?key=value" suffixes (name → default).
   /// Unknown override names are rejected by find_program.
   std::map<std::string, double> parameters;
-  /// Set on programs that wrap one of the paper's core strategies. The perf
-  /// suite measures exactly these (through the two-agent hot path) and
-  /// names its cells with the registry label, so perf cells and sweep cells
-  /// agree on naming.
-  std::optional<core::Strategy> core_strategy;
 
   /// Throws CheckError on a malformed definition (empty/ill-formed label,
   /// missing factories or round_cap, caps inconsistent with the model).

@@ -519,7 +519,7 @@ topologies = ring, near-regular:deg=4
 sizes      = 32, 64
 seeds      = 1
 )"},
-      {"perf-quick", R"(# The perf suite's quick cells as a sweep.
+      {"perf-quick", R"(# The three paper strategies on two 64-vertex graphs.
 name       = perf-quick
 trials     = 8
 programs   = whiteboard, whiteboard+doubling, no-whiteboard
@@ -528,7 +528,7 @@ topologies = near-regular:deg=12, torus
 sizes      = 64
 seeds      = 7
 )"},
-      {"perf-full", R"(# The perf suite's full cells as a sweep.
+      {"perf-full", R"(# The three paper strategies on four 1024-vertex graphs.
 name       = perf-full
 trials     = 256
 programs   = whiteboard, whiteboard+doubling, no-whiteboard

@@ -199,8 +199,8 @@ struct SweepCell {
 
 /// Predefined specs, addressable by name from `bench/sweep --spec=<name>`:
 ///   smoke          — tiny grid for CI interrupt/resume smokes
-///   perf-quick     — the perf suite's quick cells as a sweep
-///   perf-full      — the perf suite's full cells as a sweep
+///   perf-quick     — the three paper strategies on two 64-vertex graphs
+///   perf-full      — the three paper strategies on four 1024-vertex graphs
 ///   large-n        — 3 programs × 4 families × n ∈ {2^10, 2^14, 2^17}
 ///   registry-smoke — every registered program × every compatible scenario,
 ///                    one tiny trial each (the CI registration smoke)

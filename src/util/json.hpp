@@ -2,14 +2,14 @@
 // (objects, arrays, strings with the simple escapes, plain numbers,
 // booleans).
 //
-// This is deliberately not a general JSON library: the perf suite, the
-// sweep engine, and the fnrd wire protocol all emit fixed schemas and parse
-// only each other's output, so the cursor rejects anything outside that
-// subset instead of silently accepting it. Report/checkpoint emitters stay
-// inside the historical no-escape subset (their bytes are pinned by the
-// resume contract); the wire protocol carries arbitrary text (spec files,
-// error messages) through json_escape, whose escapes parse_string decodes.
-// Shared by src/perf/, src/sweep/, src/campaign/, and src/service/.
+// This is deliberately not a general JSON library: the sweep engine and the
+// fnrd wire protocol emit fixed schemas and parse only each other's output,
+// so the cursor rejects anything outside that subset instead of silently
+// accepting it. Report/checkpoint emitters stay inside the historical
+// no-escape subset (their bytes are pinned by the resume contract); the
+// wire protocol carries arbitrary text (spec files, error messages)
+// through json_escape, whose escapes parse_string decodes.
+// Shared by src/sweep/, src/campaign/, and src/service/.
 #pragma once
 
 #include <cstdint>

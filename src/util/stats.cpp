@@ -42,7 +42,10 @@ Summary summarize(std::vector<double> values) {
 PowerLawFit fit_power_law(const std::vector<double>& xs,
                           const std::vector<double>& ys) {
   FNR_CHECK(xs.size() == ys.size());
-  FNR_CHECK(xs.size() >= 2);
+  FNR_CHECK_MSG(xs.size() >= kMinFitPoints,
+                "power-law fit needs at least " << kMinFitPoints
+                                                << " points, got "
+                                                << xs.size());
   const auto n = static_cast<double>(xs.size());
   double sx = 0, sy = 0, sxx = 0, sxy = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {

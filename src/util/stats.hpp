@@ -42,6 +42,10 @@ class SampleAccumulator {
 
 /// Ordinary least squares fit of log(y) = a + b*log(x); reports the exponent
 /// b and R². Used to verify asymptotic growth rates (e.g. rounds vs n).
+/// Needs at least kMinFitPoints points: any two points fit exactly
+/// (R² = 1), which says nothing about the growth rate.
+inline constexpr std::size_t kMinFitPoints = 3;
+
 struct PowerLawFit {
   double exponent = 0.0;
   double prefactor = 0.0;  // e^a

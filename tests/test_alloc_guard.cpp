@@ -1,8 +1,8 @@
 // Allocation-count guard for the scheduler hot path.
 //
 // The whole binary's global operator new/delete are replaced with counting
-// versions; tests snapshot the counter around a scheduler run and assert
-// the arena invariants of docs/PERFORMANCE.md:
+// versions (alloc_counter.hpp); tests snapshot the counter around a
+// scheduler run and assert the arena invariants of docs/PERFORMANCE.md:
 //   1. Scheduler::run (the k=2 fast path) performs ZERO heap allocations
 //      once the arena is warm.
 //   2. run_scenario's per-ROUND loop is allocation-free: a 64x-longer run
@@ -13,59 +13,17 @@
 // reproduce a fresh scheduler's run exactly, including after a k-downsize).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "baselines/gather.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-std::uint64_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace fnr {
 namespace {
+
+using test::allocation_count;
 
 /// Heap-free agent that exercises every hot-path observation: whiteboard
 /// read + periodic write, neighbor IDs, arrival port, and movement.

@@ -1,8 +1,8 @@
 // The program registry: label stability, capability masks, parameter
 // suffixes, open registration, and the invariants the sweep grid expander
-// and the perf suite hang on — every registered program must be runnable
-// on some compatible scenario, and expansion must never emit a cell the
-// capability masks forbid.
+// hangs on — every registered program must be runnable on some compatible
+// scenario, and expansion must never emit a cell the capability masks
+// forbid.
 #include "scenario/program_registry.hpp"
 
 #include <set>
@@ -18,7 +18,7 @@ namespace fnr {
 namespace {
 
 TEST(ProgramRegistry, BuiltinLabelsAreUniqueAndStable) {
-  // Labels name cells in sweep checkpoints and BENCH_perf.json; the first
+  // Labels name cells in sweep checkpoints and the work gate; the first
   // eight and their order are a compatibility contract, not a preference.
   const std::vector<std::string> expected = {
       "whiteboard",     "whiteboard+doubling", "no-whiteboard",

@@ -221,7 +221,14 @@ TEST(Stats, PowerLawFitRecoversExponent) {
 }
 
 TEST(Stats, PowerLawFitRejectsNonPositive) {
-  EXPECT_THROW((void)fit_power_law({1.0, 2.0}, {0.0, 1.0}), CheckError);
+  EXPECT_THROW((void)fit_power_law({1.0, 2.0, 4.0}, {0.0, 1.0, 2.0}),
+               CheckError);
+}
+
+TEST(Stats, PowerLawFitNeedsThreePoints) {
+  // Two points always fit exactly (R^2 = 1): no evidence of a growth rate.
+  EXPECT_THROW((void)fit_power_law({1.0, 2.0}, {3.0, 12.0}), CheckError);
+  EXPECT_NO_THROW((void)fit_power_law({1.0, 2.0, 4.0}, {3.0, 12.0, 48.0}));
 }
 
 TEST(Table, MarkdownShape) {
