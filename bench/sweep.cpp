@@ -203,7 +203,9 @@ int main(int argc, char** argv) {
               << result.discarded << " discarded, graph cache "
               << result.graph_cache_hits << " hits / "
               << result.graph_cache_misses << " misses / "
-              << result.graph_cache_evictions << " evictions\n";
+              << result.graph_cache_evictions << " evictions / "
+              << result.graph_cache_releases << " releases, "
+              << result.graph_waits << " graph waits\n";
 
     if (result.cancelled && g_signal != 0) {
       std::cout << "interrupted by signal " << g_signal

@@ -84,8 +84,16 @@ diff sweep_ci_a.json sweep_ci_b.json
 # Large-n identity: the predefined large-n spec runs graphs far above the
 # n <= 2048 port_by_pair cutoff, so every port lookup takes the search
 # path. At default flags and at --threads=1 its merged JSON must match.
+# The default run must also generate each of its 12 graphs exactly once:
+# releasing a graph after its last cell never causes a second generation.
 rm -f sweep_large_default.json sweep_large_t1.json
-./sweep --spec=large-n --checkpoint= --out=sweep_large_default.json --quiet
+large_summary=$(./sweep --spec=large-n --checkpoint= \
+                        --out=sweep_large_default.json --quiet)
+echo "$large_summary"
+if ! grep -q "12 misses / 0 evictions" <<<"$large_summary"; then
+  echo "large-n: expected '12 misses / 0 evictions' in the summary" >&2
+  exit 1
+fi
 ./sweep --spec=large-n --checkpoint= --out=sweep_large_t1.json --threads=1 \
         --quiet
 diff sweep_large_default.json sweep_large_t1.json

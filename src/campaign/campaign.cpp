@@ -35,22 +35,29 @@ const graph::Graph& GraphCache::get(const SweepCell& cell) {
 
 std::shared_ptr<const graph::Graph> GraphCache::get_shared(
     const SweepCell& cell) {
-  const std::string key = cell.graph_key();
+  return get_shared(cell, cell.graph_key());
+}
+
+std::shared_ptr<const graph::Graph> GraphCache::get_shared(
+    const SweepCell& cell, const std::string& key) {
   std::unique_lock<std::mutex> lock(mutex_);
+  bool waited = false;
   for (;;) {
     auto it = std::find_if(entries_.begin(), entries_.end(),
                            [&](const Entry& e) { return e.key == key; });
     if (it == entries_.end()) break;
     if (it->graph != nullptr) {
       it->last_used = ++tick_;
-      ++hits_;
+      ++stats_.hits;
       return it->graph;
     }
     // Another worker is generating this key: wait for publication, then
     // rescan (the generator may have failed and withdrawn the entry).
+    if (!waited) ++stats_.waits;
+    waited = true;
     published_.wait(lock);
   }
-  ++misses_;
+  ++stats_.misses;
   // Evict published LRU entries while at capacity. In-flight entries are
   // never evicted; if everything resident is in flight, temporarily
   // exceed capacity rather than block (capacity is a memory hint).
@@ -62,7 +69,7 @@ std::shared_ptr<const graph::Graph> GraphCache::get_shared(
         lru = it;
     if (lru == entries_.end()) break;
     entries_.erase(lru);
-    ++evictions_;
+    ++stats_.evictions;
   }
   entries_.push_back(Entry{key, nullptr, ++tick_});
   lock.unlock();
@@ -97,19 +104,22 @@ std::shared_ptr<const graph::Graph> GraphCache::get_shared(
   return built;
 }
 
-std::uint64_t GraphCache::hits() const {
+void GraphCache::release(const std::string& key) {
+  std::shared_ptr<const graph::Graph> freed;  // dies after the unlock
   std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
+  const auto it = std::find_if(
+      entries_.begin(), entries_.end(), [&](const Entry& e) {
+        return e.key == key && e.graph != nullptr;
+      });
+  if (it == entries_.end()) return;
+  freed = std::move(it->graph);
+  entries_.erase(it);
+  ++stats_.releases;
 }
 
-std::uint64_t GraphCache::misses() const {
+GraphCache::Stats GraphCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t GraphCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
+  return stats_;
 }
 
 // --- checkpoints -------------------------------------------------------------
@@ -372,9 +382,11 @@ CampaignRun Campaign::run(const CellCallback& on_cell) {
   result.split_cells = stats.split_cells;
   result.shards = stats.shards;
   result.total_rounds = stats.total_rounds;
-  result.graph_cache_hits = stats.cache_hits;
-  result.graph_cache_misses = stats.cache_misses;
-  result.graph_cache_evictions = stats.cache_evictions;
+  result.graph_cache_hits = stats.graph_cache.hits;
+  result.graph_cache_misses = stats.graph_cache.misses;
+  result.graph_cache_evictions = stats.graph_cache.evictions;
+  result.graph_cache_releases = stats.graph_cache.releases;
+  result.graph_waits = stats.graph_cache.waits;
 
   for (std::size_t i = 0; i < staged.size(); ++i)
     if (have[i]) result.cells.push_back(std::move(staged[i]));

@@ -100,11 +100,13 @@ struct CampaignOptions {
   /// per SUBMIT for the same purpose.
   std::uint64_t max_cells = 0;
   /// Generated-topology cache slots (graphs are keyed by
-  /// SweepCell::graph_key(); eviction is least-recently-used). The default
-  /// covers every predefined spec's distinct keys — cells now execute in
-  /// canonical grid order (which revisits each key once per program ×
-  /// scenario block) rather than grouped by key, so a capacity below the
-  /// distinct-key count would regenerate graphs once per block.
+  /// SweepCell::graph_key(); eviction is least-recently-used). Each graph
+  /// is released after the last cell that needs it, so the capacity only
+  /// matters while a key still has cells to run. At threads == 1 cells run
+  /// in canonical grid order, which revisits each key once per program ×
+  /// scenario block: a capacity below the distinct-key count would
+  /// regenerate graphs once per block. The default covers every
+  /// predefined spec's distinct keys.
   std::size_t graph_cache_capacity = kDefaultGraphCacheCapacity;
   /// Per-cell progress lines (nullptr = silent).
   std::ostream* progress = nullptr;
@@ -141,25 +143,42 @@ struct CellResult {
 /// *published* entries; in-flight entries are never evicted, and when
 /// every resident entry is in flight the cache temporarily exceeds its
 /// capacity rather than blocking (capacity is a memory hint, not a
-/// correctness bound).
+/// correctness bound). The executor release()s a key after the last unit
+/// that needs it, so in a full run every graph is freed without waiting
+/// for eviction.
 class GraphCache {
  public:
+  /// Lookup telemetry (runtime-only; never reaches a report or checkpoint).
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;     ///< generations started
+    std::uint64_t evictions = 0;  ///< LRU entries dropped at capacity
+    std::uint64_t releases = 0;   ///< entries dropped by release()
+    std::uint64_t waits = 0;  ///< get_shared calls that blocked on in-flight
+  };
+
   explicit GraphCache(std::size_t capacity);
 
   /// The graph for `cell`, generated on miss. The reference stays valid
-  /// until the entry is evicted — safe for sequential use; concurrent
-  /// workers must pin via get_shared() instead.
+  /// until the entry is evicted or released — safe for sequential use;
+  /// concurrent workers must pin via get_shared() instead.
   [[nodiscard]] const graph::Graph& get(const sweep::SweepCell& cell);
 
   /// Like get(), but the returned shared_ptr pins the graph across
-  /// eviction: a worker holding it keeps its topology alive even when
-  /// other workers' misses rotate the entry out of the cache.
+  /// eviction and release: a worker holding it keeps its topology alive
+  /// even when the entry leaves the cache.
   [[nodiscard]] std::shared_ptr<const graph::Graph> get_shared(
       const sweep::SweepCell& cell);
+  /// The same, for a caller that already holds `key` == cell.graph_key().
+  [[nodiscard]] std::shared_ptr<const graph::Graph> get_shared(
+      const sweep::SweepCell& cell, const std::string& key);
 
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  [[nodiscard]] std::uint64_t evictions() const;
+  /// Drops the published entry for `key` (a SweepCell::graph_key()), if
+  /// resident: the caller needs it no more. Pinned copies stay valid. A
+  /// release is not an eviction.
+  void release(const std::string& key);
+
+  [[nodiscard]] Stats stats() const;
 
  private:
   struct Entry {
@@ -173,9 +192,7 @@ class GraphCache {
   std::vector<Entry> entries_;
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  Stats stats_;
 };
 
 // --- checkpoints -------------------------------------------------------------
@@ -255,6 +272,11 @@ struct CampaignRun {
   std::uint64_t graph_cache_hits = 0;
   std::uint64_t graph_cache_misses = 0;
   std::uint64_t graph_cache_evictions = 0;
+  /// Graphs freed after their last cell (see GraphCache::release).
+  std::uint64_t graph_cache_releases = 0;
+  /// Graph lookups that blocked on another worker's in-flight generation
+  /// (always 0 at threads == 1).
+  std::uint64_t graph_waits = 0;
 };
 
 /// Invoked once per finished cell. Restored cells are replayed first, in

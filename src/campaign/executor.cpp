@@ -4,7 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <numeric>
 #include <optional>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -74,16 +76,52 @@ void CellCostModel::observe(const SweepCell& cell, double seconds) {
   if (!inserted) it->second = 0.5 * it->second + 0.5 * rate;
 }
 
+// --- the pick ----------------------------------------------------------------
+
+std::size_t pick_unit(const std::vector<QueuedUnit>& units) {
+  const auto before = [](const QueuedUnit& a, const QueuedUnit& b) {
+    if (a.blocked != b.blocked) return !a.blocked;
+    if (a.estimate != b.estimate) return a.estimate > b.estimate;
+    // Equal estimates (sibling cells before the model has observed their
+    // family, shards of one cell) break deterministically: by graph key,
+    // then canonical order.
+    return std::tie(a.graph, a.index, a.shard) <
+           std::tie(b.graph, b.index, b.shard);
+  };
+  return static_cast<std::size_t>(
+      std::min_element(units.begin(), units.end(), before) - units.begin());
+}
+
 // --- executor ----------------------------------------------------------------
 
 namespace {
 
-/// One schedulable unit: one shard of one cell (the whole cell when
-/// unsplit).
-struct Unit {
-  std::size_t slot = 0;  ///< index into the input cell vector
-  std::uint64_t shard = 0;  ///< shard index within the cell
+/// The distinct graph keys of a run's cells, sorted — so comparing ids
+/// compares keys — and each cell's key id.
+struct GraphKeys {
+  std::vector<std::string> names;
+  std::vector<std::size_t> of_cell;
 };
+
+GraphKeys index_graph_keys(const std::vector<SweepCell>& cells) {
+  std::vector<std::string> per_cell;
+  per_cell.reserve(cells.size());
+  for (const SweepCell& cell : cells) per_cell.push_back(cell.graph_key());
+  std::vector<std::size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return per_cell[a] < per_cell[b];
+  });
+  GraphKeys keys;
+  keys.names.reserve(cells.size());
+  keys.of_cell.resize(cells.size());
+  for (const std::size_t i : order) {
+    if (keys.names.empty() || keys.names.back() != per_cell[i])
+      keys.names.push_back(std::move(per_cell[i]));
+    keys.of_cell[i] = keys.names.size() - 1;
+  }
+  return keys;
+}
 
 /// How many shards a cell of `trials` trials splits into when `cells`
 /// cells share `workers` workers: at most one per worker, and only when
@@ -121,7 +159,8 @@ struct CellState {
   std::uint64_t shard_count = 1;
 };
 
-/// Runs one shard of `cell` into `acc`. The shard claims chunks of the
+/// Runs one shard of `cell` into `acc`, on the graph `pin_graph()` pins
+/// (a GraphCache::get_shared call). The shard claims chunks of the
 /// cell's trials until none are left, by guided self-scheduling: each claim
 /// takes half an even share of what remains (at least one trial), so chunks
 /// start large and shrink toward the end, and a shard on a slower core
@@ -132,12 +171,14 @@ struct CellState {
 /// A CheckError becomes the shard's recorded failure — the same catch
 /// boundary the sequential path has always had, so a cell that cannot run
 /// is a recorded result, not a dead campaign.
-void run_shard(const SweepCell& cell, CellState& state, GraphCache& cache,
+template <typename PinGraph>
+void run_shard(const SweepCell& cell, CellState& state,
+               const PinGraph& pin_graph,
                const runner::TrialRunner& trial_runner,
                runner::TrialAccumulator* acc, ShardError* error) {
   std::uint64_t first = 0;
   try {
-    const std::shared_ptr<const graph::Graph> g = cache.get_shared(cell);
+    const std::shared_ptr<const graph::Graph> g = pin_graph();
     scenario::Scenario scen = scenario::find_scenario(cell.scenario);
     // Axis overrides run the registered scenario with fields swapped
     // (expand() already pruned overrides the scenario cannot host): the
@@ -225,35 +266,6 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
   // trials on one thread.
   const runner::TrialRunner trial_runner(runner::RunnerOptions{1});
 
-  // --- threads == 1: inline on the calling thread — the reference path the
-  // parallel one is pinned against (no pool, no staging, no split cells).
-  if (threads == 1) {
-    for (const SweepCell& cell : cells) {
-      if (cancel.load(std::memory_order_relaxed)) break;
-      if (options_.max_cells > 0 && stats.executed >= options_.max_cells)
-        break;
-      CellState state;
-      state.start = std::chrono::steady_clock::now();
-      state.accs.resize(1);
-      state.errors.resize(1);
-      run_shard(cell, state, cache, trial_runner, &state.accs[0],
-                &state.errors[0]);
-      CellResult result = assemble(cell, state);
-      stats.total_rounds += result.total_rounds;
-      ++stats.shards;
-      ++stats.executed;
-      emit(std::move(result));
-    }
-    stats.cache_hits = cache.hits();
-    stats.cache_misses = cache.misses();
-    stats.cache_evictions = cache.evictions();
-    return stats;
-  }
-
-  // --- parallel path ---------------------------------------------------------
-
-  CellCostModel model;
-
   // max_cells restricts the *schedulable set* to the first N pending
   // cells — not started-cell count in completion order. The started set is
   // then a canonical prefix, so every cell that runs also flushes, the
@@ -265,10 +277,49 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
                 options_.max_cells, cells.size()))
           : cells.size();
 
+  // Graph lifecycle, the same on both paths: units left per graph key; the
+  // unit that takes a key's count to zero releases its graph. Every cell
+  // counts one unit (a split cell adds its extra shards below), so a key
+  // with units left — cells past max_cells, or a cancel — is never
+  // released.
+  const GraphKeys keys = index_graph_keys(cells);
+  std::vector<std::uint64_t> units_left(keys.names.size(), 0);
+  for (const std::size_t key : keys.of_cell) ++units_left[key];
+
+  // --- threads == 1: inline on the calling thread — the reference path the
+  // parallel one is pinned against (no pool, no staging, no split cells).
+  if (threads == 1) {
+    for (std::size_t slot = 0; slot < limit; ++slot) {
+      if (cancel.load(std::memory_order_relaxed)) break;
+      const SweepCell& cell = cells[slot];
+      CellState state;
+      state.start = std::chrono::steady_clock::now();
+      state.accs.resize(1);
+      state.errors.resize(1);
+      const std::size_t key = keys.of_cell[slot];
+      run_shard(
+          cell, state,
+          [&] { return cache.get_shared(cell, keys.names[key]); },
+          trial_runner, &state.accs[0], &state.errors[0]);
+      if (--units_left[key] == 0) cache.release(keys.names[key]);
+      CellResult result = assemble(cell, state);
+      stats.total_rounds += result.total_rounds;
+      ++stats.shards;
+      ++stats.executed;
+      emit(std::move(result));
+    }
+    stats.graph_cache = cache.stats();
+    return stats;
+  }
+
+  // --- parallel path ---------------------------------------------------------
+
+  CellCostModel model;
+
   // Build the unit list: one unit per cell, or several shards for cells
   // big enough to split (see shard_count).
   std::vector<CellState> states(cells.size());
-  std::vector<Unit> queue;
+  std::vector<QueuedUnit> queue;
   for (std::size_t slot = 0; slot < limit; ++slot) {
     const SweepCell& cell = cells[slot];
     const std::uint64_t shards =
@@ -279,13 +330,25 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
     state.accs.resize(shards);
     state.errors.resize(shards);
     if (shards > 1) ++stats.split_cells;
-    for (std::uint64_t s = 0; s < shards; ++s) queue.push_back(Unit{slot, s});
+    const std::size_t key = keys.of_cell[slot];
+    units_left[key] += shards - 1;
+    for (std::uint64_t s = 0; s < shards; ++s)
+      queue.push_back(QueuedUnit{slot, s, key, cell.index});
   }
 
+  // Per graph key: unclaimed until a worker pops its first unit, building
+  // until that worker's lookup settles (published, or failed), then ready.
+  // Units of a building key are blocked (see pick_unit).
+  enum class GraphState : unsigned char { kUnclaimed, kBuilding, kReady };
+  std::vector<GraphState> graph_state(keys.names.size(),
+                                      GraphState::kUnclaimed);
+
   // Shared scheduling + staging state. The queue mutex serializes pops
-  // (each pop scans remaining units for the most expensive — LPT with
-  // online-refined estimates); the stage mutex hands finished results to
-  // the calling thread, which alone runs emit() in canonical slot order.
+  // (each pop refreshes every remaining unit's estimate and blocked flag
+  // and takes pick_unit's choice — LPT with online-refined estimates) and
+  // guards graph_state and units_left; the stage mutex hands finished
+  // results to the calling thread, which alone runs emit() in canonical
+  // slot order.
   std::mutex queue_mutex;
   std::atomic<bool> stop{false};
 
@@ -295,60 +358,81 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
   unsigned active_workers = 0;
   std::exception_ptr worker_error;
 
-  auto pop_unit = [&]() -> std::optional<Unit> {
+  struct Popped {
+    QueuedUnit unit;
+    bool builds = false;  ///< this unit claimed its graph key
+  };
+  auto pop_unit = [&]() -> std::optional<Popped> {
     if (stop.load(std::memory_order_relaxed) ||
         cancel.load(std::memory_order_relaxed))
       return std::nullopt;
     std::lock_guard<std::mutex> lock(queue_mutex);
-    std::size_t best = queue.size();
-    double best_estimate = -1.0;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const Unit& unit = queue[i];
-      const double estimate = model.estimate(cells[unit.slot]);
-      if (best == queue.size() || estimate > best_estimate) {
-        best = i;
-        best_estimate = estimate;
-        continue;
-      }
-      if (estimate == best_estimate) {
-        // Deterministic tie-break: prefer the graph the pool is likely
-        // still holding, then canonical order.
-        const Unit& incumbent = queue[best];
-        const auto unit_key = std::make_tuple(
-            cells[unit.slot].graph_key(), cells[unit.slot].index, unit.shard);
-        const auto best_key =
-            std::make_tuple(cells[incumbent.slot].graph_key(),
-                            cells[incumbent.slot].index, incumbent.shard);
-        if (unit_key < best_key) best = i;
-      }
+    for (QueuedUnit& unit : queue) {
+      unit.estimate = model.estimate(cells[unit.slot]);
+      unit.blocked = graph_state[unit.graph] == GraphState::kBuilding;
     }
+    const std::size_t best = pick_unit(queue);
     if (best == queue.size()) return std::nullopt;
-    Unit unit = queue[best];
+    Popped popped{queue[best]};
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(best));
-    CellState& state = states[unit.slot];
+    // Claim an unclaimed key here, under the queue lock, so no other
+    // worker takes a unit of the same unbuilt key before this one reaches
+    // get_shared.
+    if (graph_state[popped.unit.graph] == GraphState::kUnclaimed) {
+      graph_state[popped.unit.graph] = GraphState::kBuilding;
+      popped.builds = true;
+    }
+    CellState& state = states[popped.unit.slot];
     if (!state.started) {
       state.started = true;
       state.start = std::chrono::steady_clock::now();
     }
-    return unit;
+    return popped;
   };
 
   auto worker = [&]() {
     try {
       for (;;) {
-        const std::optional<Unit> unit = pop_unit();
-        if (!unit.has_value()) break;
-        const SweepCell& cell = cells[unit->slot];
-        CellState& state = states[unit->slot];
-        run_shard(cell, state, cache, trial_runner, &state.accs[unit->shard],
-                  &state.errors[unit->shard]);
+        const std::optional<Popped> popped = pop_unit();
+        if (!popped.has_value()) break;
+        const QueuedUnit& unit = popped->unit;
+        const SweepCell& cell = cells[unit.slot];
+        CellState& state = states[unit.slot];
+        // The claiming worker marks its key ready as soon as the lookup
+        // settles — not when its unit finishes — so sibling units start
+        // while a long first cell still runs.
+        const auto pin_graph = [&] {
+          const std::string& key = keys.names[unit.graph];
+          if (!popped->builds) return cache.get_shared(cell, key);
+          const auto ready = [&] {
+            std::lock_guard<std::mutex> lock(queue_mutex);
+            graph_state[unit.graph] = GraphState::kReady;
+          };
+          try {
+            std::shared_ptr<const graph::Graph> g =
+                cache.get_shared(cell, key);
+            ready();
+            return g;
+          } catch (...) {
+            ready();
+            throw;
+          }
+        };
+        run_shard(cell, state, pin_graph, trial_runner,
+                  &state.accs[unit.shard], &state.errors[unit.shard]);
+        bool last_use = false;
+        {
+          std::lock_guard<std::mutex> lock(queue_mutex);
+          last_use = --units_left[unit.graph] == 0;
+        }
+        if (last_use) cache.release(keys.names[unit.graph]);
         if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           // Last shard standing: merge, measure, stage for the flusher.
           CellResult result = assemble(cell, state);
           model.observe(cell, result.seconds);
           {
             std::lock_guard<std::mutex> lock(stage_mutex);
-            staged[unit->slot] = std::move(result);
+            staged[unit.slot] = std::move(result);
           }
           stage_cv.notify_all();
         }
@@ -426,9 +510,7 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
 
   for (std::size_t i = next; i < staged.size(); ++i)
     if (staged[i].has_value()) ++stats.discarded;
-  stats.cache_hits = cache.hits();
-  stats.cache_misses = cache.misses();
-  stats.cache_evictions = cache.evictions();
+  stats.graph_cache = cache.stats();
   return stats;
 }
 

@@ -23,6 +23,14 @@
 // the currently-most-expensive remaining unit under the queue lock; idle
 // workers naturally drain a split cell's tail shards.
 //
+// Graph lifecycle. The pick is graph-aware (pick_unit): a unit whose graph
+// another worker is still generating is blocked, and a free worker takes
+// it only when every remaining unit is blocked — so workers build
+// different graphs side by side instead of queueing on one in-flight
+// generation. When the last unit that needs a graph key finishes, the
+// executor releases the key from the cache, so a run holds only the graphs
+// it still has work for.
+//
 // Determinism (the headline contract). Completion order is timing-
 // dependent; emission order is not. Finished results are staged in a
 // reorder buffer and emit() fires on the *calling* thread, strictly in
@@ -74,10 +82,26 @@ struct ExecutorStats {
   std::uint64_t split_cells = 0;
   std::uint64_t shards = 0;  ///< work units executed (1 per unsplit cell)
   std::uint64_t total_rounds = 0;  ///< summed over emitted cells
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
+  GraphCache::Stats graph_cache;   ///< hits, misses, releases, waits, ...
 };
+
+/// What the pick sees of one queued unit (one shard of one cell).
+struct QueuedUnit {
+  std::size_t slot = 0;     ///< cell index in run()'s input (pick ignores)
+  std::uint64_t shard = 0;  ///< shard index within the cell
+  std::size_t graph = 0;    ///< graph key id; ids follow sorted key order
+  std::uint64_t index = 0;  ///< the cell's canonical grid index
+  double estimate = 0.0;    ///< CellCostModel::estimate of the cell
+  bool blocked = false;     ///< another worker is generating its graph
+};
+
+/// The position of the unit a free worker runs next, or units.size() when
+/// `units` is empty. Among runnable (unblocked) units it is the one with
+/// the highest estimate — longest processing time first — ties broken by
+/// graph key id, then grid index, then shard. A blocked unit loses to any
+/// runnable one whatever its estimate; when every unit is blocked, the
+/// same order picks among them all (the worker then waits for the graph).
+[[nodiscard]] std::size_t pick_unit(const std::vector<QueuedUnit>& units);
 
 /// Cost model behind the LPT seeding: estimate() ranks cells by expected
 /// seconds, observe() refines per-(program label, topology family) rates

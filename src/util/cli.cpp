@@ -7,18 +7,19 @@
 
 namespace fnr {
 
+// User-input errors throw CheckError with the plain message: the user
+// mistyped a flag, so the FNR_CHECK expression and source location would
+// only be noise.
+
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    FNR_CHECK_MSG(arg.rfind("--", 0) == 0,
-                  "expected --name[=value], got '" << arg << "'");
+    if (arg.rfind("--", 0) != 0)
+      throw CheckError("expected --name[=value], got '" + arg + "'");
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
-    if (eq == std::string::npos) {
-      values_[body] = "1";
-    } else {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
-    }
+    values_[body.substr(0, eq)] =
+        eq == std::string::npos ? std::string("1") : body.substr(eq + 1);
   }
 }
 
@@ -50,16 +51,18 @@ bool Cli::get_flag(const std::string& name) {
   // "1" is also what the bare `--flag` form parses to.
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  FNR_CHECK_MSG(false, "option --" << name << " expects a boolean "
-                                   << "(1/true/yes/on or 0/false/no/off), "
-                                   << "got '" << v << "'");
-  return false;
+  throw CheckError("option --" + name +
+                   " expects a boolean (1/true/yes/on or 0/false/no/off), "
+                   "got '" + v + "'");
 }
 
 void Cli::reject_unknown() const {
   for (const auto& [name, value] : values_) {
     (void)value;
-    FNR_CHECK_MSG(declared_.contains(name), "unknown option --" << name);
+    if (declared_.contains(name)) continue;
+    std::string message = "unknown option --" + name + "; accepted:";
+    for (const std::string& known : declared_) message += " --" + known;
+    throw CheckError(message);
   }
 }
 

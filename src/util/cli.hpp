@@ -16,7 +16,9 @@ namespace fnr {
 
 class Cli {
  public:
-  /// Parses argv. Throws CheckError on malformed input.
+  /// Parses argv. Throws CheckError on malformed input. User-input errors
+  /// (an argument without `--`, a bad boolean, an unknown option) carry
+  /// the plain message, without a check expression or source location.
   Cli(int argc, const char* const* argv);
 
   /// Declares an option and returns its value (or `fallback` if absent).
@@ -36,7 +38,8 @@ class Cli {
   [[nodiscard]] bool get_flag(const std::string& name);
 
   /// Call after all get_* declarations; throws if the user passed an option
-  /// that was never declared.
+  /// that was never declared. The message names the option and lists the
+  /// declared ones.
   void reject_unknown() const;
 
  private:

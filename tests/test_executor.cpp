@@ -2,15 +2,17 @@
 // Campaign. The headline contract under test is byte-identity — merged
 // JSON, checkpoint lines (modulo the informational "seconds" field), and
 // callback order must not depend on the executor pool size — plus the
-// LPT cost model, trial-shard splitting, the restored-before-live replay
-// ordering on resume, max_cells prefix semantics, and the once-per-key
-// generation guarantee of the shared graph cache.
+// LPT cost model, the graph-aware pick, trial-shard splitting, the
+// restored-before-live replay ordering on resume, max_cells prefix
+// semantics, and the graph lifecycle: each key generated once and released
+// after its last unit.
 #include "campaign/executor.hpp"
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,6 +158,152 @@ TEST(CellCostModel, ObservedRatesRefineAndUnobservedExploresFirst) {
   // The EMA folds further observations in (same cell, slower second run).
   model.observe(*near_regular, 6.0);
   EXPECT_GT(model.estimate(*near_regular), observed);
+}
+
+QueuedUnit queued(double estimate, std::size_t graph, std::uint64_t index,
+                  bool blocked = false, std::uint64_t shard = 0) {
+  QueuedUnit unit;
+  unit.estimate = estimate;
+  unit.graph = graph;
+  unit.index = index;
+  unit.shard = shard;
+  unit.blocked = blocked;
+  return unit;
+}
+
+TEST(PickUnit, EmptyQueuePicksNothing) {
+  EXPECT_EQ(pick_unit({}), 0u);
+}
+
+TEST(PickUnit, BlockedUnitLosesToAnyRunnableUnit) {
+  // Whatever its estimate, a unit whose graph is in flight on another
+  // worker goes after every runnable unit.
+  const std::vector<QueuedUnit> units = {
+      queued(1e9, 0, 0, /*blocked=*/true),
+      queued(1.0, 2, 5),
+      queued(1e12, 1, 1, /*blocked=*/true),
+  };
+  EXPECT_EQ(pick_unit(units), 1u);
+}
+
+TEST(PickUnit, RunnableUnitsKeepLptOrderAndTieBreak) {
+  // Highest estimate first among runnable units.
+  EXPECT_EQ(pick_unit({queued(2.0, 0, 0), queued(3.0, 1, 1),
+                       queued(9.0, 2, 2, /*blocked=*/true)}),
+            1u);
+  // Equal estimates break by graph key, then grid index, then shard.
+  EXPECT_EQ(pick_unit({queued(5.0, 3, 0), queued(5.0, 1, 7),
+                       queued(5.0, 1, 4), queued(5.0, 2, 1)}),
+            2u);
+  EXPECT_EQ(pick_unit({queued(5.0, 1, 4, false, 2),
+                       queued(5.0, 1, 4, false, 1)}),
+            1u);
+}
+
+TEST(PickUnit, AllBlockedFallsBackToTheLptBestUnit) {
+  // Nothing runnable: the worker takes the LPT pick and waits for its
+  // graph, with the same tie-break.
+  EXPECT_EQ(pick_unit({queued(2.0, 0, 0, true), queued(8.0, 1, 1, true),
+                       queued(8.0, 0, 2, true)}),
+            2u);
+}
+
+TEST(GraphCache, ReleasedGraphStaysValidForItsHolder) {
+  const auto spec = sweep::parse_spec(kGridSpec);
+  const auto cells = sweep::expand(spec);
+  GraphCache cache(4);
+  const std::shared_ptr<const graph::Graph> pinned =
+      cache.get_shared(cells.front());
+  const std::size_t vertices = pinned->num_vertices();
+  const std::size_t edges = pinned->num_edges();
+  ASSERT_GT(vertices, 0u);
+  const std::weak_ptr<const graph::Graph> watch = pinned;
+  cache.release(cells.front().graph_key());
+  // The holder's pin keeps the released graph alive and intact.
+  ASSERT_FALSE(watch.expired());
+  EXPECT_EQ(pinned->num_vertices(), vertices);
+  EXPECT_EQ(pinned->num_edges(), edges);
+  EXPECT_EQ(pinned->degree(0), pinned->neighbors(0).size());
+  const GraphCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.releases, 1u);
+  EXPECT_EQ(stats.evictions, 0u);  // a release is not an eviction
+  // Releasing an absent key is a no-op; a later lookup generates afresh.
+  cache.release(cells.front().graph_key());
+  EXPECT_EQ(cache.stats().releases, 1u);
+  EXPECT_NE(cache.get_shared(cells.front()), pinned);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+// Three programs over four topologies: twelve cells sharing four graph
+// keys, each key revisited once per program block.
+constexpr const char* kMultiKeySpec = R"(
+name       = multi-key
+trials     = 3
+programs   = whiteboard, whiteboard+doubling, random-walk
+scenarios  = sync-pair
+topologies = ring, torus, hypercube, near-regular:deg=4
+sizes      = 64
+seeds      = 1
+)";
+
+std::size_t distinct_graph_keys(const std::vector<sweep::SweepCell>& cells) {
+  std::set<std::string> keys;
+  for (const auto& cell : cells) keys.insert(cell.graph_key());
+  return keys.size();
+}
+
+TEST(CellExecutor, MultiKeyGridGeneratesAndReleasesEachGraphOnce) {
+  const auto spec = sweep::parse_spec(kMultiKeySpec);
+  const std::size_t keys = distinct_graph_keys(sweep::expand(spec));
+  ASSERT_EQ(keys, 4u);
+
+  CampaignOptions sequential;
+  sequential.threads = 1;
+  const auto reference = run_campaign(spec, sequential, "multikey_seq.jsonl");
+  ASSERT_TRUE(reference.run.complete);
+  EXPECT_EQ(reference.run.graph_cache_misses, keys);
+  EXPECT_EQ(reference.run.graph_cache_evictions, 0u);
+  EXPECT_EQ(reference.run.graph_cache_releases, keys);
+  // The inline path has no other worker to wait on.
+  EXPECT_EQ(reference.run.graph_waits, 0u);
+
+  CampaignOptions parallel;
+  parallel.threads = 4;
+  const auto candidate = run_campaign(spec, parallel, "multikey_par.jsonl");
+  ASSERT_TRUE(candidate.run.complete);
+  // Release never causes a second generation: a key is released only
+  // after its last unit, and never looked up again.
+  EXPECT_EQ(candidate.run.graph_cache_misses, keys);
+  EXPECT_EQ(candidate.run.graph_cache_evictions, 0u);
+  EXPECT_EQ(candidate.run.graph_cache_releases, keys);
+  EXPECT_EQ(candidate.run.graph_cache_hits + candidate.run.graph_cache_misses,
+            candidate.run.executed);
+  EXPECT_EQ(candidate.merged_json, reference.merged_json);
+  EXPECT_EQ(candidate.checkpoint, reference.checkpoint);
+}
+
+TEST(CellExecutor, KeysWithUnitsLeftAreNeverReleased) {
+  // max_cells = 9 runs two whole program blocks and one cell of the third:
+  // only the keys whose every cell is in that prefix may be released.
+  const auto spec = sweep::parse_spec(kMultiKeySpec);
+  const auto cells = sweep::expand(spec);
+  constexpr std::size_t kPrefix = 9;
+  ASSERT_GT(cells.size(), kPrefix);
+  std::set<std::string> done;
+  for (std::size_t i = 0; i < kPrefix; ++i) done.insert(cells[i].graph_key());
+  for (std::size_t i = kPrefix; i < cells.size(); ++i)
+    done.erase(cells[i].graph_key());
+  ASSERT_LT(done.size(), distinct_graph_keys(cells));
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignOptions options;
+    options.threads = threads;
+    options.max_cells = kPrefix;
+    const auto artifacts = run_campaign(spec, options, "multikey_prefix.jsonl");
+    EXPECT_EQ(artifacts.run.executed, kPrefix);
+    EXPECT_EQ(artifacts.run.graph_cache_releases, done.size());
+  }
 }
 
 TEST(CellExecutor, ParallelRunMatchesSequentialBytes) {

@@ -327,12 +327,12 @@ TEST(GraphCache, ReusesGeneratedTopologiesAndEvictsLru) {
   const graph::Graph& first = cache.get(grid[0]);
   const graph::Graph& again = cache.get(grid[0]);
   EXPECT_EQ(&first, &again);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   // A different key evicts the only slot; re-requesting the first misses.
   (void)cache.get(grid[1]);
   (void)cache.get(grid[0]);
-  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 TEST(SweepCheckpoint, RoundTripsOkAndFailedCells) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -287,6 +288,42 @@ TEST(Cli, RejectsUnknownOption) {
   const char* argv[] = {"prog", "--oops=1"};
   Cli cli(2, argv);
   EXPECT_THROW(cli.reject_unknown(), CheckError);
+}
+
+TEST(Cli, UnknownOptionMessageIsPlainAndListsAcceptedOptions) {
+  const char* argv[] = {"prog", "--help", "--reps=3"};
+  Cli cli(3, argv);
+  (void)cli.get_int("reps", 1);
+  (void)cli.get_flag("quick");
+  try {
+    cli.reject_unknown();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find("cli.cpp"), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown option --help"), std::string::npos) << what;
+    EXPECT_NE(what.find("--reps"), std::string::npos) << what;
+    EXPECT_NE(what.find("--quick"), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, UserInputErrorsCarryNoCheckText) {
+  const char* positional[] = {"prog", "positional"};
+  const char* boolean[] = {"prog", "--fast=maybe"};
+  Cli flags(2, boolean);
+  for (const auto& attempt : std::vector<std::function<void()>>{
+           [&] { (void)Cli(2, positional); },
+           [&] { (void)flags.get_flag("fast"); }}) {
+    try {
+      attempt();
+      ADD_FAILURE() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()).find("check failed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
