@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/no_whiteboard.hpp"
-#include "graph/analysis.hpp"
 
 namespace fnr::core {
 
@@ -62,9 +61,8 @@ RendezvousReport run_rendezvous(const graph::Graph& g,
                                 const RendezvousOptions& options,
                                 sim::SchedulerScratch& scratch) {
   FNR_CHECK_MSG(g.min_degree() >= 1, "graph must have no isolated vertices");
-  FNR_CHECK_MSG(
-      graph::distance(g, placement.a_start, placement.b_start) == 1,
-      "neighborhood rendezvous expects adjacent starting vertices");
+  FNR_CHECK_MSG(g.has_edge(placement.a_start, placement.b_start),
+                "neighborhood rendezvous expects adjacent starting vertices");
 
   Rng seed_rng(options.seed);
   Rng rng_a = seed_rng.split();

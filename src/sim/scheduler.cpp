@@ -129,73 +129,12 @@ void Scheduler::verify_occupancy(std::size_t k,
 
 RunResult Scheduler::run(Agent& agent_a, Agent& agent_b, Placement placement,
                          std::uint64_t max_rounds) {
-  // Branch-light two-agent fast path: the bit-exact k=2, zero-delay,
-  // any-pair projection of run_scenario (pinned by the golden-regression
-  // tests), with fixed-size state instead of per-run vectors.
-  FNR_CHECK(placement.a_start < graph_.num_vertices());
-  FNR_CHECK(placement.b_start < graph_.num_vertices());
-  FNR_CHECK_MSG(placement.a_start != placement.b_start,
-                "agents must start at distinct vertices");
-  ensure_arena(2);
-  // The paper's reliable two-agent model: never inject here, and clear any
-  // session pointer a previous faulty scenario run left in the arena views.
-  views_[0].faults_ = views_[1].faults_ = nullptr;
-
+  // The paper's reliable two-agent model: no wake delays, no fault session.
   Agent* const agents[2] = {&agent_a, &agent_b};
-  graph::VertexIndex pos[2] = {placement.a_start, placement.b_start};
-  std::uint32_t arrival[2] = {kNoArrival, kNoArrival};
-  Action actions[2];
-
-  RunResult result;
-  const std::uint64_t wb_reads0 = boards_.reads();
-  const std::uint64_t wb_writes0 = boards_.writes();
-
-  for (std::uint64_t round = 0; round <= max_rounds; ++round) {
-    if (pos[0] == pos[1]) {
-      result.met = true;
-      result.meeting_round = round;
-      result.meeting_vertex = pos[0];
-      break;
-    }
-    if (round == max_rounds) break;  // budget exhausted without meeting
-    result.metrics.rounds = round + 1;
-
-    for (std::size_t i = 0; i < 2; ++i) {
-      aim_view(i, i == 0 ? AgentName::A : AgentName::B, round, pos[i],
-               arrival[i]);
-      actions[i] = agents[i]->step(views_[i]);
-      result.metrics.peak_memory_words[i] = std::max(
-          result.metrics.peak_memory_words[i], agents[i]->memory_words());
-    }
-
-    // Writes land at the agents' current vertices before the simultaneous
-    // movement (same order as run_scenario; co-location ended the run
-    // above, so a write race between the two agents is impossible).
-    for (std::size_t i = 0; i < 2; ++i) {
-      if (actions[i].whiteboard_write.has_value()) {
-        FNR_CHECK_MSG(model_.whiteboards,
-                      "agent wrote a whiteboard in a whiteboard-free model");
-        boards_.write(pos[i], *actions[i].whiteboard_write);
-      }
-    }
-
-    for (std::size_t i = 0; i < 2; ++i) {
-      const std::size_t port = actions[i].move_port;
-      if (port == Action::kStay) {
-        arrival[i] = kNoArrival;
-        continue;
-      }
-      const graph::VertexIndex from = pos[i];
-      pos[i] = graph_.neighbor_at_port(from, port);
-      arrival[i] = graph_.reverse_ports(from)[port];
-      ++result.metrics.moves[i];
-    }
-  }
-
-  result.metrics.whiteboard_reads = boards_.reads() - wb_reads0;
-  result.metrics.whiteboard_writes = boards_.writes() - wb_writes0;
-  result.metrics.whiteboards_used = boards_.used_boards();
-  return result;
+  const graph::VertexIndex starts[2] = {placement.a_start, placement.b_start};
+  return run_rounds(agents, starts, {}, Gathering::AnyPair, max_rounds,
+                    nullptr)
+      .to_run_result();
 }
 
 ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
@@ -210,38 +149,56 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
   FNR_CHECK_MSG(
       placement.wake_delays.empty() || placement.wake_delays.size() == k,
       "wake_delays must be empty or one per agent");
+  const ScenarioRunResult& result =
+      run_rounds(agents, placement.starts, placement.wake_delays, gathering,
+                 max_rounds, faults_);
+  FNR_TRACE("scenario finished: " << result.describe());
+  return result;
+}
+
+const ScenarioRunResult& Scheduler::run_rounds(
+    std::span<Agent* const> agents,
+    std::span<const graph::VertexIndex> starts,
+    std::span<const std::uint64_t> wake_delays, Gathering gathering,
+    std::uint64_t max_rounds, fault::FaultSession* faults) {
+  const std::size_t k = agents.size();
   for (std::size_t i = 0; i < k; ++i) {
     FNR_CHECK(agents[i] != nullptr);
-    FNR_CHECK(placement.starts[i] < graph_.num_vertices());
+    FNR_CHECK(starts[i] < graph_.num_vertices());
   }
-  {
-    // Distinctness via sort-and-compare: the naive pairwise check is
-    // O(k^2) and at massive k it dwarfs the run itself (at k = 10^6 it
-    // would cost minutes before the first round executes).
-    std::vector<graph::VertexIndex> sorted_starts(placement.starts);
-    std::sort(sorted_starts.begin(), sorted_starts.end());
-    for (std::size_t i = 1; i < k; ++i)
-      FNR_CHECK_MSG(sorted_starts[i] != sorted_starts[i - 1],
-                    "agents must start at distinct vertices");
-  }
+  // Distinctness via sort-and-compare: the naive pairwise check is O(k^2)
+  // and at massive k it dwarfs the run itself (at k = 10^6 it would cost
+  // minutes before the first round executes).
+  sorted_starts_.assign(starts.begin(), starts.end());
+  std::sort(sorted_starts_.begin(), sorted_starts_.end());
+  for (std::size_t i = 1; i < k; ++i)
+    FNR_CHECK_MSG(sorted_starts_[i] != sorted_starts_[i - 1],
+                  "agents must start at distinct vertices");
   ensure_arena(k);
 
-  ScenarioRunResult result;
-  result.agents.resize(k);
+  // Reset every field of the reused result, keeping only the capacity of
+  // its agent vector (so a warm run allocates nothing here).
+  std::vector<AgentRunStats> agent_stats = std::move(result_.agents);
+  result_ = ScenarioRunResult{};
+  agent_stats.assign(k, AgentRunStats{});
+  result_.agents = std::move(agent_stats);
+  ScenarioRunResult& result = result_;
+
   for (std::size_t i = 0; i < k; ++i) {
-    result.agents[i].wake_delay = placement.delay_of(i);
+    const std::uint64_t delay = wake_delays.empty() ? 0 : wake_delays[i];
+    result.agents[i].wake_delay = delay;
     // The fault-free round loop below is the original loop with wake_at_
     // and local_base_ pre-filled to the wake delay: without a session the
     // per-round residue is exactly one null-check per agent (the
     // allocation-guard and golden contracts are measured in that state).
     run_agents_[i] = agents[i];
-    wake_at_[i] = placement.delay_of(i);
-    local_base_[i] = placement.delay_of(i);
+    wake_at_[i] = delay;
+    local_base_[i] = delay;
     needs_revive_[i] = 0;
-    views_[i].faults_ = faults_;
+    views_[i].faults_ = faults;
   }
 
-  std::copy(placement.starts.begin(), placement.starts.end(), pos_.begin());
+  std::copy(starts.begin(), starts.end(), pos_.begin());
 
   const std::uint64_t threshold = gathering.threshold(k);
   const bool occupancy = use_occupancy(k);
@@ -308,9 +265,9 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
     result.rounds = round + 1;
 
     // wb-wipe: one opportunity per round, before anyone observes or acts.
-    if (faults_ != nullptr && faults_->reach(fault::Site::WhiteboardWipe)) {
+    if (faults != nullptr && faults->reach(fault::Site::WhiteboardWipe)) {
       boards_.clear_all();
-      ++faults_->stats.wipes;
+      ++faults->stats.wipes;
     }
 
     for (std::size_t i = 0; i < k; ++i) {
@@ -318,28 +275,28 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
         actions_[i] = Action::stay();  // asleep or down: present but inert
         continue;
       }
-      if (faults_ != nullptr) {
+      if (faults != nullptr) {
         if (needs_revive_[i]) {
           // Restart after the downtime: a factory-fresh instance on the
           // crash vertex, local clock back at 0, arrival port forgotten.
-          FNR_CHECK_MSG(faults_->revive != nullptr,
+          FNR_CHECK_MSG(faults->revive != nullptr,
                         "agent crash fired but the fault session has no "
                         "reviver installed");
-          Agent* fresh = faults_->revive(i);
+          Agent* fresh = faults->revive(i);
           FNR_CHECK_MSG(fresh != nullptr,
                         "fault reviver built no agent for slot " << i);
           run_agents_[i] = fresh;
           needs_revive_[i] = 0;
           local_base_[i] = round;
           arrival_port_[i] = kNoArrival;
-          ++faults_->stats.restarts;
+          ++faults->stats.restarts;
         }
-        if (faults_->reach(fault::Site::AgentCrash)) {
+        if (faults->reach(fault::Site::AgentCrash)) {
           // Crash now: state is lost, the agent is inert for the downtime
           // window and revived on its first round back.
-          ++faults_->stats.crashes;
+          ++faults->stats.crashes;
           needs_revive_[i] = 1;
-          wake_at_[i] = round + faults_->crash_downtime();
+          wake_at_[i] = round + faults->crash_downtime();
           actions_[i] = Action::stay();
           continue;
         }
@@ -362,9 +319,9 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
       if (actions_[i].whiteboard_write.has_value()) {
         FNR_CHECK_MSG(model_.whiteboards,
                       "agent wrote a whiteboard in a whiteboard-free model");
-        if (faults_ != nullptr &&
-            faults_->reach(fault::Site::WhiteboardDrop)) {
-          ++faults_->stats.writes_dropped;  // the write never lands
+        if (faults != nullptr &&
+            faults->reach(fault::Site::WhiteboardDrop)) {
+          ++faults->stats.writes_dropped;  // the write never lands
         } else {
           boards_.write(pos_[i], *actions_[i].whiteboard_write);
         }
@@ -379,11 +336,11 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
       }
       const graph::VertexIndex from = pos_[i];
       const graph::VertexIndex to = graph_.neighbor_at_port(from, port);
-      if (faults_ != nullptr && faults_->churn_armed() &&
-          faults_->edge_down(round, from, to)) {
+      if (faults != nullptr && faults->churn_armed() &&
+          faults->edge_down(round, from, to)) {
         // churn: the traversal fails and the agent holds position, exactly
         // like a stay (it knows it did not move — the arrival port clears).
-        ++faults_->stats.moves_blocked;
+        ++faults->stats.moves_blocked;
         arrival_port_[i] = kNoArrival;
         continue;
       }
@@ -410,8 +367,7 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
   result.whiteboard_reads = boards_.reads() - wb_reads0;
   result.whiteboard_writes = boards_.writes() - wb_writes0;
   result.whiteboards_used = boards_.used_boards();
-  if (faults_ != nullptr) result.faults = faults_->stats;
-  FNR_TRACE("scenario finished: " << result.describe());
+  if (faults != nullptr) result.faults = faults->stats;
   return result;
 }
 

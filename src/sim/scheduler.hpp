@@ -15,9 +15,10 @@
 // present — co-location with it counts toward the gathering predicate — but
 // it neither observes nor acts, and its View's round counter is local (it
 // reads 0 on the agent's first awake round), so programs that schedule
-// against view.round() run unmodified on their own clock. A k=2, zero-delay
-// scenario is exactly the paper's synchronous two-agent model, and
-// Scheduler::run is that projection.
+// against view.round() run unmodified on their own clock. A k=2, zero-delay,
+// fault-free scenario is exactly the paper's synchronous two-agent model:
+// Scheduler::run and run_scenario share one round loop, and run is its k=2
+// projection.
 //
 // Determinism and tie-breaking: within one round every per-agent stage —
 // observation/step, whiteboard writes, movement — walks agents in index
@@ -36,12 +37,13 @@
 // tables: Views observe neighbor IDs through spans into the graph's per-slot
 // arrays, and moves resolve arrival ports with one load from
 // Graph::reverse_ports — both built once per graph in GraphBuilder::build and
-// shared read-only by every Scheduler on that graph. Scheduler::run
-// additionally takes a branch-light two-agent fast path with no per-run vectors
-// at all. tests/test_alloc_guard.cpp enforces these invariants;
-// docs/PERFORMANCE.md and docs/ARCHITECTURE.md document them. The Scheduler is
-// the only round loop for scenario trials: independent trials run one after
-// another on a warm arena, never in lock step.
+// shared read-only by every Scheduler on that graph. The run result is reused
+// too: Scheduler::run projects it onto a RunResult without touching the heap,
+// and run_scenario's returned copy is its one allocation per run.
+// tests/test_alloc_guard.cpp enforces these invariants; docs/PERFORMANCE.md
+// and docs/ARCHITECTURE.md document them. The Scheduler is the only round
+// loop for scenario trials: independent trials run one after another on a
+// warm arena, never in lock step.
 //
 // Meeting detection: every gathering predicate is a per-vertex co-location
 // threshold (Gathering::threshold), and run_scenario can evaluate it two
@@ -55,6 +57,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -116,8 +119,8 @@ class Scheduler {
 
   /// Runs agents from `placement` for at most `max_rounds` rounds.
   /// Agents must be freshly constructed (they carry run state).
-  /// Exactly the k=2, zero-delay, any-pair projection of run_scenario,
-  /// implemented as a branch-light fast path that allocates nothing.
+  /// Exactly the k=2, zero-delay, any-pair, fault-free projection of
+  /// run_scenario; a warm arena allocates nothing.
   [[nodiscard]] RunResult run(Agent& agent_a, Agent& agent_b,
                               Placement placement, std::uint64_t max_rounds);
 
@@ -152,7 +155,7 @@ class Scheduler {
     faults_ = session;
   }
 
-  /// Selects the meeting-detection mode of subsequent run_scenario calls
+  /// Selects the meeting-detection mode of subsequent run / run_scenario calls
   /// (default Auto). The modes are byte-identical in every observable —
   /// this is a throughput lever and a differential-test hook, never a
   /// semantic switch.
@@ -169,9 +172,20 @@ class Scheduler {
   }
 
  private:
-  /// Sentinel in arrival_port_ / the fast-path arrays: no arrival port
-  /// (start vertex, stay, or blocked move).
+  /// Sentinel in arrival_port_: no arrival port (start vertex, stay, or
+  /// blocked move).
   static constexpr std::uint32_t kNoArrival = 0xFFFFFFFFu;
+
+  /// The round loop behind run and run_scenario: agents[i] starts on
+  /// starts[i], asleep for wake_delays[i] rounds (empty = none), until
+  /// `gathering` holds at a round boundary or after `max_rounds` rounds,
+  /// injecting faults from `faults` (null = the reliable model). Returns
+  /// result_, valid until the next run.
+  [[nodiscard]] const ScenarioRunResult& run_rounds(
+      std::span<Agent* const> agents,
+      std::span<const graph::VertexIndex> starts,
+      std::span<const std::uint64_t> wake_delays, Gathering gathering,
+      std::uint64_t max_rounds, fault::FaultSession* faults);
 
   /// Grows the per-agent arena to `k` slots and resets the per-run state,
   /// whiteboards included (positions untouched — callers seed them).
@@ -202,6 +216,8 @@ class Scheduler {
 
   // --- per-run arena (reused across runs; zero-allocation after warm-up) ---
   std::vector<graph::VertexIndex> pos_;
+  std::vector<graph::VertexIndex> sorted_starts_;  // distinctness check
+  ScenarioRunResult result_;  // every field reset at the start of a run
   std::vector<std::uint32_t> arrival_port_;  // kNoArrival = none
   std::vector<Action> actions_;
   std::vector<View> views_;  // one per agent slot

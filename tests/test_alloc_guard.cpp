@@ -3,10 +3,10 @@
 // The whole binary's global operator new/delete are replaced with counting
 // versions (alloc_counter.hpp); tests snapshot the counter around a
 // scheduler run and assert the arena invariants of docs/PERFORMANCE.md:
-//   1. Scheduler::run (the k=2 fast path) performs ZERO heap allocations
-//      once the arena is warm.
-//   2. run_scenario's per-ROUND loop is allocation-free: a 64x-longer run
-//      allocates exactly as much as a short one (only the per-run result).
+//   1. Scheduler::run (the k=2 projection of the shared round loop) performs
+//      ZERO heap allocations once the arena is warm.
+//   2. A warm run_scenario allocates exactly once per run (the returned
+//      result's agent vector), however many rounds it runs.
 //   3. An explore-rally agent learns its map in flat arrays: one whole
 //      exploration allocates O(log n) times, not once per vertex.
 // Plus bit-exactness regressions for arena reuse (a reused scheduler must
@@ -106,10 +106,14 @@ TEST(AllocGuard, ScenarioRoundLoopIsAllocationFree) {
   (void)count_run(8);  // warm-up
   const auto short_run = count_run(64);
   const auto long_run = count_run(4096);
-  // Per-run cost (the result's agent vector) is allowed; per-round cost is
-  // not: 64x the rounds must allocate exactly the same number of times.
+  // Per-run cost (the returned result's agent vector) is allowed; per-round
+  // cost is not: 64x the rounds must allocate exactly the same number of
+  // times.
   EXPECT_EQ(short_run, long_run)
       << "run_scenario's round loop heap-allocates per round";
+  // Everything else a run needs (sort buffer, reused result) is arena.
+  EXPECT_EQ(short_run, 1u) << "a warm run_scenario allocated " << short_run
+                           << " times";
 }
 
 TEST(AllocGuard, FaultLayerLeavesTheDisarmedHotPathAllocationFree) {
@@ -208,6 +212,30 @@ void expect_same_run(const sim::RunResult& x, const sim::RunResult& y) {
   EXPECT_EQ(x.metrics.whiteboard_reads, y.metrics.whiteboard_reads);
   EXPECT_EQ(x.metrics.whiteboard_writes, y.metrics.whiteboard_writes);
   EXPECT_EQ(x.metrics.whiteboards_used, y.metrics.whiteboards_used);
+}
+
+TEST(SchedulerArena, PairRunNeverInjectsFaults) {
+  // Scheduler::run is the paper's reliable model: an armed session (every
+  // agent crashes, every write drops) must neither change the run nor
+  // fire a single fault.
+  const auto g = guard_graph();
+  const auto run_probe = [&](sim::Scheduler& scheduler) {
+    ProbeAgent a, b;
+    return scheduler.run(a, b, {3, 40}, 777);
+  };
+
+  auto plan = fault::FaultPlan::parse("crash?rate=1+wb-drop?rate=1");
+  fault::FaultSession session(plan, Rng(9, 21));
+  sim::Scheduler armed(g, sim::Model::full());
+  armed.set_fault_session(&session);
+  sim::Scheduler reliable(g, sim::Model::full());
+
+  const auto got = run_probe(armed);
+  const auto expected = run_probe(reliable);
+  expect_same_run(got, expected);
+  EXPECT_EQ(got.metrics.peak_memory_words, expected.metrics.peak_memory_words);
+  EXPECT_GT(got.metrics.whiteboard_writes, 0u);
+  EXPECT_FALSE(session.stats.any()) << "Scheduler::run injected a fault";
 }
 
 TEST(SchedulerArena, ReusedArenaIsBitExact) {

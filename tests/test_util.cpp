@@ -12,6 +12,7 @@
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -330,6 +331,41 @@ TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--n=12x"};
   Cli cli(2, argv);
   EXPECT_THROW((void)cli.get_int("n", 0), CheckError);
+}
+
+TEST(Parse, MalformedNumbersCarryNoCheckTextAndNameTheField) {
+  // The parsers see only outside input (flags, spec values, wire fields):
+  // every rejection names the field and carries no check expression or
+  // source location.
+  const std::vector<std::function<void()>> attempts = {
+      [] { (void)parse_int64("abc", "option --threads"); },
+      [] { (void)parse_int64("", "option --threads"); },
+      [] { (void)parse_int64("99999999999999999999", "option --threads"); },
+      [] { (void)parse_uint64("z", "option --threads"); },
+      [] { (void)parse_uint64("-1", "option --threads"); },
+      [] { (void)parse_uint64("99999999999999999999", "option --threads"); },
+      [] { (void)parse_double("x", "option --threads"); },
+      [] { (void)parse_double("", "option --threads"); },
+      [] { (void)parse_double("1e999", "option --threads"); },
+      [] { (void)parse_finite_double("nan", "option --threads"); },
+  };
+  for (const auto& attempt : attempts) {
+    try {
+      attempt();
+      ADD_FAILURE() << "expected CheckError";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find("parse.cpp"), std::string::npos) << what;
+      EXPECT_NE(what.find("option --threads"), std::string::npos) << what;
+    }
+  }
+  try {
+    (void)parse_int64("abc", "option --threads");
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "option --threads expects an integer, got 'abc'");
+  }
 }
 
 TEST(Cli, RejectsNonOptionArgument) {

@@ -5,7 +5,8 @@
 // not seconds), so tier-1 gates the simulator's cost with exact counters;
 // wall-clock claims go through perfbench/run.py. The cells, all at seed 7:
 //   - the three paper strategies × four 1024-vertex topologies, 256 trials
-//     each through core::run_trials (the k = 2 fast path);
+//     each through core::run_trials (Scheduler::run, the k = 2 projection
+//     of the scenario engine's round loop);
 //   - a k = 256, quorum-16 explore-rally swarm on the 32×32 torus, 32
 //     trials through the scenario engine, forced onto occupancy-count
 //     meeting detection;
@@ -56,24 +57,24 @@ struct Pin {
 
 const Pin kPins[] = {
     // {cell, {rounds, moves, writes, met}, max allocs per trial}
-    {"whiteboard/near-regular-1024", {121233, 241979, 60787, 256}, 631.49},
-    {"whiteboard/torus-32x32", {4006, 7560, 2172, 256}, 54.93},
-    {"whiteboard/hypercube-10", {9748, 19036, 5046, 256}, 91.04},
-    {"whiteboard/watts-strogatz-1024", {7228, 14180, 3669, 256}, 83.13},
+    {"whiteboard/near-regular-1024", {121233, 241979, 60787, 256}, 628.48},
+    {"whiteboard/torus-32x32", {4006, 7560, 2172, 256}, 51.94},
+    {"whiteboard/hypercube-10", {9748, 19036, 5046, 256}, 88.04},
+    {"whiteboard/watts-strogatz-1024", {7228, 14180, 3669, 256}, 80.14},
     {"whiteboard+doubling/near-regular-1024",
      {108645, 216861, 54467, 256},
-     608.89},
-    {"whiteboard+doubling/torus-32x32", {4006, 7560, 2172, 256}, 54.93},
-    {"whiteboard+doubling/hypercube-10", {9748, 19036, 5046, 256}, 91.04},
+     605.88},
+    {"whiteboard+doubling/torus-32x32", {4006, 7560, 2172, 256}, 51.94},
+    {"whiteboard+doubling/hypercube-10", {9748, 19036, 5046, 256}, 88.04},
     {"whiteboard+doubling/watts-strogatz-1024",
      {7228, 14180, 3669, 256},
-     83.13},
-    {"no-whiteboard/near-regular-1024", {107494, 107494, 0, 256}, 667.94},
-    {"no-whiteboard/torus-32x32", {1894, 1894, 0, 256}, 55.13},
-    {"no-whiteboard/hypercube-10", {4998, 4998, 0, 256}, 88.37},
-    {"no-whiteboard/watts-strogatz-1024", {6176, 6176, 0, 256}, 98.61},
-    {"explore-rally/swarm-quorum-k256", {4654, 1191424, 0, 32}, 6271.66},
-    {"campaign/perf-campaign", {2391478, 2459069, 35874, 768}, 151.57},
+     80.14},
+    {"no-whiteboard/near-regular-1024", {107494, 107494, 0, 256}, 664.93},
+    {"no-whiteboard/torus-32x32", {1894, 1894, 0, 256}, 52.14},
+    {"no-whiteboard/hypercube-10", {4998, 4998, 0, 256}, 85.38},
+    {"no-whiteboard/watts-strogatz-1024", {6176, 6176, 0, 256}, 95.62},
+    {"explore-rally/swarm-quorum-k256", {4654, 1191424, 0, 32}, 6270.72},
+    {"campaign/perf-campaign", {2391478, 2459069, 35874, 768}, 150.61},
 };
 
 const Pin& pin_for(const std::string& cell) {
