@@ -19,6 +19,7 @@
 #include "runner/trial_runner.hpp"
 #include "scenario/program_registry.hpp"
 #include "sim/scheduler.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -59,14 +60,18 @@ struct BenchConfig {
   [[nodiscard]] static BenchConfig from_cli(int argc, const char* const* argv) {
     Cli cli(argc, argv);
     BenchConfig config;
+    // Degenerate values are user-input errors: a plain message, with no
+    // check expression or source location.
     const auto reps = cli.get_int("reps", 5);
-    FNR_CHECK_MSG(reps >= 1, "--reps must be >= 1, got " << reps);
+    if (reps < 1)
+      throw CheckError("--reps must be >= 1, got " + std::to_string(reps));
     config.reps = static_cast<std::uint64_t>(reps);
     config.quick = cli.get_flag("quick");
     config.full = cli.get_flag("full");
     const auto threads = cli.get_int("threads", 0);
-    FNR_CHECK_MSG(threads >= 0 && threads <= 4096,
-                  "--threads must be in [0, 4096], got " << threads);
+    if (threads < 0 || threads > 4096)
+      throw CheckError("--threads must be in [0, 4096], got " +
+                       std::to_string(threads));
     config.threads = static_cast<unsigned>(threads);
     config.csv = cli.get_flag("csv");
     config.json = cli.get_flag("json");

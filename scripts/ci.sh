@@ -182,6 +182,42 @@ if grep -q '"ok":false' fault_ci_a.json; then
   exit 1
 fi
 
+# Swarm fault smoke: explore-rally on swarm-fraction (k = 12) with no fault,
+# with crashes (agents revived mid-walk) and with churn (blocked hops
+# retried). Run sequentially, then paused after 2 cells on a 4-thread pool
+# and resumed there: the merged JSON must not change by one byte, no cell
+# may error, and both fault families must actually fire.
+cat > sweep_ci_swarm_fault.spec <<'SPEC'
+name       = ci-swarm-fault
+trials     = 2
+programs   = explore-rally
+scenarios  = swarm-fraction
+topologies = near-regular:deg=16, torus
+sizes      = 64
+seeds      = 1
+faults     = none, crash?rate=0.002&downtime=4, churn?rate=0.05
+SPEC
+rm -f swarm_fault_a.json swarm_fault_b.json swarm_fault_b.jsonl
+./sweep --spec=sweep_ci_swarm_fault.spec --checkpoint= \
+        --out=swarm_fault_a.json --threads=1 --quiet
+./sweep --spec=sweep_ci_swarm_fault.spec --checkpoint=swarm_fault_b.jsonl \
+        --out=swarm_fault_b.json --threads=4 --max-cells=2 --quiet
+./sweep --spec=sweep_ci_swarm_fault.spec --checkpoint=swarm_fault_b.jsonl \
+        --out=swarm_fault_b.json --threads=4 --resume --quiet
+diff swarm_fault_a.json swarm_fault_b.json
+if grep -q '"ok":false' swarm_fault_a.json; then
+  echo "swarm fault smoke: a cell crashed the harness:" >&2
+  grep '"ok":false' swarm_fault_a.json >&2
+  exit 1
+fi
+for counter in crashes restarts moves_blocked; do
+  if ! grep -q "\"$counter\":[1-9]" swarm_fault_a.json; then
+    echo "swarm fault smoke: no cell counted any $counter" >&2
+    exit 1
+  fi
+done
+echo "swarm fault smoke: explore-rally crash/churn cells resume byte-identical"
+
 # Service smoke: the same campaigns served through the fnrd daemon must
 # produce byte-identical merged JSON to the bench/sweep surface — across a
 # mid-stream client disconnect, a daemon kill -9, and a RESUME in a fresh

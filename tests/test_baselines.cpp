@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "baselines/anderson_weber.hpp"
@@ -336,6 +338,53 @@ TEST(ExploreRally, MatchesHashMapReferenceUnderChurn) {
       EXPECT_EQ(agent.flat.visited_count(), agent.reference.visited_count());
       EXPECT_TRUE(agent.flat.arrived()) << name;
       EXPECT_EQ(agent.last_here, min_id(g)) << name;
+    }
+  }
+}
+
+TEST(ExploreRally, MatchesHashMapReferenceAcrossCrashRevivals) {
+  // A crash replaces the agent by a fresh instance on the crash vertex, so
+  // a revived agent roots its DFS in the middle of the old walk, with no
+  // arrival port. Every instance, first or revived, must stay in lock step.
+  // The second plan caps the crashes and adds churn, so the last instances
+  // also finish their exploration and rally with retried hops.
+  for (const char* spec : {"crash?rate=0.01&downtime=4",
+                           "crash?rate=0.01&downtime=4&count=8+"
+                           "churn?rate=0.1"}) {
+    const bool capped = std::string_view(spec).find("count") !=
+                        std::string_view::npos;
+    for (const auto& [name, g] : differential_graphs()) {
+      SCOPED_TRACE(std::string(name) + " " + spec);
+      sim::Scheduler scheduler(g, sim::Model::full());
+      const auto plan = fault::FaultPlan::parse(spec);
+      fault::FaultSession session(plan, Rng(6, 3));
+      std::deque<LockStepGather> instances(3);  // stable addresses
+      LockStepGather* current[3] = {&instances[0], &instances[1],
+                                    &instances[2]};
+      session.revive = [&](std::size_t slot) -> sim::Agent* {
+        current[slot] = &instances.emplace_back();
+        return current[slot];
+      };
+      scheduler.set_fault_session(&session);
+      sim::ScenarioPlacement placement;
+      const auto n = static_cast<graph::VertexIndex>(g.num_vertices());
+      placement.starts = {1, n / 2, n - 2};
+      const auto result = scheduler.run_scenario(
+          {current[0], current[1], current[2]}, placement,
+          sim::Gathering::quorum_of(4), 40 * n);
+      scheduler.set_fault_session(nullptr);
+      EXPECT_GT(result.faults.restarts, 0u);
+      EXPECT_EQ(instances.size(), 3 + result.faults.restarts);
+      for (const auto& agent : instances)
+        EXPECT_EQ(agent.mismatches, 0u)
+            << "first at round " << agent.first_mismatch;
+      if (!capped) continue;
+      EXPECT_EQ(result.faults.crashes, 8u);
+      EXPECT_GT(result.faults.moves_blocked, 0u);
+      for (const LockStepGather* agent : current) {
+        EXPECT_TRUE(agent->flat.arrived());
+        EXPECT_EQ(agent->last_here, min_id(g));
+      }
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include <iterator>
 
+#include "fault/fault.hpp"
 #include "scenario/run.hpp"
 #include "test_support.hpp"
 
@@ -232,6 +233,86 @@ TEST(GoldenRegression, QuorumAndFractionGatheringOnFixedSeeds) {
     EXPECT_DOUBLE_EQ(agg.mean_moves_a, golden.mean_moves_a);
     EXPECT_DOUBLE_EQ(agg.mean_moves_b, golden.mean_moves_b);
     EXPECT_EQ(agg.total_marks, 0u);  // GatherAtMin writes no whiteboards
+    const auto outcomes = acc.sorted_outcomes();
+    ASSERT_EQ(outcomes.size(), std::size(golden.trials));
+    for (std::size_t t = 0; t < outcomes.size(); ++t) {
+      EXPECT_EQ(outcomes[t].met, golden.trials[t].met) << "trial " << t;
+      EXPECT_EQ(outcomes[t].meeting_round, golden.trials[t].meeting_round)
+          << "trial " << t;
+      EXPECT_EQ(outcomes[t].gathered_count, golden.trials[t].gathered_count)
+          << "trial " << t;
+    }
+  }
+}
+
+// --- explore-rally under faults ---------------------------------------------
+
+struct GoldenFaultCell {
+  const char* fault;
+  std::uint64_t successes;
+  double rounds_mean;
+  double rounds_min;
+  double rounds_max;
+  double rounds_stddev;
+  double mean_gathered;
+  double mean_moves_a;
+  double mean_moves_b;
+  fault::FaultStats totals;  ///< summed over the 12 trials
+  GoldenSwarmTrial trials[12];
+};
+
+// Captured 2026-10-18 from commit 6b0babf (explore-rally still planning
+// its hops by ID): the predefined swarm-fraction scenario (k = 12, half the
+// swarm on one vertex) on a sparse near-regular graph, n = 96, out-degree
+// 4, Rng(5, 17); seed 77, 12 trials, printed with %.17g. Crashes revive
+// agents in the middle of their walks and churn makes them retry blocked
+// hops, so these pin the agent's root, parent-port and rally-route
+// bookkeeping under both faults.
+const GoldenFaultCell kGoldenFaultCells[] = {
+    {"crash?rate=0.002&downtime=4", 12, 197.66666666666666, 192.0, 253.0,
+     17.432119431635037, 7.0, 196.16666666666666, 2131.4166666666665,
+     fault::FaultStats{57, 56, 0, 0, 0, 0},
+     {{true, 193, 8}, {true, 193, 6}, {true, 253, 6}, {true, 192, 7},
+      {true, 193, 8}, {true, 192, 6}, {true, 192, 6}, {true, 193, 8},
+      {true, 193, 9}, {true, 193, 7}, {true, 192, 6}, {true, 193, 7}}},
+    {"churn?rate=0.05", 12, 142.0, 5.0, 204.0, 87.059018644094124,
+     6.416666666666667, 133.75, 1483.25,
+     fault::FaultStats{0, 0, 0, 0, 0, 970},
+     {{true, 31, 6}, {true, 5, 6}, {true, 44, 7}, {true, 199, 6},
+      {true, 203, 7}, {true, 19, 6}, {true, 202, 7}, {true, 195, 6},
+      {true, 200, 7}, {true, 201, 6}, {true, 204, 6}, {true, 201, 7}}},
+};
+
+TEST(GoldenRegression, ExploreRallySwarmUnderCrashAndChurn) {
+  Rng rng(5, 17);
+  const auto g = graph::make_near_regular(96, 4, rng);
+  const auto program = scenario::find_program("explore-rally");
+  const auto& scen = scenario::find_scenario("swarm-fraction");
+  for (const auto& golden : kGoldenFaultCells) {
+    SCOPED_TRACE(golden.fault);
+    scenario::ScenarioOptions options;
+    options.seed = 77;
+    options.fault = fault::FaultPlan::parse(golden.fault);
+    const runner::TrialRunner trial_runner(runner::RunnerOptions{1});
+    const auto acc = scenario::run_scenario_trials(scen, program, g, options,
+                                                   12, trial_runner);
+    const auto agg = acc.aggregate();
+    EXPECT_EQ(agg.trials, 12u);
+    EXPECT_EQ(agg.successes, golden.successes);
+    EXPECT_DOUBLE_EQ(agg.rounds.mean, golden.rounds_mean);
+    EXPECT_DOUBLE_EQ(agg.rounds.min, golden.rounds_min);
+    EXPECT_DOUBLE_EQ(agg.rounds.max, golden.rounds_max);
+    EXPECT_DOUBLE_EQ(agg.rounds.stddev, golden.rounds_stddev);
+    EXPECT_DOUBLE_EQ(agg.mean_gathered, golden.mean_gathered);
+    EXPECT_DOUBLE_EQ(agg.mean_moves_a, golden.mean_moves_a);
+    EXPECT_DOUBLE_EQ(agg.mean_moves_b, golden.mean_moves_b);
+    const auto& got = agg.fault_totals;
+    EXPECT_EQ(got.crashes, golden.totals.crashes);
+    EXPECT_EQ(got.restarts, golden.totals.restarts);
+    EXPECT_EQ(got.writes_dropped, golden.totals.writes_dropped);
+    EXPECT_EQ(got.wipes, golden.totals.wipes);
+    EXPECT_EQ(got.stale_reads, golden.totals.stale_reads);
+    EXPECT_EQ(got.moves_blocked, golden.totals.moves_blocked);
     const auto outcomes = acc.sorted_outcomes();
     ASSERT_EQ(outcomes.size(), std::size(golden.trials));
     for (std::size_t t = 0; t < outcomes.size(); ++t) {

@@ -7,8 +7,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "../bench/bench_support.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -325,6 +327,29 @@ TEST(Cli, UserInputErrorsCarryNoCheckText) {
           << e.what();
     }
   }
+}
+
+TEST(BenchConfig, DegenerateValuesCarryNoCheckTextAndNameTheFlag) {
+  // Only parses: no trial runner is built, so no value here starts a
+  // thread.
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"--reps=0", "--reps must be >= 1, got 0"},
+      {"--reps=-3", "--reps must be >= 1, got -3"},
+      {"--threads=-1", "--threads must be in [0, 4096], got -1"},
+      {"--threads=4097", "--threads must be in [0, 4096], got 4097"}};
+  for (const auto& [flag, message] : cases) {
+    const char* argv[] = {"bench", flag};
+    try {
+      (void)bench::BenchConfig::from_cli(2, argv);
+      ADD_FAILURE() << flag << ": expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << flag;
+    }
+  }
+  const char* edge[] = {"bench", "--reps=1", "--threads=4096"};
+  const auto config = bench::BenchConfig::from_cli(3, edge);
+  EXPECT_EQ(config.reps, 1u);
+  EXPECT_EQ(config.threads, 4096u);
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
