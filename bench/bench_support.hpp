@@ -21,6 +21,7 @@
 #include "sim/scheduler.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -60,19 +61,11 @@ struct BenchConfig {
   [[nodiscard]] static BenchConfig from_cli(int argc, const char* const* argv) {
     Cli cli(argc, argv);
     BenchConfig config;
-    // Degenerate values are user-input errors: a plain message, with no
-    // check expression or source location.
-    const auto reps = cli.get_int("reps", 5);
-    if (reps < 1)
-      throw CheckError("--reps must be >= 1, got " + std::to_string(reps));
-    config.reps = static_cast<std::uint64_t>(reps);
+    config.reps = static_cast<std::uint64_t>(cli.get_int("reps", 5, 1));
     config.quick = cli.get_flag("quick");
     config.full = cli.get_flag("full");
-    const auto threads = cli.get_int("threads", 0);
-    if (threads < 0 || threads > 4096)
-      throw CheckError("--threads must be in [0, 4096], got " +
-                       std::to_string(threads));
-    config.threads = static_cast<unsigned>(threads);
+    config.threads =
+        static_cast<unsigned>(cli.get_int("threads", 0, 0, 4096));
     config.csv = cli.get_flag("csv");
     config.json = cli.get_flag("json");
     cli.reject_unknown();
@@ -215,8 +208,12 @@ inline void emit_aggregate(const BenchConfig& config, const std::string& label,
     std::cout << aggregate.to_csv_row(label) << "\n";
   }
   if (config.json) {
-    std::cout << "{\"cell\":\"" << label
-              << "\",\"aggregate\":" << aggregate.to_json() << "}\n";
+    JsonWriter json;
+    json.begin_object()
+        .key("cell").string(label)
+        .key("aggregate").raw(aggregate.to_json())
+        .end_object();
+    std::cout << json.str() << "\n";
   }
 }
 

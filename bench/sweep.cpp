@@ -39,7 +39,6 @@
 //   --quiet            suppress per-cell progress lines
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -52,6 +51,7 @@
 #include "sweep/spec.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -72,17 +72,12 @@ extern "C" void handle_cancel_signal(int sig) {
 void parse_shard(const std::string& text,
                  fnr::campaign::CampaignOptions* options) {
   const auto slash = text.find('/');
-  FNR_CHECK_MSG(slash != std::string::npos && slash > 0 &&
-                    slash + 1 < text.size(),
-                "--shard expects I/OF (e.g. 0/4), got '" << text << "'");
-  char* end = nullptr;
-  const unsigned long index = std::strtoul(text.c_str(), &end, 10);
-  FNR_CHECK_MSG(end == text.c_str() + slash,
-                "--shard index is not an integer in '" << text << "'");
-  const unsigned long count = std::strtoul(text.c_str() + slash + 1, &end, 10);
-  FNR_CHECK_MSG(*end == '\0' && count >= 1 && index < count &&
-                    count <= 1u << 20,
-                "--shard expects I in [0, OF), got '" << text << "'");
+  FNR_REQUIRE(slash != std::string::npos,
+              "--shard expects I/OF (e.g. 0/4), got '" << text << "'");
+  const auto index = fnr::parse_uint64(text.substr(0, slash), "--shard index");
+  const auto count = fnr::parse_uint64(text.substr(slash + 1), "--shard count");
+  FNR_REQUIRE(index < count && count <= 1u << 20,
+              "--shard expects I in [0, OF), got '" << text << "'");
   options->shard_index = static_cast<std::uint32_t>(index);
   options->shard_count = static_cast<std::uint32_t>(count);
 }
@@ -114,16 +109,11 @@ int main(int argc, char** argv) {
     const std::string shard_arg = cli.get_string("shard", "0/1");
     std::string checkpoint = cli.get_string("checkpoint", "auto");
     const bool resume = cli.get_flag("resume");
-    const auto max_cells = cli.get_int("max-cells", 0);
-    FNR_CHECK_MSG(max_cells >= 0, "--max-cells must be >= 0");
+    const auto max_cells = cli.get_int("max-cells", 0, 0);
     const std::string merge = cli.get_string("merge", "");
     std::string out = cli.get_string("out", "auto");
-    const auto trials = cli.get_int("trials", 0);
-    FNR_CHECK_MSG(trials >= 0 && trials <= 100'000'000,
-                  "--trials must be in [0, 1e8], got " << trials);
-    const auto threads = cli.get_int("threads", 0);
-    FNR_CHECK_MSG(threads >= 0 && threads <= 4096,
-                  "--threads must be in [0, 4096], got " << threads);
+    const auto trials = cli.get_int("trials", 0, 0, 100'000'000);
+    const auto threads = cli.get_int("threads", 0, 0, 4096);
     const bool csv = cli.get_flag("csv");
     const bool json = cli.get_flag("json");
     const bool quiet = cli.get_flag("quiet");
@@ -139,8 +129,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    FNR_CHECK_MSG(!spec_arg.empty(),
-                  "--spec=NAME|PATH is required (see --list)");
+    FNR_REQUIRE(!spec_arg.empty(), "--spec=NAME|PATH is required (see --list)");
     sweep::SweepSpec spec = sweep::find_spec(spec_arg);
     if (trials > 0) spec.trials = static_cast<std::uint64_t>(trials);
 
@@ -172,7 +161,7 @@ int main(int argc, char** argv) {
       while (std::getline(paths, path, ','))
         if (!path.empty())
           checkpoints.push_back(campaign::load_checkpoint(path));
-      FNR_CHECK_MSG(!checkpoints.empty(), "--merge lists no checkpoints");
+      FNR_REQUIRE(!checkpoints.empty(), "--merge lists no checkpoints");
       const auto results =
           campaign::results_from_checkpoints(spec, checkpoints);
       const std::string report = campaign::to_json(spec, results);

@@ -182,6 +182,28 @@ if grep -q '"ok":false' fault_ci_a.json; then
   exit 1
 fi
 
+# JSON validity: every string in a report, checkpoint line or --json line
+# goes through one escaping writer (util/json), so a stock parser must
+# accept all of them. json_lines_valid FILE checks each line of a
+# non-empty JSONL file.
+json_lines_valid() {
+  if [[ ! -s "$1" ]]; then
+    echo "json check: '$1' is empty" >&2
+    return 1
+  fi
+  python3 -m json.tool --json-lines "$1" >/dev/null
+}
+for report in sweep_ci_a.json sweep_registry_smoke.json fault_ci_a.json; do
+  python3 -m json.tool "$report" >/dev/null
+done
+for checkpoint in sweep_ci_a.jsonl sweep_ci_b.jsonl fault_ci_a.jsonl \
+                  fault_ci_b.jsonl; do
+  json_lines_valid "$checkpoint"
+done
+./exp10_success_prob --quick --json | grep '^{' > exp10_json_lines.jsonl
+json_lines_valid exp10_json_lines.jsonl
+echo "json check: reports, checkpoints and --json lines parse"
+
 # Swarm fault smoke: explore-rally on swarm-fraction (k = 12) with no fault,
 # with crashes (agents revived mid-walk) and with churn (blocked hops
 # retried). Run sequentially, then paused after 2 cells on a 4-thread pool

@@ -126,32 +126,12 @@ GraphCache::Stats GraphCache::stats() const {
 
 namespace {
 
-/// Checkpoint/report strings must stay inside the no-escape JSON subset:
-/// quotes, backslashes, and control characters are replaced, not escaped
-/// (the bytes are pinned by the resume contract; json_escape is for the
-/// wire protocol, not for these artifacts).
-std::string json_safe(const std::string& text) {
-  std::string out = text;
-  for (char& c : out) {
-    if (c == '"') c = '\'';
-    if (c == '\\') c = '/';
-    if (c == '\n' || c == '\r' || c == '\t') c = ' ';
-  }
-  return out;
-}
-
 CheckpointEntry parse_checkpoint_line(const std::string& line,
                                       std::string* key_out) {
   JsonCursor cursor(line, "sweep checkpoint");
   CheckpointEntry entry;
-  cursor.expect('{');
-  bool first = true;
   bool have_key = false;
-  while (!cursor.peek_is('}')) {
-    if (!first) cursor.expect(',');
-    first = false;
-    const std::string field = cursor.parse_string();
-    cursor.expect(':');
+  cursor.object([&](const std::string& field) {
     if (field == "key") {
       *key_out = cursor.parse_string();
       have_key = true;
@@ -167,8 +147,7 @@ CheckpointEntry parse_checkpoint_line(const std::string& line,
       FNR_CHECK_MSG(false,
                     "sweep checkpoint: unknown field '" << field << "'");
     }
-  }
-  cursor.expect('}');
+  });
   cursor.expect_end();
   FNR_CHECK_MSG(have_key, "sweep checkpoint: line without a cell key");
   FNR_CHECK_MSG(entry.ok == !entry.agg_json.empty(),
@@ -214,16 +193,13 @@ namespace {
 std::string checkpoint_line_for(const std::string& key, bool ok,
                                 const std::string& agg_json,
                                 const std::string& error, double seconds) {
-  std::ostringstream os;
-  os << "{\"key\":\"" << json_safe(key) << "\",\"ok\":"
-     << (ok ? "true" : "false");
-  if (ok) {
-    os << ",\"agg\":" << agg_json;
-  } else {
-    os << ",\"error\":\"" << json_safe(error) << "\"";
-  }
-  os << ",\"seconds\":" << format_double(seconds, 6) << "}";
-  return os.str();
+  JsonWriter json;
+  json.begin_object().key("key").string(key).key("ok").boolean(ok);
+  if (ok)
+    json.key("agg").raw(agg_json);
+  else
+    json.key("error").string(error);
+  return json.key("seconds").number(seconds, 6).end_object().str();
 }
 
 CellResult restored_result(const SweepCell& cell,
@@ -347,9 +323,7 @@ CampaignRun Campaign::run(const CellCallback& on_cell) {
   // progress lines, and the callback all happen here, serialized.
   ExecutorOptions eopts;
   eopts.threads = options_.threads;
-  eopts.min_shard_trials = options_.min_shard_trials;
   eopts.max_cells = options_.max_cells;
-  eopts.graph_cache_capacity = options_.graph_cache_capacity;
   CellExecutor executor(eopts);
 
   std::size_t emitted = 0;
@@ -395,91 +369,6 @@ CampaignRun Campaign::run(const CellCallback& on_cell) {
 }
 
 // --- reporting ---------------------------------------------------------------
-
-namespace {
-
-/// Rebuilds a TrialAggregate from the verbatim aggregate JSON a cell
-/// carries (the reverse of TrialAggregate::to_json, minus Summary.count,
-/// which the JSON does not record and the CSV does not emit).
-runner::TrialAggregate parse_agg_json(const std::string& json) {
-  JsonCursor cursor(json, "sweep aggregate");
-  runner::TrialAggregate agg;
-  cursor.expect('{');
-  bool first = true;
-  while (!cursor.peek_is('}')) {
-    if (!first) cursor.expect(',');
-    first = false;
-    const std::string field = cursor.parse_string();
-    cursor.expect(':');
-    if (field == "trials") {
-      agg.trials = cursor.parse_uint64();
-    } else if (field == "successes") {
-      agg.successes = cursor.parse_uint64();
-    } else if (field == "failures") {
-      agg.failures = cursor.parse_uint64();
-    } else if (field == "success_rate") {
-      agg.success_rate = cursor.parse_number();
-    } else if (field == "rounds") {
-      cursor.expect('{');
-      bool inner_first = true;
-      while (!cursor.peek_is('}')) {
-        if (!inner_first) cursor.expect(',');
-        inner_first = false;
-        const std::string stat = cursor.parse_string();
-        cursor.expect(':');
-        const double value = cursor.parse_number();
-        if (stat == "mean") agg.rounds.mean = value;
-        else if (stat == "median") agg.rounds.median = value;
-        else if (stat == "p90") agg.rounds.p90 = value;
-        else if (stat == "p95") agg.rounds.p95 = value;
-        else if (stat == "min") agg.rounds.min = value;
-        else if (stat == "max") agg.rounds.max = value;
-        else FNR_CHECK_MSG(false, "sweep aggregate: unknown rounds field '"
-                                      << stat << "'");
-      }
-      cursor.expect('}');
-    } else if (field == "mean_gathered") {
-      agg.mean_gathered = cursor.parse_number();
-    } else if (field == "total_marks") {
-      agg.total_marks = cursor.parse_uint64();
-    } else if (field == "mean_marks") {
-      agg.mean_marks = cursor.parse_number();
-    } else if (field == "mean_moves_a") {
-      agg.mean_moves_a = cursor.parse_number();
-    } else if (field == "mean_moves_b") {
-      agg.mean_moves_b = cursor.parse_number();
-    } else if (field == "faults") {
-      cursor.expect('{');
-      bool inner_first = true;
-      while (!cursor.peek_is('}')) {
-        if (!inner_first) cursor.expect(',');
-        inner_first = false;
-        const std::string counter = cursor.parse_string();
-        cursor.expect(':');
-        const std::uint64_t value = cursor.parse_uint64();
-        if (counter == "crashes") agg.fault_totals.crashes = value;
-        else if (counter == "restarts") agg.fault_totals.restarts = value;
-        else if (counter == "writes_dropped")
-          agg.fault_totals.writes_dropped = value;
-        else if (counter == "wipes") agg.fault_totals.wipes = value;
-        else if (counter == "stale_reads") agg.fault_totals.stale_reads = value;
-        else if (counter == "moves_blocked")
-          agg.fault_totals.moves_blocked = value;
-        else FNR_CHECK_MSG(false, "sweep aggregate: unknown faults field '"
-                                      << counter << "'");
-      }
-      cursor.expect('}');
-    } else {
-      FNR_CHECK_MSG(false,
-                    "sweep aggregate: unknown field '" << field << "'");
-    }
-  }
-  cursor.expect('}');
-  cursor.expect_end();
-  return agg;
-}
-
-}  // namespace
 
 namespace {
 
@@ -552,32 +441,41 @@ std::string to_json(const SweepSpec& spec,
   std::map<std::string, const CellResult*> fault_free;
   for (const CellResult* r : ordered)
     if (r->ok && !r->cell.fault.active()) fault_free[r->cell.key()] = r;
-  std::ostringstream os;
   const CacheWorkload cache = simulate_cache_workload(spec);
-  os << "{\n"
-     << "  \"schema\": \"" << sweep_schema_tag() << "\",\n"
-     << "  \"spec\": \"" << json_safe(spec.name) << "\",\n"
-     << "  \"cache\": {\"lookups\":" << cache.lookups << ",\"graph_keys\":"
-     << cache.graph_keys << ",\"hits\":" << cache.hits << ",\"misses\":"
-     << cache.misses << ",\"evictions\":" << cache.evictions << "},\n"
-     << "  \"cells\": [\n";
+  JsonWriter cache_json;
+  cache_json.begin_object()
+      .key("lookups").uint64(cache.lookups)
+      .key("graph_keys").uint64(cache.graph_keys)
+      .key("hits").uint64(cache.hits)
+      .key("misses").uint64(cache.misses)
+      .key("evictions").uint64(cache.evictions)
+      .end_object();
+  // The outer frame is literal text (its line breaks are pinned bytes);
+  // every value inside it comes from JsonWriter.
+  std::string out = "{\n  \"schema\": " +
+                    JsonWriter().string(sweep_schema_tag()).str() +
+                    ",\n  \"spec\": " + JsonWriter().string(spec.name).str() +
+                    ",\n  \"cache\": " + cache_json.str() +
+                    ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     const CellResult& r = *ordered[i];
-    os << "    {\"key\":\"" << json_safe(r.cell.key()) << "\",\"program\":\""
-       << scenario::to_string(r.cell.program) << "\",\"scenario\":\""
-       << json_safe(r.cell.scenario) << "\",\"topology\":\""
-       << json_safe(r.cell.topology.key()) << "\",\"n\":" << r.cell.n
-       << ",\"achieved_n\":" << r.cell.achieved_n
-       << ",\"seed\":" << r.cell.seed << ",\"trials\":" << r.cell.trials;
+    JsonWriter json;
+    json.begin_object()
+        .key("key").string(r.cell.key())
+        .key("program").string(scenario::to_string(r.cell.program))
+        .key("scenario").string(r.cell.scenario)
+        .key("topology").string(r.cell.topology.key())
+        .key("n").uint64(r.cell.n)
+        .key("achieved_n").uint64(r.cell.achieved_n)
+        .key("seed").uint64(r.cell.seed)
+        .key("trials").uint64(r.cell.trials);
     if (r.cell.gather.has_value())
-      os << ",\"gather\":\"" << json_safe(sim::to_string(*r.cell.gather))
-         << "\"";
-    if (r.cell.k.has_value()) os << ",\"k\":" << *r.cell.k;
-    if (r.cell.fault.active())
-      os << ",\"fault\":\"" << json_safe(r.cell.fault.key()) << "\"";
-    os << ",\"ok\":" << (r.ok ? "true" : "false");
+      json.key("gather").string(sim::to_string(*r.cell.gather));
+    if (r.cell.k.has_value()) json.key("k").uint64(*r.cell.k);
+    if (r.cell.fault.active()) json.key("fault").string(r.cell.fault.key());
+    json.key("ok").boolean(r.ok);
     if (r.ok) {
-      os << ",\"agg\":" << r.agg_json;
+      json.key("agg").raw(r.agg_json);
       if (r.cell.fault.active()) {
         SweepCell twin = r.cell;
         twin.fault = fault::FaultPlan{};
@@ -589,24 +487,27 @@ std::string to_json(const SweepSpec& spec,
         // vs_fault_free block rather than fabricated numbers.
         const auto it = fault_free.find(twin.key());
         if (it != fault_free.end()) {
-          const auto control = parse_agg_json(it->second->agg_json);
+          const auto control =
+              runner::TrialAggregate::from_json(it->second->agg_json);
           if (control.rounds.mean > 0.0) {
-            const auto faulty = parse_agg_json(r.agg_json);
-            os << ",\"vs_fault_free\":{\"rounds_overhead\":"
-               << format_double(faulty.rounds.mean / control.rounds.mean, 4)
-               << ",\"success_drop\":"
-               << format_double(control.success_rate - faulty.success_rate, 4)
-               << "}";
+            const auto faulty = runner::TrialAggregate::from_json(r.agg_json);
+            json.key("vs_fault_free").begin_object()
+                .key("rounds_overhead")
+                .number(faulty.rounds.mean / control.rounds.mean, 4)
+                .key("success_drop")
+                .number(control.success_rate - faulty.success_rate, 4)
+                .end_object();
           }
         }
       }
     } else {
-      os << ",\"error\":\"" << json_safe(r.error) << "\"";
+      json.key("error").string(r.error);
     }
-    os << "}" << (i + 1 < ordered.size() ? "," : "") << "\n";
+    out += "    " + json.end_object().str();
+    out += i + 1 < ordered.size() ? ",\n" : "\n";
   }
-  os << "  ]\n}";
-  return os.str();
+  out += "  ]\n}";
+  return out;
 }
 
 std::string to_csv(const std::vector<CellResult>& cells) {
@@ -621,7 +522,9 @@ std::string to_csv(const std::vector<CellResult>& cells) {
   os << runner::TrialAggregate::csv_header() << "\n";
   for (const CellResult* r : ordered) {
     if (!r->ok) continue;  // failed cells have no aggregate columns
-    os << parse_agg_json(r->agg_json).to_csv_row(r->cell.key()) << "\n";
+    os << runner::TrialAggregate::from_json(r->agg_json)
+              .to_csv_row(r->cell.key())
+       << "\n";
   }
   return os.str();
 }

@@ -68,9 +68,24 @@ namespace fnr::campaign {
 inline constexpr int kSweepSchemaVersion = 1;
 [[nodiscard]] std::string sweep_schema_tag();
 
-/// Default graph-cache slots — also the capacity the merged report's
-/// canonical "cache" block is simulated at (see to_json).
+/// Generated-topology cache slots (graphs are keyed by
+/// SweepCell::graph_key(); eviction is least-recently-used) — also the
+/// capacity the merged report's canonical "cache" block is simulated at
+/// (see to_json). Each graph is released after the last cell that needs
+/// it, so the capacity only matters while a key still has cells to run.
+/// At threads == 1 cells run in canonical grid order, which revisits each
+/// key once per program × scenario block: a capacity below the
+/// distinct-key count would regenerate graphs once per block. 12 covers
+/// every predefined spec's distinct keys.
 inline constexpr std::size_t kDefaultGraphCacheCapacity = 12;
+
+/// A cell with at least 2 × this many trials may be split into trial
+/// shards (each worth at least this many trials) that run on different
+/// workers and merge through TrialAccumulator — so one monster cell
+/// cannot serialize a parallel campaign's tail. When the grid has fewer
+/// cells than workers the floor drops to one trial, so a small grid
+/// still fills the pool.
+inline constexpr std::uint64_t kMinShardTrials = 32;
 
 struct CampaignOptions {
   /// Threads for the whole run: the cell executor's worker-pool size, each
@@ -80,13 +95,6 @@ struct CampaignOptions {
   /// staged and flushed in canonical grid order regardless of completion
   /// order.
   unsigned threads = 0;
-  /// A cell with at least 2 × this many trials may be split into trial
-  /// shards (each worth at least this many trials) that run on different
-  /// workers and merge through TrialAccumulator — so one monster cell
-  /// cannot serialize a parallel campaign's tail. When the grid has fewer
-  /// cells than workers the floor drops to one trial, so a small grid
-  /// still fills the pool.
-  std::uint64_t min_shard_trials = 32;
   /// This campaign owns grid cells with index % shard_count == shard_index.
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
@@ -99,15 +107,6 @@ struct CampaignOptions {
   /// use this as a deterministic "kill mid-campaign"; the daemon exposes it
   /// per SUBMIT for the same purpose.
   std::uint64_t max_cells = 0;
-  /// Generated-topology cache slots (graphs are keyed by
-  /// SweepCell::graph_key(); eviction is least-recently-used). Each graph
-  /// is released after the last cell that needs it, so the capacity only
-  /// matters while a key still has cells to run. At threads == 1 cells run
-  /// in canonical grid order, which revisits each key once per program ×
-  /// scenario block: a capacity below the distinct-key count would
-  /// regenerate graphs once per block. The default covers every
-  /// predefined spec's distinct keys.
-  std::size_t graph_cache_capacity = kDefaultGraphCacheCapacity;
   /// Per-cell progress lines (nullptr = silent).
   std::ostream* progress = nullptr;
 };
@@ -117,7 +116,7 @@ struct CampaignOptions {
 struct CellResult {
   sweep::SweepCell cell;
   bool ok = true;
-  std::string error;     ///< sanitized CheckError text when !ok
+  std::string error;     ///< the CheckError text when !ok
   std::string agg_json;  ///< empty when !ok
   double seconds = 0.0;  ///< wall-clock, informational (checkpoint only)
   /// Work summed over all trials of this cell: rounds executed, agent

@@ -125,15 +125,13 @@ GraphKeys index_graph_keys(const std::vector<SweepCell>& cells) {
 
 /// How many shards a cell of `trials` trials splits into when `cells`
 /// cells share `workers` workers: at most one per worker, and only when
-/// each gets at least `min_shard_trials` trials (0 disables splitting). A
-/// grid with fewer cells than workers cannot fill the pool with whole
-/// cells, so its floor drops to one trial. A pure function of its
-/// arguments, never of timing — and shards are invisible in the merged
-/// bytes either way.
+/// each gets at least kMinShardTrials trials. A grid with fewer cells than
+/// workers cannot fill the pool with whole cells, so its floor drops to
+/// one trial. A pure function of its arguments, never of timing — and
+/// shards are invisible in the merged bytes either way.
 std::uint64_t shard_count(std::uint64_t trials, unsigned workers,
-                          std::size_t cells, std::uint64_t min_shard_trials) {
-  if (min_shard_trials == 0) return 1;
-  const std::uint64_t floor = cells < workers ? 1 : min_shard_trials;
+                          std::size_t cells) {
+  const std::uint64_t floor = cells < workers ? 1 : kMinShardTrials;
   if (trials < 2 * floor) return 1;
   return std::min<std::uint64_t>(workers, trials / floor);
 }
@@ -257,7 +255,7 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
                                 const std::function<void(CellResult&&)>& emit,
                                 const std::atomic<bool>& cancel) {
   ExecutorStats stats;
-  GraphCache cache(options_.graph_cache_capacity);
+  GraphCache cache(kDefaultGraphCacheCapacity);
 
   unsigned threads = options_.threads;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
@@ -322,8 +320,7 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
   std::vector<QueuedUnit> queue;
   for (std::size_t slot = 0; slot < limit; ++slot) {
     const SweepCell& cell = cells[slot];
-    const std::uint64_t shards =
-        shard_count(cell.trials, threads, limit, options_.min_shard_trials);
+    const std::uint64_t shards = shard_count(cell.trials, threads, limit);
     CellState& state = states[slot];
     state.shard_count = shards;
     state.remaining.store(shards, std::memory_order_relaxed);

@@ -63,15 +63,11 @@ struct ExecutorOptions {
   /// Worker threads, each running one unit's trials on one thread:
   /// 1 = inline on the calling thread, 0 = hardware threads.
   unsigned threads = 0;
-  /// Split threshold: a cell with >= 2 × this many trials may shard (the
-  /// floor drops to 1 trial when the grid has fewer cells than workers).
-  std::uint64_t min_shard_trials = 32;
   /// Run only the first N cells of the run (0 = no limit). Restricting
   /// the *schedulable set* — rather than counting starts in completion
   /// order — keeps the executed set identical to the sequential path at
   /// any thread count, and means a paused campaign never discards work.
   std::uint64_t max_cells = 0;
-  std::size_t graph_cache_capacity = 12;
 };
 
 /// Telemetry of one CellExecutor::run (feeds CampaignRun).

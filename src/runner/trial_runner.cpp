@@ -6,8 +6,10 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace fnr::runner {
@@ -138,34 +140,90 @@ std::string TrialAggregate::to_csv_row(const std::string& label) const {
   return os.str();
 }
 
+namespace {
+
+// The aggregate JSON's two nested blocks, in emission order: to_json and
+// from_json both walk these tables.
+constexpr std::pair<const char*, double Summary::*> kRoundStats[] = {
+    {"mean", &Summary::mean}, {"median", &Summary::median},
+    {"p90", &Summary::p90},   {"p95", &Summary::p95},
+    {"min", &Summary::min},   {"max", &Summary::max}};
+using fault::FaultStats;
+constexpr std::pair<const char*, std::uint64_t FaultStats::*> kFaultCounters[] =
+    {{"crashes", &FaultStats::crashes},
+     {"restarts", &FaultStats::restarts},
+     {"writes_dropped", &FaultStats::writes_dropped},
+     {"wipes", &FaultStats::wipes},
+     {"stale_reads", &FaultStats::stale_reads},
+     {"moves_blocked", &FaultStats::moves_blocked}};
+
+/// The member of `block` that `table` maps `name` to.
+template <typename T, typename Block, std::size_t N>
+T& member(Block& block, const std::pair<const char*, T Block::*> (&table)[N],
+          const std::string& name) {
+  for (const auto& [key, field] : table)
+    if (name == key) return block.*field;
+  FNR_CHECK_MSG(false, "trial aggregate: unknown field '" << name << "'");
+  throw std::logic_error("unreachable");
+}
+
+}  // namespace
+
 std::string TrialAggregate::to_json() const {
-  std::ostringstream os;
-  os << "{\"trials\":" << trials << ",\"successes\":" << successes
-     << ",\"failures\":" << failures
-     << ",\"success_rate\":" << format_double(success_rate, 4)
-     << ",\"rounds\":{\"mean\":" << format_double(rounds.mean, 2)
-     << ",\"median\":" << format_double(rounds.median, 2)
-     << ",\"p90\":" << format_double(rounds.p90, 2)
-     << ",\"p95\":" << format_double(rounds.p95, 2)
-     << ",\"min\":" << format_double(rounds.min, 2)
-     << ",\"max\":" << format_double(rounds.max, 2) << "}"
-     << ",\"mean_gathered\":" << format_double(mean_gathered, 2)
-     << ",\"total_marks\":" << total_marks
-     << ",\"mean_marks\":" << format_double(mean_marks, 2)
-     << ",\"mean_moves_a\":" << format_double(mean_moves_a, 2)
-     << ",\"mean_moves_b\":" << format_double(mean_moves_b, 2);
+  JsonWriter json;
+  json.begin_object()
+      .key("trials").uint64(trials)
+      .key("successes").uint64(successes)
+      .key("failures").uint64(failures)
+      .key("success_rate").number(success_rate, 4)
+      .key("rounds").begin_object();
+  for (const auto& [name, stat] : kRoundStats)
+    json.key(name).number(rounds.*stat, 2);
+  json.end_object()
+      .key("mean_gathered").number(mean_gathered, 2)
+      .key("total_marks").uint64(total_marks)
+      .key("mean_marks").number(mean_marks, 2)
+      .key("mean_moves_a").number(mean_moves_a, 2)
+      .key("mean_moves_b").number(mean_moves_b, 2);
   // Emitted only when any injection actually fired: fault-free aggregates
   // keep the exact bytes they had before the fault layer existed.
   if (fault_totals.any()) {
-    os << ",\"faults\":{\"crashes\":" << fault_totals.crashes
-       << ",\"restarts\":" << fault_totals.restarts
-       << ",\"writes_dropped\":" << fault_totals.writes_dropped
-       << ",\"wipes\":" << fault_totals.wipes
-       << ",\"stale_reads\":" << fault_totals.stale_reads
-       << ",\"moves_blocked\":" << fault_totals.moves_blocked << "}";
+    json.key("faults").begin_object();
+    for (const auto& [name, counter] : kFaultCounters)
+      json.key(name).uint64(fault_totals.*counter);
+    json.end_object();
   }
-  os << "}";
-  return os.str();
+  return json.end_object().str();
+}
+
+TrialAggregate TrialAggregate::from_json(const std::string& json) {
+  JsonCursor cursor(json, "trial aggregate");
+  TrialAggregate agg;
+  cursor.object([&](const std::string& field) {
+    if (field == "trials") agg.trials = cursor.parse_uint64();
+    else if (field == "successes") agg.successes = cursor.parse_uint64();
+    else if (field == "failures") agg.failures = cursor.parse_uint64();
+    else if (field == "success_rate") agg.success_rate = cursor.parse_number();
+    else if (field == "mean_gathered")
+      agg.mean_gathered = cursor.parse_number();
+    else if (field == "total_marks") agg.total_marks = cursor.parse_uint64();
+    else if (field == "mean_marks") agg.mean_marks = cursor.parse_number();
+    else if (field == "mean_moves_a") agg.mean_moves_a = cursor.parse_number();
+    else if (field == "mean_moves_b") agg.mean_moves_b = cursor.parse_number();
+    else if (field == "rounds")
+      cursor.object([&](const std::string& stat) {
+        member(agg.rounds, kRoundStats, stat) = cursor.parse_number();
+      });
+    else if (field == "faults")
+      cursor.object([&](const std::string& counter) {
+        member(agg.fault_totals, kFaultCounters, counter) =
+            cursor.parse_uint64();
+      });
+    else
+      FNR_CHECK_MSG(false, "trial aggregate: unknown field '" << field << "'");
+  });
+  cursor.expect_end();
+  return agg;
 }
 
 TrialRunner::TrialRunner(RunnerOptions options) {

@@ -82,6 +82,9 @@ struct TrialAggregate {
   [[nodiscard]] std::string to_csv_row(const std::string& label) const;
   /// Single-object JSON (stable key order, machine-diffable).
   [[nodiscard]] std::string to_json() const;
+  /// The reverse of to_json, except Summary::count, which the JSON does
+  /// not record. Throws CheckError on malformed JSON or an unknown field.
+  [[nodiscard]] static TrialAggregate from_json(const std::string& json);
 };
 
 /// Mergeable accumulator of trial outcomes.

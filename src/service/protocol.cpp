@@ -1,6 +1,6 @@
 #include "service/protocol.hpp"
 
-#include <sstream>
+#include <optional>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -26,10 +26,10 @@ Verb parse_verb(const std::string& name) {
   if (name == "cancel") return Verb::Cancel;
   if (name == "resume") return Verb::Resume;
   if (name == "report") return Verb::Report;
-  FNR_CHECK_MSG(false, "fnrd request: unknown verb '"
-                           << name
-                           << "'; expected submit, status, stream, cancel, "
-                              "resume, or report");
+  FNR_REQUIRE(false, "fnrd request: unknown verb '"
+                         << name
+                         << "'; expected submit, status, stream, cancel, "
+                            "resume, or report");
   throw std::logic_error("unreachable");
 }
 
@@ -45,29 +45,20 @@ bool valid_campaign_name(const std::string& name) {
 }
 
 std::string serialize_request(const Request& request) {
-  std::ostringstream os;
-  os << "{\"verb\":\"" << to_string(request.verb) << "\"";
-  if (!request.campaign.empty())
-    os << ",\"campaign\":\"" << json_escape(request.campaign) << "\"";
-  if (!request.spec_text.empty())
-    os << ",\"spec\":\"" << json_escape(request.spec_text) << "\"";
-  if (request.trials != 0) os << ",\"trials\":" << request.trials;
-  if (request.max_cells != 0) os << ",\"max_cells\":" << request.max_cells;
-  os << "}";
-  return os.str();
+  JsonWriter json;
+  json.begin_object().key("verb").string(to_string(request.verb));
+  if (!request.campaign.empty()) json.key("campaign").string(request.campaign);
+  if (!request.spec_text.empty()) json.key("spec").string(request.spec_text);
+  if (request.trials != 0) json.key("trials").uint64(request.trials);
+  if (request.max_cells != 0) json.key("max_cells").uint64(request.max_cells);
+  return json.end_object().str();
 }
 
 Request parse_request(const std::string& payload) {
   JsonCursor cursor(payload, "fnrd request");
   Request request;
   bool have_verb = false;
-  cursor.expect('{');
-  bool first = true;
-  while (!cursor.peek_is('}')) {
-    if (!first) cursor.expect(',');
-    first = false;
-    const std::string field = cursor.parse_string();
-    cursor.expect(':');
+  cursor.object([&](const std::string& field) {
     if (field == "verb") {
       request.verb = parse_verb(cursor.parse_string());
       have_verb = true;
@@ -87,8 +78,7 @@ Request parse_request(const std::string& payload) {
       FNR_CHECK_MSG(false,
                     "fnrd request: unknown field '" << field << "'");
     }
-  }
-  cursor.expect('}');
+  });
   cursor.expect_end();
   FNR_CHECK_MSG(have_verb, "fnrd request: missing 'verb'");
   if (request.verb == Verb::Status) {
@@ -110,64 +100,94 @@ Request parse_request(const std::string& payload) {
   return request;
 }
 
+std::string response_type(const std::string& payload) {
+  JsonCursor cursor(payload, "fnrd response");
+  cursor.expect('{');
+  FNR_CHECK_MSG(cursor.parse_string() == "type",
+                "fnrd response: expected leading 'type'");
+  cursor.expect(':');
+  return cursor.parse_string();
+}
+
+std::string response_field(const std::string& payload,
+                           const std::string& name) {
+  JsonCursor cursor(payload, "fnrd response");
+  std::optional<std::string> value;
+  cursor.object([&](const std::string& field) {
+    if (field == name)
+      value = cursor.capture_value();
+    else
+      cursor.skip_value();
+  });
+  FNR_CHECK_MSG(value.has_value(),
+                "fnrd response has no '" << name << "' field");
+  return *value;
+}
+
+namespace {
+
+/// A response object opened with its "type" and "campaign" fields, which
+/// every response but "error" leads with.
+JsonWriter response(const char* type, const std::string& campaign) {
+  JsonWriter json;
+  json.begin_object().key("type").string(type).key("campaign").string(campaign);
+  return json;
+}
+
+}  // namespace
+
 std::string error_response(const std::string& message) {
-  return "{\"type\":\"error\",\"message\":\"" + json_escape(message) + "\"}";
+  JsonWriter json;
+  json.begin_object().key("type").string("error");
+  return json.key("message").string(message).end_object().str();
 }
 
 std::string submitted_response(const std::string& campaign,
                                std::uint64_t cells) {
-  std::ostringstream os;
-  os << "{\"type\":\"submitted\",\"campaign\":\"" << json_escape(campaign)
-     << "\",\"cells\":" << cells << "}";
-  return os.str();
+  return response("submitted", campaign).key("cells").uint64(cells)
+      .end_object().str();
 }
 
 std::string status_response(const std::string& campaign,
                             const std::string& state, std::uint64_t done,
                             std::uint64_t total) {
-  std::ostringstream os;
-  os << "{\"type\":\"status\",\"campaign\":\"" << json_escape(campaign)
-     << "\",\"state\":\"" << state << "\",\"done\":" << done
-     << ",\"total\":" << total << "}";
-  return os.str();
+  return response("status", campaign)
+      .key("state").string(state)
+      .key("done").uint64(done)
+      .key("total").uint64(total)
+      .end_object().str();
 }
 
 std::string cell_response(const std::string& campaign, const std::string& key,
                           bool ok, const std::string& agg_json,
                           const std::string& error) {
-  std::ostringstream os;
-  os << "{\"type\":\"cell\",\"campaign\":\"" << json_escape(campaign)
-     << "\",\"key\":\"" << json_escape(key)
-     << "\",\"ok\":" << (ok ? "true" : "false");
-  if (ok) {
-    os << ",\"agg\":" << agg_json;
-  } else {
-    os << ",\"error\":\"" << json_escape(error) << "\"";
-  }
-  os << "}";
-  return os.str();
+  JsonWriter json = response("cell", campaign);
+  json.key("key").string(key).key("ok").boolean(ok);
+  if (ok)
+    json.key("agg").raw(agg_json);
+  else
+    json.key("error").string(error);
+  return json.end_object().str();
 }
 
 std::string end_response(const std::string& campaign,
                          const std::string& state) {
-  return "{\"type\":\"end\",\"campaign\":\"" + json_escape(campaign) +
-         "\",\"state\":\"" + state + "\"}";
+  return response("end", campaign).key("state").string(state)
+      .end_object().str();
 }
 
 std::string report_response(const std::string& campaign,
                             const std::string& report_json) {
-  return "{\"type\":\"report\",\"campaign\":\"" + json_escape(campaign) +
-         "\",\"report\":" + report_json + "}";
+  return response("report", campaign).key("report").raw(report_json)
+      .end_object().str();
 }
 
 std::string cancelled_response(const std::string& campaign) {
-  return "{\"type\":\"cancelled\",\"campaign\":\"" + json_escape(campaign) +
-         "\"}";
+  return response("cancelled", campaign).end_object().str();
 }
 
 std::string resumed_response(const std::string& campaign) {
-  return "{\"type\":\"resumed\",\"campaign\":\"" + json_escape(campaign) +
-         "\"}";
+  return response("resumed", campaign).end_object().str();
 }
 
 }  // namespace fnr::service

@@ -19,10 +19,11 @@
 // client that reconnects after a disconnect or a daemon restart always
 // sees the full, deterministic result set.
 //
-// Spec text and error messages pass through json_escape (arbitrary bytes
-// survive the wire); cell keys and aggregate JSON are emitted verbatim —
-// they are already inside the no-escape subset, and their bytes are the
-// determinism contract.
+// Every payload is written by util/json's JsonWriter, so every string in
+// it (spec text, campaign name, cell key, error message) is escaped and
+// parses back byte for byte; only JSON values (a cell's aggregate, the
+// merged report) are embedded verbatim, because their bytes are the
+// determinism contract. Requests and responses are read by JsonCursor.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +63,17 @@ struct Request {
 /// frames and old clients keep working.
 [[nodiscard]] Request parse_request(const std::string& payload);
 
-// --- response payload builders ----------------------------------------------
+// --- responses ---------------------------------------------------------------
+
+/// The "type" of a response payload, which every builder below emits
+/// first. Throws CheckError on a malformed payload.
+[[nodiscard]] std::string response_type(const std::string& payload);
+
+/// The verbatim value bytes of field `name` of a response payload (a
+/// string field keeps its quotes). Throws CheckError on a malformed
+/// payload or a missing field.
+[[nodiscard]] std::string response_field(const std::string& payload,
+                                         const std::string& name);
 
 [[nodiscard]] std::string error_response(const std::string& message);
 [[nodiscard]] std::string submitted_response(const std::string& campaign,
@@ -72,8 +83,8 @@ struct Request {
                                           const std::string& state,
                                           std::uint64_t done,
                                           std::uint64_t total);
-/// One streamed cell: key verbatim, ok flag, then either the aggregate
-/// bytes verbatim or the escaped error text.
+/// One streamed cell: key, ok flag, then either the aggregate bytes
+/// verbatim or the error text.
 [[nodiscard]] std::string cell_response(const std::string& campaign,
                                         const std::string& key, bool ok,
                                         const std::string& agg_json,

@@ -83,9 +83,6 @@ class ScriptedAgent : public Agent {
     for (const auto v : hops) plan_move(v);
   }
 
-  /// One round: write the current whiteboard, stay.
-  void plan_write(std::uint64_t value) { ops_.push_back(Op{{}, value, {}}); }
-
   /// One round: write the current whiteboard and move to `v`.
   void plan_write_and_move(std::uint64_t value, graph::VertexId v) {
     ops_.push_back(Op{v, value, {}});

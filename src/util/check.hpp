@@ -3,6 +3,7 @@
 // FNR_CHECK is used for conditions that must hold regardless of build type
 // (configuration errors, violated preconditions of public API calls). It
 // throws std::logic_error so callers and tests can observe the failure.
+// FNR_REQUIRE is the same for user input, with the plain message only.
 // FNR_ASSERT is a debug-only internal sanity check.
 #pragma once
 
@@ -45,6 +46,18 @@ namespace detail {
       fnr_check_os << msg;                                            \
       ::fnr::detail::check_failed(#expr, __FILE__, __LINE__,          \
                                   fnr_check_os.str());                \
+    }                                                                 \
+  } while (false)
+
+/// FNR_CHECK_MSG for user-input errors (a bad or missing flag): the
+/// CheckError carries the plain message, without the check expression or
+/// source location, which would only be noise to the user.
+#define FNR_REQUIRE(expr, msg)                                        \
+  do {                                                                \
+    if (!(expr)) {                                                    \
+      std::ostringstream fnr_check_os;                                \
+      fnr_check_os << msg;                                            \
+      throw ::fnr::CheckError(fnr_check_os.str());                    \
     }                                                                 \
   } while (false)
 

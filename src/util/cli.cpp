@@ -23,11 +23,21 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) {
+std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback,
+                          std::int64_t min, std::int64_t max) {
   declared_.insert(name);
   const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return parse_int64(it->second, "option --" + name);
+  const std::int64_t value =
+      it == values_.end() ? fallback
+                          : parse_int64(it->second, "option --" + name);
+  FNR_REQUIRE(value >= min && value <= max,
+              "--" << name << " must be "
+                   << (max == std::numeric_limits<std::int64_t>::max()
+                           ? ">= " + std::to_string(min)
+                           : "in [" + std::to_string(min) + ", " +
+                                 std::to_string(max) + "]")
+                   << ", got " << value);
+  return value;
 }
 
 double Cli::get_double(const std::string& name, double fallback) {

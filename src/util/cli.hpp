@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -23,9 +24,14 @@ class Cli {
 
   /// Declares an option and returns its value (or `fallback` if absent).
   /// Throws CheckError on an empty value, trailing garbage, or a value that
-  /// overflows a 64-bit integer (no silent clamping to LLONG_MAX/MIN).
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback);
+  /// overflows a 64-bit integer (no silent clamping to LLONG_MAX/MIN), and
+  /// with a plain message naming the flag and its range on a value outside
+  /// [min, max] ("--threads must be in [0, 4096], got -1"; "--reps must be
+  /// >= 1, got 0" when there is no upper bound).
+  [[nodiscard]] std::int64_t get_int(
+      const std::string& name, std::int64_t fallback,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max());
   /// Same contract for doubles (empty, malformed, and ERANGE values throw).
   [[nodiscard]] double get_double(const std::string& name, double fallback);
   [[nodiscard]] std::string get_string(const std::string& name,

@@ -4,11 +4,13 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "util/table.hpp"
+
 namespace fnr {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+namespace {
+
+void append_escaped(std::string& out, std::string_view text) {
   for (const char raw : text) {
     const auto c = static_cast<unsigned char>(raw);
     switch (c) {
@@ -28,7 +30,66 @@ std::string json_escape(std::string_view text) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
+}
+
+void JsonWriter::separate() {
+  if (comma_) out_.push_back(',');
+  comma_ = true;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  separate();
+  out_.push_back(bracket);
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  out_.push_back(bracket);
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  string(name);
+  out_.push_back(':');
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view text) {
+  separate();
+  out_.push_back('"');
+  append_escaped(out_, text);
+  out_.push_back('"');
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  separate();
+  out_.append(json);
+  return *this;
+}
+
+JsonWriter& JsonWriter::uint64(std::uint64_t value) {
+  return raw(std::to_string(value));
+}
+
+JsonWriter& JsonWriter::number(double value, int digits) {
+  return raw(format_double(value, digits));
+}
+
+JsonWriter& JsonWriter::boolean(bool value) {
+  return raw(value ? "true" : "false");
 }
 
 std::string JsonCursor::parse_string() {
@@ -129,28 +190,20 @@ void JsonCursor::skip_value() {
     (void)parse_string();
     return;
   }
-  if (*p_ == '{') {
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      (void)parse_string();
-      expect(':');
-      skip_value();
+  if (*p_ == '{' || *p_ == '[') {
+    FNR_CHECK_MSG(++depth_ <= kMaxDepth,
+                  context_ << ": values nested deeper than " << kMaxDepth);
+    if (*p_ == '{') {
+      object([this](const std::string&) { skip_value(); });
+    } else {
+      expect('[');
+      if (!consume(']')) {
+        do skip_value();
+        while (consume(','));
+        expect(']');
+      }
     }
-    expect('}');
-    return;
-  }
-  if (*p_ == '[') {
-    expect('[');
-    bool first = true;
-    while (!peek_is(']')) {
-      if (!first) expect(',');
-      first = false;
-      skip_value();
-    }
-    expect(']');
+    --depth_;
     return;
   }
   if (*p_ == 't' || *p_ == 'f') {

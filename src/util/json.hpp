@@ -1,15 +1,11 @@
-// Minimal recursive-descent cursor over the JSON subset our artifacts use
-// (objects, arrays, strings with the simple escapes, plain numbers,
-// booleans).
-//
-// This is deliberately not a general JSON library: the sweep engine and the
-// fnrd wire protocol emit fixed schemas and parse only each other's output,
-// so the cursor rejects anything outside that subset instead of silently
-// accepting it. Report/checkpoint emitters stay inside the historical
-// no-escape subset (their bytes are pinned by the resume contract); the
-// wire protocol carries arbitrary text (spec files, error messages)
-// through json_escape, whose escapes parse_string decodes.
-// Shared by src/sweep/, src/campaign/, and src/service/.
+// The one JSON codec of every artifact: merged sweep reports, checkpoint
+// lines, fnrd frames and the benches' --json lines. JsonWriter is the one
+// emitter: it puts the commas in itself and escapes every string through
+// json_escape, so any text round-trips byte for byte. JsonCursor is the
+// one reader: a recursive-descent cursor over what the writer emits
+// (objects, arrays, escaped strings, plain numbers, booleans), whose
+// object() is the one field loop. Each reader parses a fixed schema and
+// rejects anything else with a CheckError that names its context.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +21,42 @@ namespace fnr {
 /// any other byte below 0x20 becomes \u00XX. The inverse of what
 /// JsonCursor::parse_string decodes.
 [[nodiscard]] std::string json_escape(std::string_view text);
+
+/// Streaming, compact JSON writer whose members chain:
+/// `json.begin_object().key("ok").boolean(true).end_object().str()` is
+/// `{"ok":true}`.
+class JsonWriter {
+ public:
+  /// Room for a whole aggregate or frame: one allocation per artifact.
+  JsonWriter() { out_.reserve(512); }
+
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+  /// An object key (escaped); the next call writes its value.
+  JsonWriter& key(std::string_view name);
+  /// A string value, escaped by json_escape.
+  JsonWriter& string(std::string_view text);
+  /// Bytes that already are one JSON value (an aggregate, a report).
+  JsonWriter& raw(std::string_view json);
+  JsonWriter& uint64(std::uint64_t value);
+  /// A number formatted by format_double(value, digits).
+  JsonWriter& number(double value, int digits);
+  JsonWriter& boolean(bool value);
+
+  [[nodiscard]] const std::string& str() const noexcept { return out_; }
+
+ private:
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+  /// A comma before a value or key, unless it opens its container or
+  /// follows its key.
+  void separate();
+
+  std::string out_;
+  bool comma_ = false;
+};
 
 class JsonCursor {
  public:
@@ -65,6 +97,21 @@ class JsonCursor {
 
   [[nodiscard]] std::string parse_string();
 
+  /// Walks one object: for each field calls on_field(name), which must
+  /// consume the field's value (and may throw on an unknown name). Accepts
+  /// `{}` and `{"a":v,"b":v}`, nothing else.
+  template <typename Fn>
+  void object(Fn&& on_field) {
+    expect('{');
+    if (consume('}')) return;
+    do {
+      const std::string name = parse_string();
+      expect(':');
+      on_field(name);
+    } while (consume(','));
+    expect('}');
+  }
+
   [[nodiscard]] double parse_number();
 
   /// Integer fields must round-trip exactly (strtod would lose precision
@@ -74,7 +121,8 @@ class JsonCursor {
   [[nodiscard]] bool parse_bool();
 
   /// Skips one value of any supported kind (used to preserve a field
-  /// verbatim without interpreting it).
+  /// verbatim without interpreting it). Containers nested deeper than
+  /// kMaxDepth throw rather than recurse until the stack overflows.
   void skip_value();
 
   /// Skips one value and returns its exact source bytes (no leading or
@@ -93,9 +141,13 @@ class JsonCursor {
   }
 
  private:
+  /// Deeper than any artifact's schema (a report inside a frame is 5).
+  static constexpr int kMaxDepth = 64;
+
   std::string context_;
   const char* p_;
   const char* end_;
+  int depth_ = 0;  ///< containers skip_value is inside
 };
 
 }  // namespace fnr

@@ -345,7 +345,7 @@ TEST(SweepCheckpoint, RoundTripsOkAndFailedCells) {
   CellResult failed_cell;
   failed_cell.cell = grid[1];
   failed_cell.ok = false;
-  failed_cell.error = "check failed: \"quoted\" and\nnewlined";
+  failed_cell.error = "check failed: \"quoted\", back\\slash and\nnewlined";
   const TempPath path("sweep_ckpt_roundtrip.jsonl");
   {
     std::ofstream out(path.str());
@@ -360,7 +360,7 @@ TEST(SweepCheckpoint, RoundTripsOkAndFailedCells) {
   EXPECT_DOUBLE_EQ(ok_entry.seconds, 0.25);
   const auto& failed_entry = loaded.at(grid[1].key());
   EXPECT_FALSE(failed_entry.ok);
-  EXPECT_EQ(failed_entry.error.find('"'), std::string::npos);  // sanitized
+  EXPECT_EQ(failed_entry.error, failed_cell.error);  // exact bytes
 }
 
 TEST(SweepCheckpoint, ToleratesTornFinalLine) {

@@ -1,17 +1,24 @@
-// TrialAccumulator emission round-trips and merge robustness.
+// TrialAccumulator emission round-trips and merge robustness, plus the
+// byte pins of every JSON artifact.
 //
 // CSV and JSON rows are consumed by scripts and dashboards; this suite
 // parses exactly what we emit and checks every field against the aggregate
 // it came from (integers exactly, doubles to the emitted precision). The
 // merge fuzz partitions one outcome multiset at random many times and
 // checks that any grouping and insertion order produces a bit-identical
-// aggregate.
+// aggregate. The byte pins hold the exact bytes of the aggregate, a
+// checkpoint line, a merged report, every fnrd response and a serialized
+// request for strings that need no escaping: resumed campaigns, old
+// checkpoints and fnrc all depend on those bytes never moving.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
+#include "service/protocol.hpp"
+#include "util/json.hpp"
 #include "test_support.hpp"
 
 namespace fnr::runner {
@@ -282,6 +289,184 @@ TEST(TrialIoRoundtrip, MergeFuzzAcrossRandomPartitions) {
       EXPECT_TRUE(bits_equal(left.aggregate(), reference_agg));
     }
   }
+}
+
+// --- byte pins ---------------------------------------------------------------
+
+/// A hand-set aggregate: every field distinct, so a swapped or dropped
+/// field shows in the pinned bytes.
+TrialAggregate pinned_aggregate(bool with_faults) {
+  TrialAggregate agg;
+  agg.trials = 40;
+  agg.successes = 31;
+  agg.failures = 9;
+  agg.success_rate = 0.775;
+  agg.rounds.mean = 123.456;
+  agg.rounds.median = 118;
+  agg.rounds.p90 = 201.25;
+  agg.rounds.p95 = 240.5;
+  agg.rounds.min = 7;
+  agg.rounds.max = 388;
+  agg.mean_gathered = 2;
+  agg.total_marks = 1234;
+  agg.mean_marks = 30.85;
+  agg.mean_moves_a = 99.125;
+  agg.mean_moves_b = 0;
+  if (with_faults) {
+    agg.fault_totals.crashes = 5;
+    agg.fault_totals.restarts = 4;
+    agg.fault_totals.writes_dropped = 3;
+    agg.fault_totals.wipes = 2;
+    agg.fault_totals.stale_reads = 1;
+    agg.fault_totals.moves_blocked = 17;
+  }
+  return agg;
+}
+
+constexpr const char* kPinnedFaultFreeAggregate = R"({"trials":40,"successes":31,"failures":9,"success_rate":0.775,"rounds":{"mean":123.46,"median":118,"p90":201.25,"p95":240.5,"min":7,"max":388},"mean_gathered":2,"total_marks":1234,"mean_marks":30.85,"mean_moves_a":99.12,"mean_moves_b":0})";
+constexpr const char* kPinnedFaultyAggregate = R"({"trials":40,"successes":31,"failures":9,"success_rate":0.775,"rounds":{"mean":123.46,"median":118,"p90":201.25,"p95":240.5,"min":7,"max":388},"mean_gathered":2,"total_marks":1234,"mean_marks":30.85,"mean_moves_a":99.12,"mean_moves_b":0,"faults":{"crashes":5,"restarts":4,"writes_dropped":3,"wipes":2,"stale_reads":1,"moves_blocked":17}})";
+
+TEST(JsonBytePins, AggregateWithAndWithoutFaultsBlock) {
+  EXPECT_EQ(pinned_aggregate(false).to_json(), kPinnedFaultFreeAggregate);
+  EXPECT_EQ(pinned_aggregate(true).to_json(), kPinnedFaultyAggregate);
+}
+
+/// Three cells: the fault-free control, a crash cell (ok, so the report
+/// carries its vs_fault_free block) and a churn cell that failed. The
+/// gathers and agents axes put the optional "gather" and "k" fields in.
+constexpr const char* kPinSpec = R"(
+name       = pin-report
+trials     = 4
+programs   = explore-rally
+scenarios  = swarm-gather
+topologies = ring
+sizes      = 16
+seeds      = 3
+gathers    = quorum?q=3
+agents     = 4
+faults     = none, crash?rate=0.05&downtime=4, churn?rate=0.1
+)";
+
+std::vector<campaign::CellResult> pinned_cells() {
+  const auto grid = sweep::expand(sweep::parse_spec(kPinSpec));
+  EXPECT_EQ(grid.size(), 3u);
+  std::vector<campaign::CellResult> cells(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) cells[i].cell = grid[i];
+  TrialAggregate control = pinned_aggregate(false);
+  control.rounds.mean = 80;
+  control.success_rate = 1;
+  cells[0].agg_json = control.to_json();
+  cells[0].seconds = 0.125;
+  cells[1].agg_json = pinned_aggregate(true).to_json();
+  cells[1].seconds = 1.5;
+  cells[2].ok = false;
+  cells[2].error = "graph too small for k = 4 at n = 16";
+  cells[2].seconds = 0.0625;
+  return cells;
+}
+
+constexpr const char* kPinnedOkCheckpointLine = R"({"key":"explore-rally|swarm-gather|ring|n=16|seed=3|trials=4|gather=quorum?q=3|k=4|fault=crash?downtime=4&rate=0.05","ok":true,"agg":{"trials":40,"successes":31,"failures":9,"success_rate":0.775,"rounds":{"mean":123.46,"median":118,"p90":201.25,"p95":240.5,"min":7,"max":388},"mean_gathered":2,"total_marks":1234,"mean_marks":30.85,"mean_moves_a":99.12,"mean_moves_b":0,"faults":{"crashes":5,"restarts":4,"writes_dropped":3,"wipes":2,"stale_reads":1,"moves_blocked":17}},"seconds":1.5})";
+constexpr const char* kPinnedFailedCheckpointLine = R"({"key":"explore-rally|swarm-gather|ring|n=16|seed=3|trials=4|gather=quorum?q=3|k=4|fault=churn?rate=0.1","ok":false,"error":"graph too small for k = 4 at n = 16","seconds":0.0625})";
+
+TEST(JsonBytePins, OkAndFailedCheckpointLines) {
+  const auto cells = pinned_cells();
+  EXPECT_EQ(campaign::checkpoint_line(cells[1]), kPinnedOkCheckpointLine);
+  EXPECT_EQ(campaign::checkpoint_line(cells[2]),
+            kPinnedFailedCheckpointLine);
+}
+
+constexpr const char* kPinnedReport = R"({
+  "schema": "fnr-sweep/1",
+  "spec": "pin-report",
+  "cache": {"lookups":3,"graph_keys":1,"hits":2,"misses":1,"evictions":0},
+  "cells": [
+    {"key":"explore-rally|swarm-gather|ring|n=16|seed=3|trials=4|gather=quorum?q=3|k=4","program":"explore-rally","scenario":"swarm-gather","topology":"ring","n":16,"achieved_n":16,"seed":3,"trials":4,"gather":"quorum?q=3","k":4,"ok":true,"agg":{"trials":40,"successes":31,"failures":9,"success_rate":1,"rounds":{"mean":80,"median":118,"p90":201.25,"p95":240.5,"min":7,"max":388},"mean_gathered":2,"total_marks":1234,"mean_marks":30.85,"mean_moves_a":99.12,"mean_moves_b":0}},
+    {"key":"explore-rally|swarm-gather|ring|n=16|seed=3|trials=4|gather=quorum?q=3|k=4|fault=crash?downtime=4&rate=0.05","program":"explore-rally","scenario":"swarm-gather","topology":"ring","n":16,"achieved_n":16,"seed":3,"trials":4,"gather":"quorum?q=3","k":4,"fault":"crash?downtime=4&rate=0.05","ok":true,"agg":{"trials":40,"successes":31,"failures":9,"success_rate":0.775,"rounds":{"mean":123.46,"median":118,"p90":201.25,"p95":240.5,"min":7,"max":388},"mean_gathered":2,"total_marks":1234,"mean_marks":30.85,"mean_moves_a":99.12,"mean_moves_b":0,"faults":{"crashes":5,"restarts":4,"writes_dropped":3,"wipes":2,"stale_reads":1,"moves_blocked":17}},"vs_fault_free":{"rounds_overhead":1.5433,"success_drop":0.225}},
+    {"key":"explore-rally|swarm-gather|ring|n=16|seed=3|trials=4|gather=quorum?q=3|k=4|fault=churn?rate=0.1","program":"explore-rally","scenario":"swarm-gather","topology":"ring","n":16,"achieved_n":16,"seed":3,"trials":4,"gather":"quorum?q=3","k":4,"fault":"churn?rate=0.1","ok":false,"error":"graph too small for k = 4 at n = 16"}
+  ]
+})";
+
+TEST(JsonBytePins, ReportWithAFaultCellsVsFaultFreeBlock) {
+  EXPECT_EQ(campaign::to_json(sweep::parse_spec(kPinSpec), pinned_cells()),
+            kPinnedReport);
+}
+
+TEST(JsonRoundTrip, HostileErrorAndSpecNameSurviveTheReport) {
+  // Quotes, backslashes and control characters are escaped, not rewritten:
+  // the report parses back to the exact strings.
+  const std::string error = "bad \"cell\"\\path\nline two\t\x01end";
+  auto spec = sweep::parse_spec(kPinSpec);
+  spec.name = "pin \"report\" \\ v2";
+  auto cells = pinned_cells();
+  cells[2].error = error;
+  const std::string report = campaign::to_json(spec, cells);
+  JsonCursor cursor(report, "report");
+  std::vector<std::string> errors;
+  std::string name;
+  cursor.object([&](const std::string& field) {
+    if (field == "spec") {
+      name = cursor.parse_string();
+    } else if (field == "cells") {
+      cursor.expect('[');
+      do {
+        cursor.object([&](const std::string& cell_field) {
+          if (cell_field == "error")
+            errors.push_back(cursor.parse_string());
+          else
+            cursor.skip_value();
+        });
+      } while (cursor.consume(','));
+      cursor.expect(']');
+    } else {
+      cursor.skip_value();
+    }
+  });
+  cursor.expect_end();
+  EXPECT_EQ(name, spec.name);
+  EXPECT_EQ(errors, std::vector<std::string>{error});
+}
+
+TEST(JsonBytePins, EveryWireResponse) {
+  using namespace service;
+  const std::string key = "whiteboard|sync-pair|ring|n=16";
+  const std::string agg = pinned_aggregate(false).to_json();
+  EXPECT_EQ(error_response("campaign 'x' is not known"),
+            R"({"type":"error","message":"campaign 'x' is not known"})");
+  EXPECT_EQ(submitted_response("smoke-1", 12),
+            R"({"type":"submitted","campaign":"smoke-1","cells":12})");
+  EXPECT_EQ(status_response("smoke-1", "running", 5, 12),
+            R"({"type":"status","campaign":"smoke-1","state":"running",)"
+            R"("done":5,"total":12})");
+  EXPECT_EQ(cell_response("smoke-1", key, true, agg, ""),
+            R"({"type":"cell","campaign":"smoke-1",)"
+            R"("key":"whiteboard|sync-pair|ring|n=16","ok":true,"agg":)" +
+                agg + "}");
+  EXPECT_EQ(cell_response("smoke-1", key, false, "", "cell failed: no graph"),
+            R"({"type":"cell","campaign":"smoke-1",)"
+            R"("key":"whiteboard|sync-pair|ring|n=16","ok":false,)"
+            R"("error":"cell failed: no graph"})");
+  EXPECT_EQ(end_response("smoke-1", "done"),
+            R"({"type":"end","campaign":"smoke-1","state":"done"})");
+  EXPECT_EQ(report_response("smoke-1", R"({"cells": []})"),
+            R"({"type":"report","campaign":"smoke-1","report":{"cells": []}})");
+  EXPECT_EQ(cancelled_response("smoke-1"),
+            R"({"type":"cancelled","campaign":"smoke-1"})");
+  EXPECT_EQ(resumed_response("smoke-1"),
+            R"({"type":"resumed","campaign":"smoke-1"})");
+}
+
+TEST(JsonBytePins, SerializedRequests) {
+  service::Request submit;
+  submit.verb = service::Verb::Submit;
+  submit.campaign = "smoke-1";
+  submit.spec_text = "name = tiny";
+  submit.trials = 8;
+  submit.max_cells = 3;
+  EXPECT_EQ(service::serialize_request(submit),
+            R"({"verb":"submit","campaign":"smoke-1","spec":"name = tiny",)"
+            R"("trials":8,"max_cells":3})");
+  const service::Request status;  // every optional field left out
+  EXPECT_EQ(service::serialize_request(status), R"({"verb":"status"})");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "../bench/bench_support.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -350,6 +351,139 @@ TEST(BenchConfig, DegenerateValuesCarryNoCheckTextAndNameTheFlag) {
   const auto config = bench::BenchConfig::from_cli(3, edge);
   EXPECT_EQ(config.reps, 1u);
   EXPECT_EQ(config.threads, 4096u);
+}
+
+TEST(Cli, BoundedIntegersThrowPlainMessagesNamingTheRange) {
+  const char* argv[] = {"prog", "--a=-1", "--b=3", "--c=0", "--d=7"};
+  Cli cli(5, argv);
+  const std::vector<std::pair<std::function<void()>, std::string>> cases = {
+      {[&] { (void)cli.get_int("a", 0, 0, 4096); },
+       "--a must be in [0, 4096], got -1"},
+      {[&] { (void)cli.get_int("b", 0, 0, 2); },
+       "--b must be in [0, 2], got 3"},
+      {[&] { (void)cli.get_int("c", 5, 1); }, "--c must be >= 1, got 0"}};
+  for (const auto& [call, message] : cases) {
+    try {
+      call();
+      ADD_FAILURE() << message << ": expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+  EXPECT_EQ(cli.get_int("d", 0, 7, 7), 7);  // bounds are inclusive
+  EXPECT_EQ(cli.get_int("absent", 3, 0, 4), 3);  // absent: the fallback
+}
+
+TEST(JsonWriter, PutsCommasAndColonsInItself) {
+  JsonWriter json;
+  json.begin_object()
+      .key("a").uint64(1)
+      .key("empty").begin_object().end_object()
+      .key("list").begin_array()
+      .uint64(2).begin_object().key("b").boolean(false).end_object()
+      .begin_array().end_array().string("s")
+      .end_array()
+      .key("raw").raw(R"({"x":[1,2]})")
+      .key("ok").boolean(true)
+      .end_object();
+  EXPECT_EQ(json.str(),
+            R"({"a":1,"empty":{},"list":[2,{"b":false},[],"s"],)"
+            R"("raw":{"x":[1,2]},"ok":true})");
+}
+
+TEST(JsonWriter, FormatsNumbersLikeFormatDouble) {
+  JsonWriter json;
+  json.begin_array()
+      .uint64(18446744073709551615ull)
+      .uint64(0)
+      .number(0.775, 4)
+      .number(123.456, 2)
+      .number(2.0, 2)
+      .number(1.5433333, 4)
+      .end_array();
+  EXPECT_EQ(json.str(), "[18446744073709551615,0,0.775,123.46,2,1.5433]");
+}
+
+TEST(JsonWriter, EscapesEveryStringAndKey) {
+  JsonWriter json;
+  json.begin_object()
+      .key("k\"ey").string("q\"b\\n\nt\t\x01")
+      .end_object();
+  EXPECT_EQ(json.str(), R"({"k\"ey":"q\"b\\n\nt\t\u0001"})");
+}
+
+TEST(JsonWriter, EveryByteRoundTripsThroughTheCursor) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all.push_back(static_cast<char>(c));
+  JsonWriter json;
+  json.begin_object().key(all).string(all).end_object();
+  JsonCursor cursor(json.str(), "round trip");
+  int fields = 0;
+  cursor.object([&](const std::string& field) {
+    EXPECT_EQ(field, all);
+    EXPECT_EQ(cursor.parse_string(), all);
+    ++fields;
+  });
+  cursor.expect_end();
+  EXPECT_EQ(fields, 1);
+}
+
+TEST(JsonCursor, ObjectWalksFieldsInOrder) {
+  const std::string text = R"( { "a" : 1 , "b":{"c":true}, "d":"x" } )";
+  JsonCursor cursor(text, "walk");
+  std::vector<std::string> seen;
+  cursor.object([&](const std::string& field) {
+    seen.push_back(field);
+    if (field == "b") {
+      cursor.object([&](const std::string& inner) {
+        seen.push_back(inner);
+        EXPECT_TRUE(cursor.parse_bool());
+      });
+    } else {
+      cursor.skip_value();
+    }
+  });
+  cursor.expect_end();
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b", "c", "d"}));
+
+  const std::string empty = "{}";
+  JsonCursor empty_cursor(empty, "walk");
+  empty_cursor.object([](const std::string&) { ADD_FAILURE(); });
+  empty_cursor.expect_end();
+}
+
+TEST(JsonCursor, ObjectRejectsMalformedObjectsNamingTheContext) {
+  for (const std::string text :
+       {R"({"a":1,})", R"({"a" 1})", R"({a:1})", R"({"a":1)", R"({,})",
+        R"([1])", R"({"a":1 "b":2})", ""}) {
+    JsonCursor cursor(text, "walk ctx");
+    try {
+      cursor.object([&](const std::string&) { cursor.skip_value(); });
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("walk ctx"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A callback that leaves the value unread fails at the next separator
+  // instead of looping.
+  const std::string text = R"({"a":1})";
+  JsonCursor cursor(text, "walk ctx");
+  EXPECT_THROW(cursor.object([](const std::string&) {}), CheckError);
+}
+
+TEST(BenchEmit, JsonLineIsOneWriterObject) {
+  bench::BenchConfig config;
+  config.json = true;
+  runner::TrialAggregate agg;
+  agg.trials = 2;
+  agg.successes = 2;
+  agg.success_rate = 1;
+  ::testing::internal::CaptureStdout();
+  bench::emit_aggregate(config, "n=256 \"dense\"", agg);
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            R"({"cell":"n=256 \"dense\"","aggregate":)" + agg.to_json() +
+                "}\n");
 }
 
 TEST(Cli, RejectsMalformedNumbers) {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -31,59 +32,28 @@
 #include "sweep/spec.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 
 namespace {
 
 using namespace fnr;
-
-/// Frame payloads all lead with "type" (protocol.cpp emits it first).
-std::string frame_type(const std::string& payload) {
-  JsonCursor cursor(payload, "fnrd response");
-  cursor.expect('{');
-  const std::string field = cursor.parse_string();
-  FNR_CHECK_MSG(field == "type", "fnrd response: expected leading 'type'");
-  cursor.expect(':');
-  return cursor.parse_string();
-}
-
-/// Extracts a field's verbatim value bytes from a response payload.
-std::string frame_field(const std::string& payload, const std::string& name) {
-  JsonCursor cursor(payload, "fnrd response");
-  cursor.expect('{');
-  bool first = true;
-  while (!cursor.peek_is('}')) {
-    if (!first) cursor.expect(',');
-    first = false;
-    const std::string field = cursor.parse_string();
-    cursor.expect(':');
-    if (field == name) return cursor.capture_value();
-    cursor.skip_value();
-  }
-  FNR_CHECK_MSG(false, "fnrd response has no '" << name << "' field");
-  throw std::logic_error("unreachable");
-}
 
 /// Resolves --spec for submit: predefined name first, then file contents.
 std::string resolve_spec_text(const std::string& name_or_path) {
   for (const auto& [name, text] : sweep::predefined_specs())
     if (name == name_or_path) return text;
   std::ifstream in(name_or_path);
-  FNR_CHECK_MSG(in.good(), "--spec '" << name_or_path
-                                      << "' is neither a predefined spec "
-                                         "nor a readable file");
+  FNR_REQUIRE(in.good(), "--spec '" << name_or_path
+                                    << "' is neither a predefined spec "
+                                       "nor a readable file");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
 
-/// Prints one response; error frames go to stderr and flip the exit code.
-bool print_frame(const std::string& payload) {
-  if (frame_type(payload) == "error") {
-    std::cerr << "fnrc: " << payload << "\n";
-    return false;
-  }
-  std::cout << payload << "\n";
+/// True, after printing it to stderr, when `payload` is an error frame.
+bool error_frame(const std::string& payload) {
+  if (service::response_type(payload) != "error") return false;
+  std::cerr << "fnrc: " << payload << "\n";
   return true;
 }
 
@@ -96,52 +66,42 @@ int main(int argc, char** argv) {
     const std::string verb_arg = cli.get_string("verb", "");
     const std::string campaign = cli.get_string("campaign", "");
     const std::string spec_arg = cli.get_string("spec", "");
-    const auto trials = cli.get_int("trials", 0);
-    const auto max_cells = cli.get_int("max-cells", 0);
-    const auto max_frames = cli.get_int("max-frames", 0);
-    const auto timeout_ms = cli.get_int("timeout-ms", 120'000);
+    const auto trials = cli.get_int("trials", 0, 0);
+    const auto max_cells = cli.get_int("max-cells", 0, 0);
+    const auto max_frames = cli.get_int("max-frames", 0, 0);
+    const int timeout = static_cast<int>(cli.get_int(
+        "timeout-ms", 120'000, 1, std::numeric_limits<int>::max()));
     const bool raw = cli.get_flag("raw");
     cli.reject_unknown();
-    FNR_CHECK_MSG(!socket_path.empty(), "--socket=PATH is required");
-    FNR_CHECK_MSG(!verb_arg.empty(), "--verb=VERB is required");
-    FNR_CHECK_MSG(trials >= 0 && max_cells >= 0 && max_frames >= 0 &&
-                      timeout_ms > 0,
-                  "numeric flags must be non-negative (timeout positive)");
+    FNR_REQUIRE(!socket_path.empty(), "--socket=PATH is required");
+    FNR_REQUIRE(!verb_arg.empty(), "--verb=VERB is required");
 
-    const int timeout = static_cast<int>(timeout_ms);
-    service::Connection connection(socket_path);
-
-    if (verb_arg == "wait") {
-      // Client-side convenience: poll STATUS until the campaign settles.
-      FNR_CHECK_MSG(!campaign.empty(), "wait needs --campaign");
-      service::Request status;
-      status.verb = service::Verb::Status;
-      status.campaign = campaign;
-      for (;;) {
-        connection.send(service::serialize_request(status));
-        const std::string payload = connection.recv(timeout);
-        if (frame_type(payload) == "error") {
-          std::cerr << "fnrc: " << payload << "\n";
-          return 1;
-        }
-        std::string state = frame_field(payload, "state");
-        if (state == "\"done\"" || state == "\"failed\"" ||
-            state == "\"cancelled\"" || state == "\"paused\"") {
-          std::cout << payload << "\n";
-          return state == "\"done\"" || state == "\"paused\"" ? 0 : 1;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    }
-
+    // Every flag is checked before the daemon is contacted. `wait` is
+    // client-side: it polls STATUS until the campaign settles.
+    const bool wait = verb_arg == "wait";
     service::Request request;
-    request.verb = service::parse_verb(verb_arg);
+    request.verb = wait ? service::Verb::Status : service::parse_verb(verb_arg);
     request.campaign = campaign;
+    FNR_REQUIRE(!wait || !campaign.empty(), "wait needs --campaign");
     if (request.verb == service::Verb::Submit) {
-      FNR_CHECK_MSG(!spec_arg.empty(), "submit needs --spec=NAME|PATH");
+      FNR_REQUIRE(!spec_arg.empty(), "submit needs --spec=NAME|PATH");
       request.spec_text = resolve_spec_text(spec_arg);
       request.trials = static_cast<std::uint64_t>(trials);
       request.max_cells = static_cast<std::uint64_t>(max_cells);
+    }
+    service::Connection connection(socket_path);
+
+    while (wait) {
+      connection.send(service::serialize_request(request));
+      const std::string payload = connection.recv(timeout);
+      if (error_frame(payload)) return 1;
+      const std::string state = service::response_field(payload, "state");
+      if (state == "\"done\"" || state == "\"failed\"" ||
+          state == "\"cancelled\"" || state == "\"paused\"") {
+        std::cout << payload << "\n";
+        return state == "\"done\"" || state == "\"paused\"" ? 0 : 1;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
     connection.send(service::serialize_request(request));
 
@@ -149,8 +109,9 @@ int main(int argc, char** argv) {
       std::int64_t received = 0;
       for (;;) {
         const std::string payload = connection.recv(timeout);
-        if (!print_frame(payload)) return 1;
-        if (frame_type(payload) == "end") return 0;
+        if (error_frame(payload)) return 1;
+        std::cout << payload << "\n";
+        if (service::response_type(payload) == "end") return 0;
         ++received;
         if (max_frames > 0 && received >= max_frames) {
           // Deliberate mid-stream disconnect (CI exercises that a dropped
@@ -162,16 +123,11 @@ int main(int argc, char** argv) {
     }
 
     const std::string payload = connection.recv(timeout);
-    if (frame_type(payload) == "error") {
-      std::cerr << "fnrc: " << payload << "\n";
-      return 1;
-    }
-    if (request.verb == service::Verb::Report && raw) {
-      // The merged report exactly as bench/sweep --out writes it.
-      std::cout << frame_field(payload, "report") << "\n";
-      return 0;
-    }
-    std::cout << payload << "\n";
+    if (error_frame(payload)) return 1;
+    // --raw: the merged report exactly as bench/sweep --out writes it.
+    const bool report = request.verb == service::Verb::Report && raw;
+    std::cout << (report ? service::response_field(payload, "report") : payload)
+              << "\n";
     return 0;
   } catch (const std::exception& error) {
     std::cerr << "fnrc: " << error.what() << "\n";

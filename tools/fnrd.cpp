@@ -44,26 +44,18 @@ int main(int argc, char** argv) {
     service::DaemonOptions options;
     options.socket_path = cli.get_string("socket", "");
     options.workdir = cli.get_string("workdir", ".");
-    const auto workers = cli.get_int("workers", 2);
-    FNR_CHECK_MSG(workers >= 1 && workers <= 256,
-                  "--workers must be in [1, 256], got " << workers);
-    options.workers = static_cast<unsigned>(workers);
-    const auto queue = cli.get_int("queue", 8);
-    FNR_CHECK_MSG(queue >= 1 && queue <= 4096,
-                  "--queue must be in [1, 4096], got " << queue);
-    options.queue_capacity = static_cast<std::size_t>(queue);
-    const auto threads = cli.get_int("threads", 0);
-    FNR_CHECK_MSG(threads >= 0 && threads <= 4096,
-                  "--threads must be in [0, 4096], got " << threads);
-    options.threads = static_cast<unsigned>(threads);
-    const auto client_buffer = cli.get_int("client-buffer", 4 << 20);
-    FNR_CHECK_MSG(client_buffer >= 4096,
-                  "--client-buffer must be >= 4096, got " << client_buffer);
-    options.max_client_buffer = static_cast<std::size_t>(client_buffer);
+    options.workers =
+        static_cast<unsigned>(cli.get_int("workers", 2, 1, 256));
+    options.queue_capacity =
+        static_cast<std::size_t>(cli.get_int("queue", 8, 1, 4096));
+    options.threads =
+        static_cast<unsigned>(cli.get_int("threads", 0, 0, 4096));
+    options.max_client_buffer =
+        static_cast<std::size_t>(cli.get_int("client-buffer", 4 << 20, 4096));
     const bool quiet = cli.get_flag("quiet");
     if (!quiet) options.log = &std::cerr;
     cli.reject_unknown();
-    FNR_CHECK_MSG(!options.socket_path.empty(), "--socket=PATH is required");
+    FNR_REQUIRE(!options.socket_path.empty(), "--socket=PATH is required");
 
     service::Daemon daemon(options);
     g_daemon.store(&daemon, std::memory_order_relaxed);
