@@ -26,18 +26,6 @@ std::string sweep_schema_tag() {
 GraphCache::GraphCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-const graph::Graph& GraphCache::get(const SweepCell& cell) {
-  // The cache's own entry keeps the graph alive after the temporary
-  // shared_ptr dies — same lifetime the reference always had (valid until
-  // eviction). Concurrent callers must use get_shared() and hold the pin.
-  return *get_shared(cell);
-}
-
-std::shared_ptr<const graph::Graph> GraphCache::get_shared(
-    const SweepCell& cell) {
-  return get_shared(cell, cell.graph_key());
-}
-
 std::shared_ptr<const graph::Graph> GraphCache::get_shared(
     const SweepCell& cell, const std::string& key) {
   std::unique_lock<std::mutex> lock(mutex_);

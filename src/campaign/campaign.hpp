@@ -158,17 +158,10 @@ class GraphCache {
 
   explicit GraphCache(std::size_t capacity);
 
-  /// The graph for `cell`, generated on miss. The reference stays valid
-  /// until the entry is evicted or released — safe for sequential use;
-  /// concurrent workers must pin via get_shared() instead.
-  [[nodiscard]] const graph::Graph& get(const sweep::SweepCell& cell);
-
-  /// Like get(), but the returned shared_ptr pins the graph across
+  /// The graph for `cell`, whose graph key is `key` (== cell.graph_key()),
+  /// generated on miss. The returned shared_ptr pins the graph across
   /// eviction and release: a worker holding it keeps its topology alive
   /// even when the entry leaves the cache.
-  [[nodiscard]] std::shared_ptr<const graph::Graph> get_shared(
-      const sweep::SweepCell& cell);
-  /// The same, for a caller that already holds `key` == cell.graph_key().
   [[nodiscard]] std::shared_ptr<const graph::Graph> get_shared(
       const sweep::SweepCell& cell, const std::string& key);
 

@@ -116,6 +116,12 @@ bool WhiteboardAgentA::check_mark(const sim::View& view) {
   return true;
 }
 
+AgentAStats WhiteboardAgentA::stats() const {
+  AgentAStats out = stats_;
+  if (construct_ != nullptr) out.construct = construct_->stats();
+  return out;
+}
+
 std::size_t WhiteboardAgentA::memory_words() const {
   return sim::ScriptedAgent::memory_words() + knowledge_.memory_words() +
          t_set_.size() + (construct_ ? construct_->memory_words() : 0) + 8;

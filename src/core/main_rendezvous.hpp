@@ -45,7 +45,11 @@ class WhiteboardAgentA final : public sim::ScriptedAgent {
   /// known_delta <= 0: doubling estimation (§4.1).
   WhiteboardAgentA(const Params& params, double known_delta, Rng rng);
 
-  [[nodiscard]] const AgentAStats& stats() const noexcept { return stats_; }
+  /// The run's counters so far. While Construct is in flight (a trial that
+  /// meets inside Construct), `construct` holds the live run's counters
+  /// with rounds_used 0; the rest of the Construct fields fill in when it
+  /// finishes.
+  [[nodiscard]] AgentAStats stats() const;
   [[nodiscard]] std::size_t memory_words() const override;
 
  protected:

@@ -128,6 +128,12 @@ void NoWhiteboardAgentA::drive_construct(const sim::View& view) {
   start_tour(view);
 }
 
+AgentAStats NoWhiteboardAgentA::stats() const {
+  AgentAStats out = stats_;
+  if (phase_ == Phase::Construct) out.construct = construct_->stats();
+  return out;
+}
+
 void NoWhiteboardAgentA::start_tour(const sim::View& view) {
   FNR_CHECK_MSG(view.round() <= schedule_.t_start,
                 "Construct overran its budget t' = " << schedule_.t_start

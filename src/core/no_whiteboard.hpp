@@ -76,7 +76,9 @@ class NoWhiteboardAgentA final : public sim::ScriptedAgent {
   NoWhiteboardAgentA(const Params& params, double delta, Rng rng,
                      NoWbOracle oracle = {});
 
-  [[nodiscard]] const AgentAStats& stats() const noexcept { return stats_; }
+  /// The run's counters so far; like WhiteboardAgentA::stats(), a
+  /// Construct still in flight reports its live counters.
+  [[nodiscard]] AgentAStats stats() const;
   [[nodiscard]] const NoWbSchedule& schedule() const noexcept {
     return schedule_;
   }

@@ -87,7 +87,7 @@ RendezvousReport run_rendezvous(const graph::Graph& g,
           scheduler.run(agent_a, agent_b, placement, report.round_cap);
       report.agent_a = agent_a.stats();
       report.agent_b_marks = agent_b.marks();
-      if (doubling) report.delta_used = agent_a.stats().delta_hat_final;
+      if (doubling) report.delta_used = report.agent_a.delta_hat_final;
       break;
     }
     case Strategy::NoWhiteboard: {

@@ -1,11 +1,10 @@
 #include "fault/fault.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/parse.hpp"
+#include "util/spec_token.hpp"
 
 namespace fnr::fault {
 
@@ -14,96 +13,57 @@ namespace {
 constexpr const char* kSiteNames[kNumSites] = {
     "crash", "wb-drop", "wb-wipe", "wb-stale", "churn"};
 
-/// Shortest round-trip decimal form (same contract as program labels: the
-/// canonical key is a cell identity, so parsing it back must be lossless).
-std::string round_trip_double(double value) {
-  char buffer[64];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
-  FNR_CHECK(ec == std::errc());
-  return std::string(buffer, end);
-}
-
 std::string known_families() {
   std::ostringstream os;
   for (const auto* name : kSiteNames) os << " " << name;
   return os.str();
 }
 
-/// Non-negative integral parameter (skip/count/downtime ride through the
-/// shared double-valued override map).
-std::uint64_t integral_param(const std::string& clause, const char* name,
-                             double value) {
-  FNR_CHECK_MSG(value >= 0.0 && value == std::floor(value) && value <= 1e18,
-                "fault clause '" << clause << "': parameter '" << name
-                                 << "' must be a non-negative integer, got "
-                                 << value);
-  return static_cast<std::uint64_t>(value);
+/// Every family takes rate, skip and count; crash also takes downtime. The
+/// defaults are SiteSpec's.
+const DeclaredParams& declared_params(Site site) {
+  static const SiteSpec kDefault;
+  static const DeclaredParams kCommon = {
+      {"count", 0.0}, {"rate", kDefault.rate}, {"skip", 0.0}};
+  static const DeclaredParams kCrash = {
+      {"count", 0.0},
+      {"downtime", static_cast<double>(kDefault.downtime)},
+      {"rate", kDefault.rate},
+      {"skip", 0.0}};
+  return site == Site::AgentCrash ? kCrash : kCommon;
 }
 
-/// Parses one `family[?key=value&...]` clause into (site, spec).
+/// Parses one `family[?key=value&...]` clause and arms its site.
 void parse_clause(const std::string& clause, FaultPlan* plan) {
-  const auto question = clause.find('?');
-  const std::string family = clause.substr(0, question);
-  FNR_CHECK_MSG(!family.empty(), "fault clause '"
-                                     << clause
-                                     << "': empty family before '?'; known:"
-                                     << known_families());
-  std::size_t site_index = kNumSites;
-  for (std::size_t i = 0; i < kNumSites; ++i)
-    if (family == kSiteNames[i]) site_index = i;
-  FNR_CHECK_MSG(site_index < kNumSites, "unknown fault family '"
-                                            << family << "'; known:"
-                                            << known_families());
-  const auto site = static_cast<Site>(site_index);
-
+  Site site = Site::AgentCrash;
+  const SpecToken token = parse_spec_token(
+      "fault clause", clause, '?', '&',
+      [&](const std::string& family) -> const DeclaredParams& {
+        std::size_t index = 0;
+        while (index < kNumSites && family != kSiteNames[index]) ++index;
+        FNR_REQUIRE(index < kNumSites, "unknown fault family '"
+                                           << family << "'; known:"
+                                           << known_families());
+        site = static_cast<Site>(index);
+        return declared_params(site);
+      });
   SiteSpec spec;
-  spec.armed = true;
-  if (question != std::string::npos) {
-    const std::string suffix = clause.substr(question + 1);
-    FNR_CHECK_MSG(!suffix.empty(),
-                  "fault clause '" << clause << "': empty parameter suffix");
-    std::size_t start = 0;
-    for (;;) {
-      const auto amp = suffix.find('&', start);
-      const std::string token =
-          amp == std::string::npos ? suffix.substr(start)
-                                   : suffix.substr(start, amp - start);
-      FNR_CHECK_MSG(!token.empty(), "fault clause '"
-                                        << clause
-                                        << "': empty 'key=value' pair in "
-                                           "parameter suffix");
-      const auto eq = token.find('=');
-      FNR_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "fault clause '" << clause << "': parameter '" << token
-                                     << "' is not key=value");
-      const std::string name = token.substr(0, eq);
-      const bool known = name == "rate" || name == "skip" || name == "count" ||
-                         (site == Site::AgentCrash && name == "downtime");
-      FNR_CHECK_MSG(known, "fault family '"
-                               << family << "' has no parameter '" << name
-                               << "'; declared: rate skip count"
-                               << (site == Site::AgentCrash ? " downtime"
-                                                            : ""));
-      FNR_CHECK_MSG(!spec.overrides.contains(name),
-                    "fault clause '" << clause << "' repeats parameter '"
-                                     << name << "'");
-      const double value = parse_finite_double(
-          token.substr(eq + 1), "fault parameter '" + name + "'");
-      spec.overrides[name] = value;
-      if (name == "rate") {
-        spec.rate = value;
-      } else if (name == "skip") {
-        spec.skip = integral_param(clause, "skip", value);
-      } else if (name == "count") {
-        spec.count = integral_param(clause, "count", value);
-      } else {
-        spec.downtime = integral_param(clause, "downtime", value);
-      }
-      if (amp == std::string::npos) break;
-      start = amp + 1;
-    }
+  const auto integral = [&](const char* key, std::uint64_t* field) {
+    if (const auto it = token.params.find(key); it != token.params.end())
+      *field = integral_value(it->second, "fault clause '" + clause +
+                                              "': parameter '" + key + "'");
+  };
+  if (const auto it = token.params.find("rate"); it != token.params.end())
+    spec.rate = it->second;
+  integral("skip", &spec.skip);
+  integral("count", &spec.count);
+  integral("downtime", &spec.downtime);
+  spec.overrides = token.params;
+  try {
+    plan->arm(site, std::move(spec));
+  } catch (const CheckError& error) {
+    throw CheckError("fault clause '" + clause + "': " + error.what());
   }
-  plan->arm(site, std::move(spec));
 }
 
 }  // namespace
@@ -115,19 +75,19 @@ const char* to_string(Site site) noexcept {
 FaultPlan FaultPlan::parse(const std::string& token) {
   FaultPlan plan;
   if (token == "none") return plan;
-  FNR_CHECK_MSG(!token.empty(),
-                "empty fault spec (use 'none' for the fault-free plan)");
+  FNR_REQUIRE(!token.empty(),
+              "empty fault spec (use 'none' for the fault-free plan)");
   std::size_t start = 0;
   for (;;) {
     const auto plus = token.find('+', start);
     const std::string clause = plus == std::string::npos
                                    ? token.substr(start)
                                    : token.substr(start, plus - start);
-    FNR_CHECK_MSG(!clause.empty(),
-                  "fault spec '" << token << "': empty clause between '+'");
-    FNR_CHECK_MSG(clause != "none",
-                  "fault spec '" << token
-                                 << "': 'none' cannot combine with clauses");
+    FNR_REQUIRE(!clause.empty(),
+                "fault spec '" << token << "': empty clause between '+'");
+    FNR_REQUIRE(clause != "none",
+                "fault spec '" << token
+                               << "': 'none' cannot combine with clauses");
     parse_clause(clause, &plan);
     if (plus == std::string::npos) break;
     start = plus + 1;
@@ -137,16 +97,16 @@ FaultPlan FaultPlan::parse(const std::string& token) {
 
 void FaultPlan::arm(Site site, SiteSpec spec) {
   const char* family = to_string(site);
-  FNR_CHECK_MSG(!sites_[static_cast<std::size_t>(site)].armed,
-                "fault family '" << family << "' is armed twice");
-  FNR_CHECK_MSG(std::isfinite(spec.rate) && spec.rate >= 0.0 &&
-                    spec.rate <= 1.0,
-                "fault family '" << family << "': rate must be a finite "
-                                 << "number in [0, 1], got " << spec.rate);
+  FNR_REQUIRE(!sites_[static_cast<std::size_t>(site)].armed,
+              "fault family '" << family << "' is armed twice");
+  FNR_REQUIRE(std::isfinite(spec.rate) && spec.rate >= 0.0 &&
+                  spec.rate <= 1.0,
+              "fault family '" << family << "': rate must be a finite "
+                               << "number in [0, 1], got " << spec.rate);
   if (site == Site::AgentCrash)
-    FNR_CHECK_MSG(spec.downtime >= 1,
-                  "fault family 'crash': downtime must be >= 1 rounds, got "
-                      << spec.downtime);
+    FNR_REQUIRE(spec.downtime >= 1,
+                "fault family 'crash': downtime must be >= 1 rounds, got "
+                    << spec.downtime);
   spec.armed = true;
   sites_[static_cast<std::size_t>(site)] = std::move(spec);
 }
@@ -158,21 +118,14 @@ bool FaultPlan::active() const noexcept {
 }
 
 std::string FaultPlan::key() const {
-  std::ostringstream os;
-  bool first_clause = true;
+  std::string key;
   for (std::size_t i = 0; i < kNumSites; ++i) {
     if (!sites_[i].armed) continue;
-    if (!first_clause) os << "+";
-    first_clause = false;
-    os << kSiteNames[i];
-    bool first_param = true;
-    for (const auto& [name, value] : sites_[i].overrides) {
-      os << (first_param ? "?" : "&") << name << "="
-         << round_trip_double(value);
-      first_param = false;
-    }
+    if (!key.empty()) key += '+';
+    key += kSiteNames[i];
+    key += param_suffix(sites_[i].overrides);
   }
-  return os.str();
+  return key;
 }
 
 bool FaultPlan::whiteboard_only() const noexcept {

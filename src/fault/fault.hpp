@@ -27,7 +27,8 @@
 // of (session seed, round, unordered endpoint pair), so probing liveness
 // never perturbs the RNG stream and any observer sees the same mask.
 //
-// Spec grammar (sweep axis `faults =`, canonical key = FaultPlan::key):
+// Spec grammar (sweep axis `faults =`, canonical key = FaultPlan::key;
+// each clause goes through the shared token parser, util/spec_token.hpp):
 //   none | clause[+clause...]   clause := family[?key=value[&key=value...]]
 // e.g. "crash?rate=0.01", "wb-drop?rate=0.2+churn?rate=0.05&skip=16".
 // Every family takes rate (Bernoulli fire probability per opportunity),

@@ -32,10 +32,10 @@ namespace {
 sockaddr_un unix_address(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  FNR_CHECK_MSG(path.size() < sizeof(addr.sun_path),
-                "unix socket path '" << path << "' exceeds the "
-                                     << (sizeof(addr.sun_path) - 1)
-                                     << "-byte sun_path limit");
+  FNR_REQUIRE(path.size() < sizeof(addr.sun_path),
+              "unix socket path '" << path << "' exceeds the "
+                                   << (sizeof(addr.sun_path) - 1)
+                                   << "-byte sun_path limit");
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return addr;
 }
@@ -52,9 +52,9 @@ OwnedFd listen_unix(const std::string& path, int backlog) {
   // daemon is protected by its own lock on the checkpoint workdir, not by
   // the socket file.
   ::unlink(path.c_str());
-  FNR_CHECK_MSG(::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                       sizeof(addr)) == 0,
-                "bind('" << path << "'): " << std::strerror(errno));
+  FNR_REQUIRE(::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)) == 0,
+              "cannot bind socket '" << path << "': " << std::strerror(errno));
   FNR_CHECK_MSG(::listen(fd.get(), backlog) == 0,
                 "listen('" << path << "'): " << std::strerror(errno));
   return fd;
@@ -65,9 +65,10 @@ OwnedFd connect_unix(const std::string& path) {
   OwnedFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
   FNR_CHECK_MSG(fd.valid(),
                 "socket(AF_UNIX): " << std::strerror(errno));
-  FNR_CHECK_MSG(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                          sizeof(addr)) == 0,
-                "connect('" << path << "'): " << std::strerror(errno));
+  FNR_REQUIRE(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)) == 0,
+              "cannot connect to socket '" << path
+                                           << "': " << std::strerror(errno));
   return fd;
 }
 

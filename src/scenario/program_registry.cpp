@@ -1,7 +1,6 @@
 #include "scenario/program_registry.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -14,7 +13,7 @@
 #include "core/main_rendezvous.hpp"
 #include "core/no_whiteboard.hpp"
 #include "core/rendezvous.hpp"
-#include "util/parse.hpp"
+#include "util/spec_token.hpp"
 #include "util/table.hpp"
 
 namespace fnr::scenario {
@@ -94,37 +93,12 @@ double Program::param(const std::string& name) const {
   throw std::logic_error("unreachable");
 }
 
-namespace {
-
-/// Shortest round-trip decimal form of an override value: the canonical
-/// label is a cell identity, so parsing it back must yield the exact same
-/// program ("0.25" stays "0.25", "0.1234567" is not truncated).
-std::string round_trip_double(double value) {
-  char buffer[64];
-  const auto [end, ec] =
-      std::to_chars(buffer, buffer + sizeof buffer, value);
-  FNR_CHECK(ec == std::errc());
-  return std::string(buffer, end);
-}
-
-}  // namespace
-
 Program make_program(const ProgramDef& def,
                      std::map<std::string, double> overrides) {
   Program program;
   program.def_ = &def;
   program.overrides_ = std::move(overrides);
-  std::ostringstream label;
-  label << def.label;
-  // std::map iteration is name-sorted, so the canonical spec string is
-  // independent of the order the user wrote the overrides in.
-  bool first = true;
-  for (const auto& [name, value] : program.overrides_) {
-    label << (first ? "?" : "&") << name << "="
-          << round_trip_double(value);
-    first = false;
-  }
-  program.label_ = label.str();
+  program.label_ = def.label + param_suffix(program.overrides_);
   return program;
 }
 
@@ -377,56 +351,17 @@ bool has_program(const std::string& label) {
 }
 
 Program find_program(const std::string& spec) {
-  const auto question = spec.find('?');
-  const std::string label = spec.substr(0, question);
-  FNR_CHECK_MSG(!label.empty(), "program spec '"
-                                    << spec << "': empty label before '?'; "
-                                    << "known:" << known_labels());
-  const ProgramDef* def = find_def(label);
-  FNR_CHECK_MSG(def != nullptr,
-                "unknown program '" << label << "'; known:" << known_labels());
-  std::map<std::string, double> overrides;
-  if (question != std::string::npos) {
-    const std::string suffix = spec.substr(question + 1);
-    FNR_CHECK_MSG(!suffix.empty(),
-                  "program '" << spec << "': empty override suffix after '?'");
-    // Manual '&' walk: getline drops a trailing empty token, which used to
-    // let "label?key=value&" through unrejected.
-    std::size_t start = 0;
-    for (;;) {
-      const auto amp = suffix.find('&', start);
-      const std::string token =
-          amp == std::string::npos ? suffix.substr(start)
-                                   : suffix.substr(start, amp - start);
-      FNR_CHECK_MSG(!token.empty(), "program '"
-                                        << spec
-                                        << "': empty override (stray '&')");
-      const auto eq = token.find('=');
-      FNR_CHECK_MSG(eq != std::string::npos && eq > 0 && eq + 1 < token.size(),
-                    "program '" << spec << "': override '" << token
-                                << "' is not key=value");
-      const std::string name = token.substr(0, eq);
-      std::ostringstream declared;
-      for (const auto& [param, fallback] : def->parameters) {
-        (void)fallback;
-        declared << " " << param;
-      }
-      const std::string declared_list =
-          def->parameters.empty() ? " (none)" : declared.str();
-      FNR_CHECK_MSG(def->parameters.contains(name),
-                    "program '" << def->label << "' has no parameter '"
-                                << name << "'; declared:" << declared_list);
-      FNR_CHECK_MSG(!overrides.contains(name),
-                    "program '" << spec << "' repeats parameter '" << name
-                                << "'");
-      overrides[name] =
-          parse_finite_double(token.substr(eq + 1),
-                              "program parameter '" + name + "'");
-      if (amp == std::string::npos) break;
-      start = amp + 1;
-    }
-  }
-  return make_program(*def, std::move(overrides));
+  const ProgramDef* def = nullptr;
+  SpecToken token = parse_spec_token(
+      "program", spec, '?', '&',
+      [&](const std::string& label) -> const DeclaredParams& {
+        def = find_def(label);
+        FNR_REQUIRE(def != nullptr, "unknown program '"
+                                        << label
+                                        << "'; known:" << known_labels());
+        return def->parameters;
+      });
+  return make_program(*def, std::move(token.params));
 }
 
 // --- compatibility -----------------------------------------------------------

@@ -173,8 +173,9 @@ void register_program(ProgramDef def);
 [[nodiscard]] bool has_program(const std::string& label);
 
 /// Resolves a program spec "label" or "label?key=value&key=value" to a
-/// handle. Throws CheckError for an unknown label (enumerating the valid
-/// label set) or an override the program does not declare.
+/// handle (grammar: util/spec_token.hpp). Throws a plain CheckError for an
+/// unknown label (enumerating the valid label set) or an override the
+/// program does not declare.
 [[nodiscard]] Program find_program(const std::string& spec);
 
 // --- compatibility -----------------------------------------------------------

@@ -138,9 +138,7 @@ const Scenario& find_scenario(const std::string& name) {
     if (scenario.name == name) return scenario;
   std::ostringstream known;
   for (const auto& scenario : registry()) known << " " << scenario.name;
-  FNR_CHECK_MSG(false,
-                "unknown scenario '" << name << "'; known:" << known.str());
-  throw std::logic_error("unreachable");  // FNR_CHECK_MSG(false) throws
+  throw CheckError("unknown scenario '" + name + "'; known:" + known.str());
 }
 
 void print_scenario_listing(std::ostream& os) {

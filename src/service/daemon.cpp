@@ -427,11 +427,7 @@ struct Daemon::Impl {
     }
   }
 
-  void serve() {
-    net::OwnedFd listener = net::listen_unix(options.socket_path);
-    net::set_nonblocking(listener.get());
-    log("listening on " + options.socket_path);
-
+  void serve(net::OwnedFd listener) {
     std::vector<std::unique_ptr<Client>> clients;
     while (!stop_requested.load(std::memory_order_relaxed)) {
       fan_out(clients);
@@ -534,9 +530,14 @@ Daemon::Daemon(DaemonOptions options) : impl_(new Impl(std::move(options))) {
 Daemon::~Daemon() { delete impl_; }
 
 void Daemon::run() {
+  // Bind before any worker exists: a socket that cannot be set up then
+  // throws with no joinable thread left behind.
+  net::OwnedFd listener = net::listen_unix(impl_->options.socket_path);
+  net::set_nonblocking(listener.get());
+  impl_->log("listening on " + impl_->options.socket_path);
   for (unsigned i = 0; i < impl_->options.workers; ++i)
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });
-  impl_->serve();
+  impl_->serve(std::move(listener));
 }
 
 void Daemon::request_stop() noexcept {

@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "scenario/scenario.hpp"
 #include "util/parse.hpp"
+#include "util/spec_token.hpp"
 #include "util/table.hpp"
 
 namespace fnr::sweep {
@@ -16,34 +17,23 @@ namespace {
 
 // --- small text helpers ------------------------------------------------------
 
-std::string trim(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r\n");
-  return s.substr(first, last - first + 1);
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
+/// The trimmed, non-empty items of a `sep`-separated list.
+std::vector<std::string> split(std::string_view s, char sep) {
   std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(s);
-  while (std::getline(is, item, sep)) {
-    item = trim(item);
-    if (!item.empty()) out.push_back(item);
+  for (;;) {
+    const auto end = s.find(sep);
+    const std::string_view item = trim(s.substr(0, end));
+    if (!item.empty()) out.emplace_back(item);
+    if (end == std::string_view::npos) return out;
+    s.remove_prefix(end + 1);
   }
-  return out;
 }
 
 // --- topology families -------------------------------------------------------
 
-struct FamilyParam {
-  const char* name;
-  double fallback;
-};
-
 struct FamilyInfo {
   const char* name;
-  std::vector<FamilyParam> params;
+  DeclaredParams params;  ///< parameter → default
 };
 
 const std::vector<FamilyInfo>& families() {
@@ -66,33 +56,16 @@ const std::vector<FamilyInfo>& families() {
 const FamilyInfo& family_info(const std::string& name) {
   for (const auto& info : families())
     if (name == info.name) return info;
-  std::ostringstream known;
-  for (const auto& info : families()) known << " " << info.name;
-  FNR_CHECK_MSG(false, "unknown topology family '" << name
-                                                   << "'; known:"
-                                                   << known.str());
-  throw std::logic_error("unreachable");
+  std::string known;
+  for (const auto& info : families()) known += std::string(" ") + info.name;
+  throw CheckError("unknown topology family '" + name + "'; known:" + known);
 }
 
-/// The (possibly defaulted) value of a family parameter.
-double param_of(const TopologySpec& spec, const char* name) {
+/// The (possibly defaulted) value of a declared family parameter.
+double param_of(const TopologySpec& spec, const std::string& name) {
   const auto it = spec.params.find(name);
-  if (it != spec.params.end()) return it->second;
-  for (const auto& p : family_info(spec.family).params)
-    if (std::string(name) == p.name) return p.fallback;
-  FNR_CHECK_MSG(false, "family '" << spec.family << "' has no parameter '"
-                                  << name << "'");
-  throw std::logic_error("unreachable");
-}
-
-/// Integer-valued family parameter (rejects fractional values).
-std::uint64_t int_param_of(const TopologySpec& spec, const char* name) {
-  const double v = param_of(spec, name);
-  FNR_CHECK_MSG(v >= 0.0 && v == std::floor(v) && v <= 1e18,
-                "topology '" << spec.key() << "': parameter '" << name
-                             << "' must be a non-negative integer, got "
-                             << v);
-  return static_cast<std::uint64_t>(v);
+  return it != spec.params.end() ? it->second
+                                 : family_info(spec.family).params.at(name);
 }
 
 std::uint64_t square_side(std::uint64_t n) {
@@ -122,15 +95,10 @@ double geometric_radius(const TopologySpec& spec, std::uint64_t n) {
 
 void TopologySpec::validate() const {
   const FamilyInfo& info = family_info(family);
-  for (const auto& [name, value] : params) {
-    (void)value;
-    const bool known =
-        std::any_of(info.params.begin(), info.params.end(),
-                    [&](const FamilyParam& p) { return name == p.name; });
-    FNR_CHECK_MSG(known, "topology family '" << family
-                                             << "' has no parameter '"
-                                             << name << "'");
-  }
+  for (const auto& [name, value] : params)
+    FNR_REQUIRE(info.params.contains(name),
+                "topology family '" << family << "' has no parameter '"
+                                    << name << "'");
 }
 
 std::string TopologySpec::key() const {
@@ -142,24 +110,23 @@ std::string TopologySpec::key() const {
 }
 
 std::uint64_t TopologySpec::achieved_n(std::uint64_t n) const {
-  validate();
-  FNR_CHECK_MSG(n >= 4 && n <= kMaxSize,
-                "topology '" << key() << "': size " << n
-                             << " out of [4, 2^20]");
+  FNR_REQUIRE(n >= 4 && n <= kMaxSize,
+              "topology '" << key() << "': size " << n << " out of [4, 2^20]");
   if (family == "grid" || family == "torus") {
     const std::uint64_t side = square_side(n);
-    FNR_CHECK_MSG(side >= 3, "'" << family << "' needs n >= 9");
+    FNR_REQUIRE(side >= 3, "'" << family << "' needs n >= 9, got n = " << n);
     return side * side;
   }
   if (family == "hypercube") return std::uint64_t{1} << floor_log2(n);
   if (family == "complete") {
-    FNR_CHECK_MSG(n <= 4096,
-                  "'complete' is capped at n = 4096 (quadratic edge count)");
+    FNR_REQUIRE(n <= 4096,
+                "'complete' is capped at n = 4096 (quadratic edge count)");
   }
   return n;
 }
 
 graph::Graph TopologySpec::build(std::uint64_t n, std::uint64_t seed) const {
+  validate();
   const std::uint64_t target = achieved_n(n);
   Rng rng(seed, kGraphStream);
   if (family == "ring") return graph::make_ring(target);
@@ -175,7 +142,8 @@ graph::Graph TopologySpec::build(std::uint64_t n, std::uint64_t seed) const {
   }
   if (family == "hypercube") return graph::make_hypercube(floor_log2(n));
   if (family == "near-regular") {
-    const std::uint64_t deg = int_param_of(*this, "deg");
+    const std::uint64_t deg = integral_value(
+        param_of(*this, "deg"), "topology '" + key() + "': parameter 'deg'");
     FNR_CHECK_MSG(deg >= 1 && deg < target,
                   "topology '" << key() << "': deg must be in [1, n)");
     return graph::make_near_regular(target, deg, rng);
@@ -188,13 +156,15 @@ graph::Graph TopologySpec::build(std::uint64_t n, std::uint64_t seed) const {
     return graph::make_erdos_renyi(target, p, rng);
   }
   if (family == "barabasi-albert") {
-    const std::uint64_t m = int_param_of(*this, "m");
+    const std::uint64_t m = integral_value(
+        param_of(*this, "m"), "topology '" + key() + "': parameter 'm'");
     FNR_CHECK_MSG(m >= 1 && target >= m + 2,
                   "topology '" << key() << "': needs n >= m + 2");
     return graph::make_barabasi_albert(target, m, rng);
   }
   if (family == "watts-strogatz") {
-    const std::uint64_t k = int_param_of(*this, "k");
+    const std::uint64_t k = integral_value(
+        param_of(*this, "k"), "topology '" + key() + "': parameter 'k'");
     const double beta = param_of(*this, "beta");
     FNR_CHECK_MSG(k >= 1 && 2 * k + 1 <= target,
                   "topology '" << key() << "': needs 2k + 1 <= n");
@@ -219,55 +189,45 @@ const std::vector<std::string>& topology_families() {
 }
 
 TopologySpec parse_topology(const std::string& token) {
-  const auto parts = split(token, ':');
-  FNR_CHECK_MSG(!parts.empty(), "empty topology token");
+  SpecToken parsed = parse_spec_token(
+      "topology", token, ':', ':',
+      [](const std::string& family) -> const DeclaredParams& {
+        return family_info(family).params;
+      });
   TopologySpec spec;
-  spec.family = parts[0];
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const auto eq = parts[i].find('=');
-    FNR_CHECK_MSG(eq != std::string::npos && eq > 0,
-                  "topology parameter '" << parts[i]
-                                         << "' is not name=value");
-    const std::string name = trim(parts[i].substr(0, eq));
-    const std::string value = trim(parts[i].substr(eq + 1));
-    FNR_CHECK_MSG(!spec.params.contains(name),
-                  "topology '" << token << "' repeats parameter '" << name
-                               << "'");
-    spec.params[name] =
-        parse_finite_double(value, "topology parameter '" + name + "'");
-  }
-  spec.validate();
+  spec.family = std::move(parsed.name);
+  spec.params = std::move(parsed.params);
   return spec;
 }
 
 // --- spec --------------------------------------------------------------------
 
 void SweepSpec::validate() const {
-  FNR_CHECK_MSG(!name.empty(), "sweep spec needs a name");
-  FNR_CHECK_MSG(trials >= 1, "sweep spec '" << name << "' needs trials >= 1");
-  FNR_CHECK_MSG(!programs.empty(),
-                "sweep spec '" << name << "' lists no programs");
+  FNR_REQUIRE(!name.empty(), "sweep spec needs a name");
+  FNR_REQUIRE(trials >= 1, "sweep spec '" << name << "' needs trials >= 1");
+  FNR_REQUIRE(!programs.empty(),
+              "sweep spec '" << name << "' lists no programs");
   for (const auto& program : programs)
     FNR_CHECK_MSG(program.valid(),
                   "sweep spec '" << name
                                  << "' carries an invalid program handle");
-  FNR_CHECK_MSG(!scenarios.empty(),
-                "sweep spec '" << name << "' lists no scenarios");
-  FNR_CHECK_MSG(!topologies.empty(),
-                "sweep spec '" << name << "' lists no topologies");
-  FNR_CHECK_MSG(!sizes.empty(), "sweep spec '" << name << "' lists no sizes");
-  FNR_CHECK_MSG(!seeds.empty(), "sweep spec '" << name << "' lists no seeds");
+  FNR_REQUIRE(!scenarios.empty(),
+              "sweep spec '" << name << "' lists no scenarios");
+  FNR_REQUIRE(!topologies.empty(),
+              "sweep spec '" << name << "' lists no topologies");
+  FNR_REQUIRE(!sizes.empty(), "sweep spec '" << name << "' lists no sizes");
+  FNR_REQUIRE(!seeds.empty(), "sweep spec '" << name << "' lists no seeds");
   for (const auto& scenario_name : scenarios)
     (void)scenario::find_scenario(scenario_name);  // throws when unknown
   for (const auto& topology : topologies) topology.validate();
   for (const auto n : sizes)
-    FNR_CHECK_MSG(n >= 4 && n <= kMaxSize,
-                  "sweep spec '" << name << "': size " << n
-                                 << " out of [4, 2^20]");
+    FNR_REQUIRE(n >= 4 && n <= kMaxSize,
+                "sweep spec '" << name << "': size " << n
+                               << " out of [4, 2^20]");
   for (const auto k : agents)
-    FNR_CHECK_MSG(k >= 2 && k <= kMaxSize,
-                  "sweep spec '" << name << "': agents value " << k
-                                 << " out of [2, 2^20]");
+    FNR_REQUIRE(k >= 2 && k <= kMaxSize,
+                "sweep spec '" << name << "': agents value " << k
+                               << " out of [2, 2^20]");
 }
 
 std::string SweepCell::key() const {
@@ -310,6 +270,14 @@ std::vector<SweepCell> expand(const SweepSpec& spec) {
     k_axis.reserve(spec.agents.size());
     for (const auto k : spec.agents) k_axis.emplace_back(k);
   }
+  // A size its family cannot host fails the whole spec, naming it.
+  const auto achieved_n = [&](const TopologySpec& topology, std::uint64_t n) {
+    try {
+      return topology.achieved_n(n);
+    } catch (const CheckError& error) {
+      throw CheckError("sweep spec '" + spec.name + "': " + error.what());
+    }
+  };
   std::vector<SweepCell> cells;
   cells.reserve(spec.programs.size() * spec.scenarios.size() *
                 gather_axis.size() * k_axis.size() * spec.topologies.size() *
@@ -348,7 +316,7 @@ std::vector<SweepCell> expand(const SweepSpec& spec) {
             for (const auto n : spec.sizes) {
               // A graph cannot host more agents than vertices; the cell
               // would deterministically fail placement, so prune it.
-              if (k.has_value() && *k > topology.achieved_n(n)) continue;
+              if (k.has_value() && *k > achieved_n(topology, n)) continue;
               for (const auto seed : spec.seeds)
                 for (const auto& plan : fault_axis) {
                   // A plan that only perturbs whiteboards cannot touch a
@@ -362,7 +330,7 @@ std::vector<SweepCell> expand(const SweepSpec& spec) {
                   cell.scenario = scenario_name;
                   cell.topology = topology;
                   cell.n = n;
-                  cell.achieved_n = topology.achieved_n(n);
+                  cell.achieved_n = achieved_n(topology, n);
                   cell.seed = seed;
                   cell.trials = spec.trials;
                   cell.gather = gather;
@@ -373,37 +341,114 @@ std::vector<SweepCell> expand(const SweepSpec& spec) {
             }
           }
         }
-  FNR_CHECK_MSG(!cells.empty(),
-                "sweep spec '" << spec.name
-                               << "': capability masks leave no compatible "
-                                  "(program, scenario, topology) cells");
+  FNR_REQUIRE(!cells.empty(),
+              "sweep spec '" << spec.name
+                             << "': capability masks leave no compatible "
+                                "(program, scenario, topology) cells");
   return cells;
 }
 
 sim::Gathering parse_gather(const std::string& token) {
-  if (token == "any-pair") return sim::Gathering::AnyPair;
-  if (token == "all-meet") return sim::Gathering::All;
-  if (const std::string prefix = "quorum?q="; token.rfind(prefix, 0) == 0) {
-    const std::uint64_t q =
-        parse_uint64(token.substr(prefix.size()), "gather quorum 'q'");
-    FNR_CHECK_MSG(q >= 2, "gather token '" << token
-                                           << "': a quorum needs q >= 2");
+  // quorum and fraction require their one parameter; its declared default
+  // only lists the key.
+  static const std::map<std::string, DeclaredParams> kForms = {
+      {"all-meet", {}},
+      {"any-pair", {}},
+      {"fraction", {{"f", 1.0}}},
+      {"quorum", {{"q", 2.0}}}};
+  const SpecToken parsed = parse_spec_token(
+      "gather", token, '?', '&',
+      [](const std::string& name) -> const DeclaredParams& {
+        const auto it = kForms.find(name);
+        FNR_REQUIRE(it != kForms.end(),
+                    "unknown gather '" << name
+                                       << "'; expected any-pair, all-meet, "
+                                          "quorum?q=<count>, or "
+                                          "fraction?f=<share>");
+        return it->second;
+      });
+  if (parsed.name == "any-pair") return sim::Gathering::AnyPair;
+  if (parsed.name == "all-meet") return sim::Gathering::All;
+  const std::string what = "gather '" + token + "'";
+  const bool quorum = parsed.name == "quorum";
+  FNR_REQUIRE(!parsed.params.empty(),
+              what << " needs " << (quorum ? "q=<count>" : "f=<share>"));
+  const double value = parsed.params.begin()->second;
+  if (quorum) {
+    const std::uint64_t q = integral_value(value, what + ": parameter 'q'");
+    FNR_REQUIRE(q >= 2, what << ": a quorum needs q >= 2");
     return sim::Gathering::quorum_of(q);
   }
-  if (const std::string prefix = "fraction?f="; token.rfind(prefix, 0) == 0) {
-    const double f = parse_finite_double(token.substr(prefix.size()),
-                                         "gather fraction 'f'");
-    FNR_CHECK_MSG(f > 0.0 && f <= 1.0,
-                  "gather token '" << token
-                                   << "': fraction must be in (0, 1]");
-    return sim::Gathering::fraction_of(f);
-  }
-  FNR_CHECK_MSG(false, "unknown gather token '"
-                           << token
-                           << "'; expected any-pair, all-meet, "
-                              "quorum?q=<count>, or fraction?f=<share>");
-  throw std::logic_error("unreachable");
+  FNR_REQUIRE(value > 0.0 && value <= 1.0,
+              what << ": fraction must be in (0, 1]");
+  return sim::Gathering::fraction_of(value);
 }
+
+namespace {
+
+/// One `key = value` spec line (comment and whitespace already stripped).
+void parse_line(std::string_view line, SweepSpec& spec) {
+  const auto eq = line.find('=');
+  FNR_REQUIRE(eq != std::string_view::npos,
+              "expected key = value, got '" << line << "'");
+  const std::string_view key = trim(line.substr(0, eq));
+  const std::string_view value = trim(line.substr(eq + 1));
+  const auto tokens = split(value, ',');
+  const auto bounded = [](const std::string& token, const char* what,
+                          std::uint64_t min) {
+    const std::uint64_t v = parse_uint64(token, what);
+    FNR_REQUIRE(v >= min && v <= kMaxSize,
+                what << " " << v << " out of [" << min << ", 2^20]");
+    return v;
+  };
+  if (key == "name") {
+    FNR_REQUIRE(!value.empty(), "empty name");
+    spec.name = value;
+  } else if (key == "trials") {
+    spec.trials = parse_uint64(std::string(value), "trials");
+    FNR_REQUIRE(spec.trials >= 1, "trials must be >= 1");
+  } else if (key == "programs") {
+    for (const auto& token : tokens) {
+      if (token != "*") {
+        spec.programs.push_back(scenario::find_program(token));
+        continue;
+      }
+      for (auto& program : scenario::all_programs())
+        spec.programs.push_back(std::move(program));
+    }
+  } else if (key == "scenarios") {
+    for (const auto& token : tokens) {
+      if (token != "*") {
+        spec.scenarios.push_back(scenario::find_scenario(token).name);
+        continue;
+      }
+      for (const auto& scenario : scenario::all_scenarios())
+        spec.scenarios.push_back(scenario.name);
+    }
+  } else if (key == "topologies") {
+    for (const auto& token : tokens)
+      spec.topologies.push_back(parse_topology(token));
+  } else if (key == "sizes") {
+    for (const auto& token : tokens)
+      spec.sizes.push_back(bounded(token, "size", 4));
+  } else if (key == "seeds") {
+    for (const auto& token : tokens)
+      spec.seeds.push_back(parse_uint64(token, "seed"));
+  } else if (key == "agents") {
+    for (const auto& token : tokens)
+      spec.agents.push_back(bounded(token, "agents value", 2));
+  } else if (key == "gathers") {
+    for (const auto& token : tokens)
+      spec.gathers.push_back(parse_gather(token));
+  } else if (key == "faults") {
+    for (const auto& token : tokens)
+      spec.faults.push_back(fault::FaultPlan::parse(token));
+  } else {
+    FNR_REQUIRE(false, "unknown key '" << key << "'");
+  }
+}
+
+}  // namespace
 
 SweepSpec parse_spec(const std::string& text) {
   SweepSpec spec;
@@ -412,88 +457,14 @@ SweepSpec parse_spec(const std::string& text) {
   int line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    FNR_CHECK_MSG(eq != std::string::npos,
-                  "sweep spec line " << line_no << ": expected key = value, "
-                                     << "got '" << line << "'");
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key == "name") {
-      FNR_CHECK_MSG(!value.empty(), "sweep spec: empty name");
-      spec.name = value;
-    } else if (key == "trials") {
-      spec.trials = parse_uint64(value, "sweep spec 'trials'");
-    } else if (key == "programs") {
-      for (const auto& token : split(value, ',')) {
-        if (token == "*") {
-          for (auto& program : scenario::all_programs())
-            spec.programs.push_back(std::move(program));
-          continue;
-        }
-        try {
-          spec.programs.push_back(scenario::find_program(token));
-        } catch (const CheckError& error) {
-          // Re-throw naming the offending spec line; find_program's message
-          // already enumerates the valid label set.
-          throw CheckError("sweep spec line " + std::to_string(line_no) +
-                           ": " + error.what());
-        }
-      }
-    } else if (key == "scenarios") {
-      for (const auto& token : split(value, ',')) {
-        if (token == "*") {
-          for (const auto& scenario : scenario::all_scenarios())
-            spec.scenarios.push_back(scenario.name);
-          continue;
-        }
-        if (!scenario::has_scenario(token)) {
-          std::ostringstream known;
-          for (const auto& scenario : scenario::all_scenarios())
-            known << " " << scenario.name;
-          throw CheckError("sweep spec line " + std::to_string(line_no) +
-                           ": unknown scenario '" + token +
-                           "'; known:" + known.str());
-        }
-        spec.scenarios.push_back(token);
-      }
-    } else if (key == "topologies") {
-      for (const auto& token : split(value, ','))
-        spec.topologies.push_back(parse_topology(token));
-    } else if (key == "sizes") {
-      for (const auto& token : split(value, ','))
-        spec.sizes.push_back(parse_uint64(token, "sweep spec 'sizes'"));
-    } else if (key == "seeds") {
-      for (const auto& token : split(value, ','))
-        spec.seeds.push_back(parse_uint64(token, "sweep spec 'seeds'"));
-    } else if (key == "agents") {
-      for (const auto& token : split(value, ','))
-        spec.agents.push_back(parse_uint64(token, "sweep spec 'agents'"));
-    } else if (key == "gathers") {
-      for (const auto& token : split(value, ',')) {
-        try {
-          spec.gathers.push_back(parse_gather(token));
-        } catch (const CheckError& error) {
-          throw CheckError("sweep spec line " + std::to_string(line_no) +
-                           ": " + error.what());
-        }
-      }
-    } else if (key == "faults") {
-      for (const auto& token : split(value, ',')) {
-        try {
-          spec.faults.push_back(fault::FaultPlan::parse(token));
-        } catch (const CheckError& error) {
-          throw CheckError("sweep spec line " + std::to_string(line_no) +
-                           ": " + error.what());
-        }
-      }
-    } else {
-      FNR_CHECK_MSG(false, "sweep spec line " << line_no
-                                              << ": unknown key '" << key
-                                              << "'");
+    const std::string_view body =
+        trim(std::string_view(line).substr(0, line.find('#')));
+    if (body.empty()) continue;
+    try {
+      parse_line(body, spec);
+    } catch (const CheckError& error) {
+      throw CheckError("sweep spec line " + std::to_string(line_no) + ": " +
+                       error.what());
     }
   }
   spec.validate();
@@ -502,7 +473,7 @@ SweepSpec parse_spec(const std::string& text) {
 
 SweepSpec load_spec_file(const std::string& path) {
   std::ifstream in(path);
-  FNR_CHECK_MSG(in.good(), "cannot open sweep spec '" << path << "'");
+  FNR_REQUIRE(in.good(), "cannot open sweep spec '" << path << "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse_spec(buffer.str());

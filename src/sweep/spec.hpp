@@ -22,41 +22,33 @@
 //   gathers    = any-pair, quorum?q=3    # optional gathering-predicate axis
 //   faults     = none, crash?rate=0.01   # optional fault-plan axis
 //
-// A fault token is a fault::FaultPlan clause list (`none`, or
-// `family?key=value&key=value` clauses joined by `+` — see
-// fault/fault.hpp). The axis is optional and defaults to the single
-// inactive plan, so existing specs expand to exactly the grid they always
-// did; `none` cells keep their pre-fault keys and the fault axis nests
-// innermost, preserving fault-free indices.
+// Every program, fault, gather and topology token follows one grammar
+// (util/spec_token.hpp): `name?key=value&key=value`, or
+// `family:key=value:key=value` for topologies. Whitespace around names and
+// values is trimmed; an undeclared or repeated key, an empty pair, a
+// missing '=' and a non-finite value are rejected; an integer parameter
+// takes any integral number. The canonical form of each token is part of
+// the cell key. Any error on a line names it: `sweep spec line N: …`.
 //
-// A gather token is `any-pair`, `all-meet`, `quorum?q=<count>`, or
-// `fraction?f=<share>` (the canonical to_string forms). The axis overrides
-// the gathering predicate of every scenario in the grid; cells whose
-// override is incompatible with the (program, scenario) pair — a quorum
-// larger than the scenario's k, or a threshold above 2 on a program without
-// rally coordination — are pruned like any other capability mismatch. The
-// axis is optional; when absent, scenarios keep their registered predicate
-// and cell keys are byte-identical to specs written before the axis
-// existed (`|gather=...` appears in the key only for override cells).
+// A program token is a registry label with its declared parameters (e.g.
+// `random-walk?laziness=0.25`). A fault token is a FaultPlan: `none`, or
+// clauses joined by `+` (fault/fault.hpp). A gather token is `any-pair`,
+// `all-meet`, `quorum?q=<count>` or `fraction?f=<share>`. `programs = *`
+// and `scenarios = *` expand to every registry entry (registration order
+// at parse time) — the registry-smoke spec uses this so new registrations
+// are covered without editing a list. Unknown names enumerate the known
+// ones. Lists are comma-separated. Sizes are capped at 2^20.
 //
-// An `agents` value overrides each scenario's agent count k the way
-// `gathers` overrides its predicate: the override is part of cell identity
-// (`|k=<count>` in the key), and capability pruning judges the *overridden*
-// scenario — adjacent-pair placements host exactly k = 2, pairwise programs
-// prune at k > 2 (supports_multi_agent), and quorums larger than the
-// overridden k stay unreachable. The axis is optional; when absent,
-// scenarios keep their registered k and cell keys are byte-identical to
-// specs written before the axis existed.
-//
-// A topology token is `family` or `family:param=value:param=value`. A
-// program token is a registry label, optionally parameterized with a
-// `?key=value&key=value` suffix (e.g. `random-walk?laziness=0.25`); the
-// canonical suffix form is part of the cell key. `programs = *` and
-// `scenarios = *` expand to every registry entry (registration order at
-// parse time) — the registry-smoke spec uses this so new registrations are
-// covered without editing a list. Unknown labels fail naming the spec line
-// and enumerating the registry. Lists are comma-separated. Sizes are
-// capped at 2^20.
+// The `agents`, `gathers` and `faults` axes are optional. When one is
+// absent, scenarios keep their registered k and predicate and every cell
+// is fault-free, with the exact key it had before the axis existed; an
+// override appends `|gather=…`, `|k=…` or `|fault=…` to the key. The fault
+// axis nests innermost, preserving fault-free indices. Capability pruning
+// judges the *overridden* scenario: adjacent-pair placements host exactly
+// k = 2, pairwise programs prune at k > 2 (supports_multi_agent), a quorum
+// larger than k or a threshold above 2 on a program without rally
+// coordination prunes, and so does a whiteboard-only fault plan on a
+// whiteboard-free model.
 //
 // Capability masks prune the expanded grid: a (program, scenario) pair the
 // registry marks incompatible (compatible() — e.g. a neighborhood strategy
@@ -100,11 +92,13 @@ struct TopologySpec {
 
   /// The vertex count the family actually achieves at requested size n
   /// (torus/grid round down to a square, hypercube to a power of two; the
-  /// rest achieve n exactly). Throws when the family cannot host n.
+  /// rest achieve n exactly). Throws when the family cannot host n. Does
+  /// not validate(): expand() validates every topology once, up front.
   [[nodiscard]] std::uint64_t achieved_n(std::uint64_t n) const;
 
-  /// Builds the graph. Deterministic given (family, params, n, seed): all
-  /// generator randomness flows from Rng(seed, kGraphStream).
+  /// Builds the graph after validate(). Deterministic given (family,
+  /// params, n, seed): all generator randomness flows from
+  /// Rng(seed, kGraphStream).
   [[nodiscard]] graph::Graph build(std::uint64_t n, std::uint64_t seed) const;
 };
 
@@ -115,7 +109,7 @@ inline constexpr std::uint64_t kGraphStream = 911;
 /// Supported family names, in a stable listing order.
 [[nodiscard]] const std::vector<std::string>& topology_families();
 
-/// Parses `family[:param=value]...`. Validates the result.
+/// Parses `family[:param=value]...` (see the file header).
 [[nodiscard]] TopologySpec parse_topology(const std::string& token);
 
 /// A full sweep specification (see file header for the text format).
@@ -177,7 +171,7 @@ struct SweepCell {
 
 /// Parses a gather token: `any-pair`, `all-meet`, `quorum?q=<count>`, or
 /// `fraction?f=<share>` (the canonical to_string(Gathering) forms).
-/// Throws CheckError on anything else (q < 2, f outside (0, 1], ...).
+/// Throws a plain CheckError on anything else (q < 2, f outside (0, 1]).
 [[nodiscard]] sim::Gathering parse_gather(const std::string& token);
 
 /// Expands the spec into its canonical cell grid. Axis nesting, outermost
@@ -190,8 +184,8 @@ struct SweepCell {
 /// leaves no cells at all.
 [[nodiscard]] std::vector<SweepCell> expand(const SweepSpec& spec);
 
-/// Parses spec text. Throws CheckError on unknown keys, malformed values,
-/// or a spec that fails validate().
+/// Parses spec text. Throws a plain CheckError on an unknown key or a
+/// malformed value (naming the line), or a spec that fails validate().
 [[nodiscard]] SweepSpec parse_spec(const std::string& text);
 
 /// Reads and parses a spec file.

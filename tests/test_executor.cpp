@@ -213,7 +213,7 @@ TEST(GraphCache, ReleasedGraphStaysValidForItsHolder) {
   const auto cells = sweep::expand(spec);
   GraphCache cache(4);
   const std::shared_ptr<const graph::Graph> pinned =
-      cache.get_shared(cells.front());
+      cache.get_shared(cells.front(), cells.front().graph_key());
   const std::size_t vertices = pinned->num_vertices();
   const std::size_t edges = pinned->num_edges();
   ASSERT_GT(vertices, 0u);
@@ -230,7 +230,8 @@ TEST(GraphCache, ReleasedGraphStaysValidForItsHolder) {
   // Releasing an absent key is a no-op; a later lookup generates afresh.
   cache.release(cells.front().graph_key());
   EXPECT_EQ(cache.stats().releases, 1u);
-  EXPECT_NE(cache.get_shared(cells.front()), pinned);
+  EXPECT_NE(cache.get_shared(cells.front(), cells.front().graph_key()),
+            pinned);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 

@@ -369,5 +369,23 @@ TEST(FnrdService, GracefulStopCancelsRunningCampaigns) {
   SUCCEED();
 }
 
+TEST(FnrdService, UnbindableSocketThrowsAPlainErrorAndLeavesNoThread) {
+  // The workers start only after the bind: a failed bind throws out of
+  // run() with no joinable thread left for ~Daemon to trip over.
+  DaemonOptions options;
+  options.socket_path = "/nonexistent/dir/sock";
+  options.workdir = testing::TempDir();
+  options.workers = 2;
+  Daemon daemon(options);
+  try {
+    daemon.run();
+    FAIL() << "binding under a missing directory must throw";
+  } catch (const CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("/nonexistent/dir/sock"), std::string::npos) << what;
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace fnr::service

@@ -57,6 +57,23 @@ TEST(MainRendezvous, TSetSatisfiesDenseCondition) {
   }
 }
 
+TEST(MainRendezvous, MeetingInsideConstructReportsItsLiveCounters) {
+  // A meeting before T^a is ready leaves t_set_size at 0; Construct's
+  // counters must still show the work done so far, not zeros.
+  const auto g = test::dense_graph(256, 4);
+  int inside = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const auto report = test::quick_run(g, Strategy::Whiteboard, seed);
+    if (!report.run.met || report.agent_a.t_set_size != 0) continue;
+    ++inside;
+    const ConstructStats& construct = report.agent_a.construct;
+    EXPECT_GT(construct.sample_visits + construct.probe_visits, 0u)
+        << "seed " << seed << " " << report.describe();
+    EXPECT_EQ(construct.rounds_used, 0u);  // set when Construct finishes
+  }
+  EXPECT_GT(inside, 0) << "no seed met inside Construct";
+}
+
 TEST(MainRendezvous, MeetingWithinTheoremBudget) {
   // Rounds <= construct budget + C * Theorem-1 probing bound, with a
   // generous constant C; this pins the asymptotic shape without relying on

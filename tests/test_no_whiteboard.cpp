@@ -58,6 +58,23 @@ TEST(NoWhiteboard, MeetsOnNearRegularGraphs) {
   }
 }
 
+TEST(NoWhiteboard, MeetingInsideConstructReportsItsLiveCounters) {
+  // As for the whiteboard agent: a meeting before T^a is ready still
+  // reports the Construct work done so far.
+  const auto g = test::dense_graph(256, 60);
+  int inside = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const auto report = test::quick_run(g, Strategy::NoWhiteboard, seed);
+    if (!report.run.met || report.agent_a.t_set_size != 0) continue;
+    ++inside;
+    const ConstructStats& construct = report.agent_a.construct;
+    EXPECT_GT(construct.sample_visits + construct.probe_visits, 0u)
+        << "seed " << seed << " " << report.describe();
+    EXPECT_EQ(construct.rounds_used, 0u);  // set when Construct finishes
+  }
+  EXPECT_GT(inside, 0) << "no seed met inside Construct";
+}
+
 TEST(NoWhiteboard, MeetsOnCompleteGraph) {
   const auto g = graph::make_complete(128);
   const auto report = test::quick_run(g, Strategy::NoWhiteboard, 5);

@@ -1,11 +1,13 @@
-// Deterministic fuzzing of every JSON reader: checkpoint lines
+// Deterministic fuzzing of every JSON reader — checkpoint lines
 // (load_checkpoint), trial aggregates (TrialAggregate::from_json), fnrd
 // requests (parse_request) and the fnrd responses fnrc reads
-// (response_type, response_field). Valid inputs are mutated by every
-// truncation, by random byte flips and by insertions of random bytes and
-// JSON tokens. A reader fed any of them must either parse it or throw a
-// CheckError naming its context — never crash, hang or throw anything
-// else. Runs in well under a second, also under ASan/UBSan.
+// (response_type, response_field) — and of the spec readers: sweep specs
+// (parse_spec + expand) and fault plans (FaultPlan::parse). Valid inputs
+// are mutated by every truncation, by random byte flips and by insertions
+// of random bytes and grammar tokens. A reader fed any of them must either
+// parse it or throw a plain CheckError (no "check failed" text) naming its
+// context — never crash, hang or throw anything else. Runs in well under a
+// second, also under ASan/UBSan.
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -15,20 +17,30 @@
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.hpp"
+#include "fault/fault.hpp"
 #include "runner/trial_runner.hpp"
 #include "service/protocol.hpp"
+#include "sweep/spec.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace fnr {
 namespace {
 
+const std::vector<std::string> kJsonTokens = {
+    "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u00", "\\u12",
+    "-", "1e999", "true", "null", std::string(1, '\0'), "\n", " ", "0x1"};
+
+/// The pieces of the spec-token grammar and its numbers.
+const std::vector<std::string> kSpecTokens = {
+    "=", ",", "?", "&", ":", "+", "#", "*", "\n", " ", "-", "nan", "1e999",
+    "0.5", "3.0", "none", "deg=", "quorum?q=", "crash?rate=",
+    std::string(1, '\0')};
+
 /// Every truncation of each seed input, then `rounds` random mutations.
-std::vector<std::string> mutations(const std::vector<std::string>& seeds,
-                                   int rounds, std::uint64_t rng_seed) {
-  static const std::vector<std::string> kTokens = {
-      "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u00", "\\u12",
-      "-", "1e999", "true", "null", std::string(1, '\0'), "\n", " ", "0x1"};
+std::vector<std::string> mutations(
+    const std::vector<std::string>& seeds, int rounds, std::uint64_t rng_seed,
+    const std::vector<std::string>& tokens = kJsonTokens) {
   Rng rng(rng_seed, 4242);
   std::vector<std::string> out;
   for (const std::string& seed : seeds)
@@ -46,8 +58,8 @@ std::vector<std::string> mutations(const std::vector<std::string>& seeds,
         case 1:  // insert a random byte
           text.insert(at, 1, static_cast<char>(rng.below(256)));
           break;
-        default:  // insert a JSON token
-          text.insert(at, kTokens[rng.below(kTokens.size())]);
+        default:  // insert a grammar token
+          text.insert(at, tokens[rng.below(tokens.size())]);
       }
     }
     out.push_back(std::move(text));
@@ -73,6 +85,24 @@ std::size_t expect_parse_or_named_rejection(
     }
   }
   return rejected;
+}
+
+/// The same for the spec readers, whose rejections must also be plain:
+/// no check expression or source location.
+std::size_t expect_parse_or_plain_rejection(
+    const std::vector<std::string>& inputs, const std::string& context,
+    const std::function<void(const std::string&)>& parse) {
+  return expect_parse_or_named_rejection(
+      inputs, context, [&](const std::string& input) {
+        try {
+          parse(input);
+        } catch (const CheckError& error) {
+          EXPECT_EQ(std::string(error.what()).find("check failed"),
+                    std::string::npos)
+              << error.what() << "\n" << input;
+          throw;
+        }
+      });
 }
 
 runner::TrialAggregate sample_aggregate(bool faults) {
@@ -211,6 +241,45 @@ TEST(ParserFuzz, FnrdResponsesAsFnrcReadsThem) {
               throw;
           }
         }
+      });
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(ParserFuzz, SweepSpecs) {
+  // Every predefined spec, parsed and expanded (no graph is built). A
+  // rejection names the spec line, or the spec itself when no one line is
+  // at fault (a missing axis, a size the family cannot host).
+  std::vector<std::string> seeds;
+  for (const auto& [name, text] : sweep::predefined_specs())
+    seeds.push_back(text);
+  seeds.push_back(
+      "name = axes\ntrials = 1\nprograms = explore-rally, "
+      "random-walk?laziness=0.25\nscenarios = swarm-gather\n"
+      "topologies = ring, watts-strogatz:k=2:beta=0.5\nsizes = 16\n"
+      "seeds = 1, 2\nagents = 3, 4\ngathers = any-pair, quorum?q=3, "
+      "fraction?f=0.5\nfaults = none, crash?rate=0.1+churn?skip=2\n");
+  for (const auto& seed : seeds)
+    EXPECT_FALSE(sweep::expand(sweep::parse_spec(seed)).empty());
+  const auto rejected = expect_parse_or_plain_rejection(
+      mutations(seeds, 1500, 5, kSpecTokens), "sweep spec ",
+      [](const std::string& in) {
+        (void)sweep::expand(sweep::parse_spec(in));
+      });
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(ParserFuzz, FaultPlans) {
+  const std::vector<std::string> seeds = {
+      "none", "crash?rate=0.05&downtime=4", "wb-drop?rate=0.2&skip=3&count=2",
+      "wb-stale?rate=1+wb-wipe?rate=0.25",
+      "churn?count=8&rate=0.1&skip=16+crash"};
+  const auto rejected = expect_parse_or_plain_rejection(
+      mutations(seeds, 3000, 6, kSpecTokens), "fault",
+      [](const std::string& in) {
+        const auto plan = fault::FaultPlan::parse(in);
+        // An accepted plan's canonical key parses back to itself.
+        if (plan.active())
+          EXPECT_EQ(fault::FaultPlan::parse(plan.key()).key(), plan.key());
       });
   EXPECT_GT(rejected, 0u);
 }

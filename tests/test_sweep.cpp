@@ -218,6 +218,41 @@ TEST(SweepSpec, UnknownLabelErrorsNameTheLineAndEnumerateTheRegistry) {
   }
 }
 
+TEST(SweepSpec, EveryKeyErrorNamesItsLineInPlainWords) {
+  const std::string base =
+      "name = e\ntrials = 1\nprograms = whiteboard\nscenarios = sync-pair\n"
+      "topologies = ring\nsizes = 16\nseeds = 1\n";
+  // Each bad line lands on line 8, after the seven good ones.
+  for (const char* bad :
+       {"programs = random-walk?laziness=", "faults = crash?ratee=0.1",
+        "topologies = torus:side=3", "topologies = torus:",
+        "sizes = 16, 3", "sizes = 2000000", "gathers = quorum?q=1",
+        "gathers = quorum?q=2.5", "agents = 1", "trials = 0",
+        "trials = x", "seeds = -1", "scenarios = nowhere", "name =",
+        "colour = blue", "no equals sign"}) {
+    try {
+      (void)parse_spec(base + bad + "\n");
+      ADD_FAILURE() << "'" << bad << "' must be rejected";
+    } catch (const CheckError& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("sweep spec line 8: ", 0), 0u) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    }
+  }
+  // A size its family cannot host is a fault of the whole grid: expand
+  // names the spec.
+  try {
+    (void)expand(parse_spec(
+        "name = small\nprograms = whiteboard\nscenarios = sync-pair\n"
+        "topologies = ring, torus\nsizes = 5\nseeds = 1\n"));
+    ADD_FAILURE() << "a 5-vertex torus must be rejected";
+  } catch (const CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_EQ(what.rfind("sweep spec 'small': ", 0), 0u) << what;
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+  }
+}
+
 TEST(SweepSpec, WildcardAxesAndParameterizedProgramsParse) {
   const SweepSpec spec = parse_spec(
       "name = wild\ntrials = 1\n"
@@ -324,14 +359,14 @@ TEST(GraphCache, ReusesGeneratedTopologiesAndEvictsLru) {
   const auto grid = expand(spec);
   GraphCache cache(1);
   // Same graph key twice: one miss, one hit returning the same object.
-  const graph::Graph& first = cache.get(grid[0]);
-  const graph::Graph& again = cache.get(grid[0]);
-  EXPECT_EQ(&first, &again);
+  const auto first = cache.get_shared(grid[0], grid[0].graph_key());
+  const auto again = cache.get_shared(grid[0], grid[0].graph_key());
+  EXPECT_EQ(first, again);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
   // A different key evicts the only slot; re-requesting the first misses.
-  (void)cache.get(grid[1]);
-  (void)cache.get(grid[0]);
+  (void)cache.get_shared(grid[1], grid[1].graph_key());
+  (void)cache.get_shared(grid[0], grid[0].graph_key());
   EXPECT_EQ(cache.stats().misses, 3u);
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for src/util: RNG, statistics, tables, CLI.
+// Unit tests for src/util: RNG, statistics, tables, CLI, JSON, spec tokens.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +17,7 @@
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
+#include "util/spec_token.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -484,6 +485,101 @@ TEST(BenchEmit, JsonLineIsOneWriterObject) {
   EXPECT_EQ(::testing::internal::GetCapturedStdout(),
             R"({"cell":"n=256 \"dense\"","aggregate":)" + agg.to_json() +
                 "}\n");
+}
+
+TEST(SpecToken, SplitsNameAndSortedParamsUnderEitherSeparator) {
+  const DeclaredParams declared = {{"a", 1.0}, {"b", 2.0}};
+  std::string resolved;
+  const DeclaredFn resolve = [&](const std::string& name)
+      -> const DeclaredParams& {
+    resolved = name;
+    return declared;
+  };
+  const SpecToken bare = parse_spec_token("thing", " x ", '?', '&', resolve);
+  EXPECT_EQ(bare.name, "x");
+  EXPECT_EQ(resolved, "x");
+  EXPECT_TRUE(bare.params.empty());
+  const SpecToken query =
+      parse_spec_token("thing", "x ? b = 2.5 & a=1e-1", '?', '&', resolve);
+  EXPECT_EQ(query.name, "x");
+  EXPECT_EQ(query.params, (std::map<std::string, double>{{"a", 0.1},
+                                                         {"b", 2.5}}));
+  const SpecToken colon =
+      parse_spec_token("thing", "x:b=3:a=4", ':', ':', resolve);
+  EXPECT_EQ(colon.params, (std::map<std::string, double>{{"a", 4.0},
+                                                         {"b", 3.0}}));
+  // The resolver's own error passes through untouched.
+  EXPECT_THROW((void)parse_spec_token("thing", "y?a=1", '?', '&',
+                                      [](const std::string&)
+                                          -> const DeclaredParams& {
+                                        throw CheckError("unknown y");
+                                      }),
+               CheckError);
+}
+
+TEST(SpecToken, RejectionsArePlainAndNameTheToken) {
+  const DeclaredParams declared = {{"rate", 0.5}, {"skip", 0.0}};
+  const DeclaredFn resolve =
+      [&](const std::string&) -> const DeclaredParams& { return declared; };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"f?", "empty key=value pair"},
+      {"f?rate=1&", "empty key=value pair"},
+      {"f?rate=1&&skip=2", "empty key=value pair"},
+      {"f?rate", "'rate' is not key=value"},
+      {"f?=1", "'=1' is not key=value"},
+      {"f?bogus=1", "unknown parameter 'bogus'; declared: rate skip"},
+      {"f?rate=1&rate=2", "repeats parameter 'rate'"},
+      {"f?rate=", "parameter 'rate' expects a number"},
+      {"f?rate=nan", "parameter 'rate' must be a finite number"},
+      {"f?rate=1x", "parameter 'rate' expects a number"}};
+  for (const auto& [token, expected] : cases) {
+    try {
+      (void)parse_spec_token("fault clause", token, '?', '&', resolve);
+      ADD_FAILURE() << token << " must be rejected";
+    } catch (const CheckError& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("fault clause '" + token + "'", 0), 0u) << what;
+      EXPECT_NE(what.find(expected), std::string::npos) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    }
+  }
+  const DeclaredParams none;
+  try {
+    (void)parse_spec_token("program", "w?d=3", '?', '&',
+                           [&](const std::string&) -> const DeclaredParams& {
+                             return none;
+                           });
+    ADD_FAILURE() << "an undeclared key must be rejected";
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("declared: (none)"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SpecToken, SuffixIsSortedAndShortestRoundTrip) {
+  EXPECT_EQ(param_suffix({}), "");
+  EXPECT_EQ(param_suffix({{"rate", 0.05}, {"downtime", 4.0}}),
+            "?downtime=4&rate=0.05");
+  EXPECT_EQ(param_suffix({{"x", 0.1234567}}), "?x=0.1234567");
+  EXPECT_EQ(param_suffix({{"x", 1e-300}}), "?x=1e-300");
+}
+
+TEST(SpecToken, IntegralValueTakesAnyIntegralNumber) {
+  EXPECT_EQ(integral_value(3.0, "q"), 3u);
+  EXPECT_EQ(integral_value(0.0, "q"), 0u);
+  EXPECT_EQ(integral_value(1e18, "q"), 1'000'000'000'000'000'000u);
+  for (const double bad : {2.5, -1.0, 1e19, std::nan("")}) {
+    try {
+      (void)integral_value(bad, "parameter 'q'");
+      ADD_FAILURE() << bad << " must be rejected";
+    } catch (const CheckError& error) {
+      EXPECT_EQ(std::string(error.what())
+                    .rfind("parameter 'q' must be a non-negative integer", 0),
+                0u)
+          << error.what();
+    }
+  }
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
