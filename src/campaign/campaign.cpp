@@ -132,15 +132,14 @@ CheckpointEntry parse_checkpoint_line(const std::string& line,
     } else if (field == "error") {
       entry.error = cursor.parse_string();
     } else {
-      FNR_CHECK_MSG(false,
-                    "sweep checkpoint: unknown field '" << field << "'");
+      FNR_REQUIRE(false, "sweep checkpoint: unknown field '" << field << "'");
     }
   });
   cursor.expect_end();
-  FNR_CHECK_MSG(have_key, "sweep checkpoint: line without a cell key");
-  FNR_CHECK_MSG(entry.ok == !entry.agg_json.empty(),
-                "sweep checkpoint: ok cells must carry 'agg', failed cells "
-                "must not");
+  FNR_REQUIRE(have_key, "sweep checkpoint: line without a cell key");
+  FNR_REQUIRE(entry.ok == !entry.agg_json.empty(),
+              "sweep checkpoint: ok cells must carry 'agg', failed cells "
+              "must not");
   return entry;
 }
 

@@ -10,13 +10,13 @@
 // the cells with index % shard_count == shard_index, so any number of
 // worker processes can split a campaign without coordination. Within a
 // shard, cells run on the cell executor (src/campaign/executor.hpp), the
-// campaign's one thread pool: `threads` workers pull cells off a
-// work-stealing queue seeded in longest-processing-time order by an
-// online-refined cost model, big cells split into mergeable trial shards,
-// and a reorder buffer stages completed results so checkpoint lines,
-// callbacks, and reports are emitted in canonical grid order — execution
-// order is invisible in every artifact, and `--threads=1` vs `--threads=4`
-// are byte-identical.
+// campaign's one thread pool: `threads` workers pull cells off a shared
+// queue in graph-key order, then grid order, skipping cells whose graph
+// another worker is still generating; big cells split into mergeable
+// trial shards, and a reorder buffer stages completed results so
+// checkpoint lines, callbacks, and reports are emitted in canonical grid
+// order — execution order is invisible in every artifact, and
+// `--threads=1` vs `--threads=4` are byte-identical.
 //
 // Determinism contract. A cell's aggregate depends only on its key: its
 // trials run through scenario::run_scenario_trial_span, whose aggregates are

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <thread>
 #include <vector>
@@ -18,73 +20,11 @@ namespace fnr::campaign {
 
 using sweep::SweepCell;
 
-// --- cost model --------------------------------------------------------------
-
-namespace {
-
-/// Observed rates are keyed per (program label, topology family): the
-/// program dominates the per-round constant, the family the per-round
-/// neighborhood work, and everything else (n, trials, k) is what weight()
-/// already scales by.
-std::string rate_key(const SweepCell& cell) {
-  return scenario::to_string(cell.program) + "|" + cell.topology.family;
-}
-
-}  // namespace
-
-double CellCostModel::weight(const SweepCell& cell) {
-  const double n =
-      static_cast<double>(cell.achieved_n > 0 ? cell.achieved_n : cell.n);
-  double agents = 2.0;
-  if (cell.k.has_value()) {
-    agents = static_cast<double>(*cell.k);
-  } else {
-    try {
-      agents = static_cast<double>(
-          scenario::find_scenario(cell.scenario).num_agents);
-    } catch (const CheckError&) {
-      // Unknown scenario: the cell will fail deterministically anyway;
-      // any finite weight does.
-    }
-  }
-  // Neighborhood-scan families cost far more per round than constant-
-  // degree walks (measured wall time spans ~300-500× between near-regular
-  // and torus at equal n) — a crude factor is enough for seeding, and
-  // observe() replaces it with measured rates after the first completion.
-  double family = 1.0;
-  if (cell.topology.family == "near-regular") family = 30.0;
-  else if (cell.topology.family == "random-geometric") family = 4.0;
-  return std::max(1.0, static_cast<double>(cell.trials)) *
-         std::max(4.0, n) * std::max(1.0, agents) * family;
-}
-
-double CellCostModel::estimate(const SweepCell& cell) const {
-  const double w = weight(cell);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = rate_.find(rate_key(cell));
-  // Unobserved pairs return the raw weight — orders of magnitude above
-  // any realistic seconds-per-weight rate, so unknown-cost cells are
-  // pulled first and the model learns their rate as early as possible.
-  if (it == rate_.end()) return w;
-  return w * it->second;
-}
-
-void CellCostModel::observe(const SweepCell& cell, double seconds) {
-  const double rate = std::max(seconds, 1e-9) / weight(cell);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = rate_.try_emplace(rate_key(cell), rate);
-  if (!inserted) it->second = 0.5 * it->second + 0.5 * rate;
-}
-
 // --- the pick ----------------------------------------------------------------
 
 std::size_t pick_unit(const std::vector<QueuedUnit>& units) {
   const auto before = [](const QueuedUnit& a, const QueuedUnit& b) {
     if (a.blocked != b.blocked) return !a.blocked;
-    if (a.estimate != b.estimate) return a.estimate > b.estimate;
-    // Equal estimates (sibling cells before the model has observed their
-    // family, shards of one cell) break deterministically: by graph key,
-    // then canonical order.
     return std::tie(a.graph, a.index, a.shard) <
            std::tie(b.graph, b.index, b.shard);
   };
@@ -312,8 +252,6 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
 
   // --- parallel path ---------------------------------------------------------
 
-  CellCostModel model;
-
   // Build the unit list: one unit per cell, or several shards for cells
   // big enough to split (see shard_count).
   std::vector<CellState> states(cells.size());
@@ -341,11 +279,10 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
                                       GraphState::kUnclaimed);
 
   // Shared scheduling + staging state. The queue mutex serializes pops
-  // (each pop refreshes every remaining unit's estimate and blocked flag
-  // and takes pick_unit's choice — LPT with online-refined estimates) and
-  // guards graph_state and units_left; the stage mutex hands finished
-  // results to the calling thread, which alone runs emit() in canonical
-  // slot order.
+  // (each pop refreshes every remaining unit's blocked flag and takes
+  // pick_unit's choice) and guards graph_state and units_left; the stage
+  // mutex hands finished results to the calling thread, which alone runs
+  // emit() in canonical slot order.
   std::mutex queue_mutex;
   std::atomic<bool> stop{false};
 
@@ -364,10 +301,8 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
         cancel.load(std::memory_order_relaxed))
       return std::nullopt;
     std::lock_guard<std::mutex> lock(queue_mutex);
-    for (QueuedUnit& unit : queue) {
-      unit.estimate = model.estimate(cells[unit.slot]);
+    for (QueuedUnit& unit : queue)
       unit.blocked = graph_state[unit.graph] == GraphState::kBuilding;
-    }
     const std::size_t best = pick_unit(queue);
     if (best == queue.size()) return std::nullopt;
     Popped popped{queue[best]};
@@ -426,7 +361,6 @@ ExecutorStats CellExecutor::run(const std::vector<SweepCell>& cells,
         if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           // Last shard standing: merge, measure, stage for the flusher.
           CellResult result = assemble(cell, state);
-          model.observe(cell, result.seconds);
           {
             std::lock_guard<std::mutex> lock(stage_mutex);
             staged[unit.slot] = std::move(result);

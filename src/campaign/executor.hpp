@@ -14,22 +14,17 @@
 // invisible). A grid with fewer cells than workers splits down to
 // single-trial shards, so even one cell fills the pool.
 //
-// Scheduling. The queue is seeded in longest-processing-time order by a
-// cost model: an a-priori weight from the cell's shape (trials × n ×
-// agent count × a family factor for neighborhood-scan-heavy topologies),
-// refined online by per-(program, family) seconds-per-weight rates
-// observed from completed cells — so the second near-regular cell is
-// scheduled with a measured cost, not a guess. Workers "steal" by popping
-// the currently-most-expensive remaining unit under the queue lock; idle
-// workers naturally drain a split cell's tail shards.
-//
-// Graph lifecycle. The pick is graph-aware (pick_unit): a unit whose graph
-// another worker is still generating is blocked, and a free worker takes
-// it only when every remaining unit is blocked — so workers build
-// different graphs side by side instead of queueing on one in-flight
-// generation. When the last unit that needs a graph key finishes, the
-// executor releases the key from the cache, so a run holds only the graphs
-// it still has work for.
+// Scheduling and graph lifecycle. Workers pop units under the queue lock in
+// graph-key order, then grid order (pick_unit), so one graph's cells run
+// together and idle workers drain a split cell's tail shards. The pick is
+// graph-aware: a unit whose graph another worker is still generating is
+// blocked, and a free worker takes it only when every remaining unit is
+// blocked — so workers build different graphs side by side instead of
+// queueing on one in-flight generation. When the last unit that needs a
+// graph key finishes, the executor releases the key from the cache, so a
+// run holds only the graphs it still has work for. (A longest-processing-
+// time order from a per-family cost model was measured against this order
+// and showed no gain; see docs/PERFORMANCE.md.)
 //
 // Determinism (the headline contract). Completion order is timing-
 // dependent; emission order is not. Finished results are staged in a
@@ -50,9 +45,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <string>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "sweep/spec.hpp"
@@ -87,43 +80,17 @@ struct QueuedUnit {
   std::uint64_t shard = 0;  ///< shard index within the cell
   std::size_t graph = 0;    ///< graph key id; ids follow sorted key order
   std::uint64_t index = 0;  ///< the cell's canonical grid index
-  double estimate = 0.0;    ///< CellCostModel::estimate of the cell
   bool blocked = false;     ///< another worker is generating its graph
 };
 
 /// The position of the unit a free worker runs next, or units.size() when
-/// `units` is empty. Among runnable (unblocked) units it is the one with
-/// the highest estimate — longest processing time first — ties broken by
-/// graph key id, then grid index, then shard. A blocked unit loses to any
-/// runnable one whatever its estimate; when every unit is blocked, the
+/// `units` is empty: the first runnable (unblocked) unit in order of graph
+/// key id, then grid index, then shard. When every unit is blocked, the
 /// same order picks among them all (the worker then waits for the graph).
 [[nodiscard]] std::size_t pick_unit(const std::vector<QueuedUnit>& units);
 
-/// Cost model behind the LPT seeding: estimate() ranks cells by expected
-/// seconds, observe() refines per-(program label, topology family) rates
-/// from completed cells. Thread-safe; estimates only need to be *relatively*
-/// right — a misranked cell costs idle time, never correctness.
-class CellCostModel {
- public:
-  /// A-priori shape weight: trials × achieved_n × agents, scaled for
-  /// neighborhood-scan-heavy families (near-regular, random-geometric).
-  [[nodiscard]] static double weight(const sweep::SweepCell& cell);
-
-  /// Expected seconds (arbitrary unit before the first observation).
-  /// Unobserved (program, family) pairs rank by raw weight above every
-  /// observed rate — explore unknown cost first, exactly what LPT wants.
-  [[nodiscard]] double estimate(const sweep::SweepCell& cell) const;
-
-  /// Folds a completed cell's wall-clock into its (program, family) rate.
-  void observe(const sweep::SweepCell& cell, double seconds);
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, double> rate_;  ///< EMA seconds-per-weight
-};
-
 /// Runs one list of cells. Construct per campaign run; run() is callable
-/// once. The executor owns its graph cache and cost model.
+/// once. The executor owns its graph cache.
 class CellExecutor {
  public:
   explicit CellExecutor(ExecutorOptions options);

@@ -62,9 +62,6 @@ class Knowledge {
   [[nodiscard]] bool in_home_closed(graph::VertexId v) const {
     return test_bit(home_mask_, v);
   }
-  [[nodiscard]] std::size_t home_closed_size() const noexcept {
-    return home_closed_.size();
-  }
 
   [[nodiscard]] bool in_ns(graph::VertexId v) const {
     return test_bit(ns_mask_, v);

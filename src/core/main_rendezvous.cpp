@@ -118,7 +118,10 @@ bool WhiteboardAgentA::check_mark(const sim::View& view) {
 
 AgentAStats WhiteboardAgentA::stats() const {
   AgentAStats out = stats_;
-  if (construct_ != nullptr) out.construct = construct_->stats();
+  if (construct_ != nullptr) {
+    out.construct = construct_->stats();
+    out.delta_hat_final = delta_hat_;
+  }
   return out;
 }
 

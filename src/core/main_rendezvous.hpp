@@ -47,8 +47,8 @@ class WhiteboardAgentA final : public sim::ScriptedAgent {
 
   /// The run's counters so far. While Construct is in flight (a trial that
   /// meets inside Construct), `construct` holds the live run's counters
-  /// with rounds_used 0; the rest of the Construct fields fill in when it
-  /// finishes.
+  /// with rounds_used 0 and `delta_hat_final` the current δ estimate; the
+  /// rest of the Construct fields fill in when it finishes.
   [[nodiscard]] AgentAStats stats() const;
   [[nodiscard]] std::size_t memory_words() const override;
 

@@ -122,7 +122,6 @@ void NoWhiteboardAgentA::drive_construct(const sim::View& view) {
   }
   stats_.construct = construct_->stats();
   stats_.construct.rounds_used = view.round();
-  stats_.delta_hat_final = delta_;
   stats_.t_set_size = construct_->t_set().size();
   stats_.t_set_ids = construct_->t_set();
   start_tour(view);
@@ -130,6 +129,7 @@ void NoWhiteboardAgentA::drive_construct(const sim::View& view) {
 
 AgentAStats NoWhiteboardAgentA::stats() const {
   AgentAStats out = stats_;
+  out.delta_hat_final = delta_;  // given, never estimated
   if (phase_ == Phase::Construct) out.construct = construct_->stats();
   return out;
 }

@@ -77,13 +77,12 @@ class NoWhiteboardAgentA final : public sim::ScriptedAgent {
                      NoWbOracle oracle = {});
 
   /// The run's counters so far; like WhiteboardAgentA::stats(), a
-  /// Construct still in flight reports its live counters.
+  /// Construct still in flight reports its live counters. δ is reported
+  /// from the start, the oracle ablation included.
   [[nodiscard]] AgentAStats stats() const;
   [[nodiscard]] const NoWbSchedule& schedule() const noexcept {
     return schedule_;
   }
-  /// |Φᵃ| (after truncation; for the intersection experiments).
-  [[nodiscard]] std::size_t phi_size() const noexcept { return phi_size_; }
   [[nodiscard]] std::size_t memory_words() const override;
 
  protected:
@@ -118,7 +117,6 @@ class NoWhiteboardAgentB final : public sim::ScriptedAgent {
   NoWhiteboardAgentB(const Params& params, double delta, Rng rng,
                      bool synchronized_start = true);
 
-  [[nodiscard]] std::size_t phi_size() const noexcept { return phi_size_; }
   [[nodiscard]] std::size_t memory_words() const override;
 
  protected:

@@ -163,7 +163,7 @@ T& member(Block& block, const std::pair<const char*, T Block::*> (&table)[N],
           const std::string& name) {
   for (const auto& [key, field] : table)
     if (name == key) return block.*field;
-  FNR_CHECK_MSG(false, "trial aggregate: unknown field '" << name << "'");
+  FNR_REQUIRE(false, "trial aggregate: unknown field '" << name << "'");
   throw std::logic_error("unreachable");
 }
 
@@ -220,7 +220,7 @@ TrialAggregate TrialAggregate::from_json(const std::string& json) {
             cursor.parse_uint64();
       });
     else
-      FNR_CHECK_MSG(false, "trial aggregate: unknown field '" << field << "'");
+      FNR_REQUIRE(false, "trial aggregate: unknown field '" << field << "'");
   });
   cursor.expect_end();
   return agg;

@@ -75,36 +75,35 @@ Request parse_request(const std::string& payload) {
     } else if (field == "max_cells") {
       request.max_cells = cursor.parse_uint64();
     } else {
-      FNR_CHECK_MSG(false,
-                    "fnrd request: unknown field '" << field << "'");
+      FNR_REQUIRE(false, "fnrd request: unknown field '" << field << "'");
     }
   });
   cursor.expect_end();
-  FNR_CHECK_MSG(have_verb, "fnrd request: missing 'verb'");
+  FNR_REQUIRE(have_verb, "fnrd request: missing 'verb'");
   if (request.verb == Verb::Status) {
     // STATUS may address all campaigns (empty name); everything else
     // names exactly one.
-    FNR_CHECK_MSG(request.campaign.empty() ||
-                      valid_campaign_name(request.campaign),
-                  "fnrd request: invalid campaign name");
+    FNR_REQUIRE(request.campaign.empty() ||
+                    valid_campaign_name(request.campaign),
+                "fnrd request: invalid campaign name");
   } else {
-    FNR_CHECK_MSG(valid_campaign_name(request.campaign),
-                  "fnrd request: '" << to_string(request.verb)
-                                    << "' needs a campaign name matching "
-                                       "[A-Za-z0-9._-]+ (no leading dot)");
+    FNR_REQUIRE(valid_campaign_name(request.campaign),
+                "fnrd request: '" << to_string(request.verb)
+                                  << "' needs a campaign name matching "
+                                     "[A-Za-z0-9._-]+ (no leading dot)");
   }
-  FNR_CHECK_MSG(request.verb == Verb::Submit || request.spec_text.empty(),
-                "fnrd request: only 'submit' carries a spec");
-  FNR_CHECK_MSG(request.verb != Verb::Submit || !request.spec_text.empty(),
-                "fnrd request: 'submit' needs a spec");
+  FNR_REQUIRE(request.verb == Verb::Submit || request.spec_text.empty(),
+              "fnrd request: only 'submit' carries a spec");
+  FNR_REQUIRE(request.verb != Verb::Submit || !request.spec_text.empty(),
+              "fnrd request: 'submit' needs a spec");
   return request;
 }
 
 std::string response_type(const std::string& payload) {
   JsonCursor cursor(payload, "fnrd response");
   cursor.expect('{');
-  FNR_CHECK_MSG(cursor.parse_string() == "type",
-                "fnrd response: expected leading 'type'");
+  FNR_REQUIRE(cursor.parse_string() == "type",
+              "fnrd response: expected leading 'type'");
   cursor.expect(':');
   return cursor.parse_string();
 }
@@ -119,8 +118,7 @@ std::string response_field(const std::string& payload,
     else
       cursor.skip_value();
   });
-  FNR_CHECK_MSG(value.has_value(),
-                "fnrd response has no '" << name << "' field");
+  FNR_REQUIRE(value.has_value(), "fnrd response has no '" << name << "' field");
   return *value;
 }
 

@@ -34,6 +34,7 @@ std::vector<std::string> split(std::string_view s, char sep) {
 struct FamilyInfo {
   const char* name;
   DeclaredParams params;  ///< parameter → default
+  const char* integral = "";  ///< the parameter that must be an integer
 };
 
 const std::vector<FamilyInfo>& families() {
@@ -44,10 +45,10 @@ const std::vector<FamilyInfo>& families() {
       {"grid", {}},
       {"torus", {}},
       {"hypercube", {}},
-      {"near-regular", {{"deg", 8.0}}},
+      {"near-regular", {{"deg", 8.0}}, "deg"},
       {"erdos-renyi", {{"avg-deg", 8.0}}},
-      {"barabasi-albert", {{"m", 4.0}}},
-      {"watts-strogatz", {{"k", 4.0}, {"beta", 0.1}}},
+      {"barabasi-albert", {{"m", 4.0}}, "m"},
+      {"watts-strogatz", {{"k", 4.0}, {"beta", 0.1}}, "k"},
       {"random-geometric", {{"radius-factor", 1.2}}},
   };
   return all;
@@ -95,10 +96,17 @@ double geometric_radius(const TopologySpec& spec, std::uint64_t n) {
 
 void TopologySpec::validate() const {
   const FamilyInfo& info = family_info(family);
-  for (const auto& [name, value] : params)
+  for (const auto& [name, value] : params) {
     FNR_REQUIRE(info.params.contains(name),
                 "topology family '" << family << "' has no parameter '"
                                     << name << "'");
+    // The message is built only on failure: expand() and every graph
+    // build validate, and the work gate pins their allocations.
+    FNR_REQUIRE(name != info.integral || is_integral(value),
+                "topology '" << key() << "': parameter '" << name
+                             << "' must be a non-negative integer, got "
+                             << value);
+  }
 }
 
 std::string TopologySpec::key() const {
@@ -142,8 +150,7 @@ graph::Graph TopologySpec::build(std::uint64_t n, std::uint64_t seed) const {
   }
   if (family == "hypercube") return graph::make_hypercube(floor_log2(n));
   if (family == "near-regular") {
-    const std::uint64_t deg = integral_value(
-        param_of(*this, "deg"), "topology '" + key() + "': parameter 'deg'");
+    const auto deg = static_cast<std::uint64_t>(param_of(*this, "deg"));
     FNR_CHECK_MSG(deg >= 1 && deg < target,
                   "topology '" << key() << "': deg must be in [1, n)");
     return graph::make_near_regular(target, deg, rng);
@@ -156,15 +163,13 @@ graph::Graph TopologySpec::build(std::uint64_t n, std::uint64_t seed) const {
     return graph::make_erdos_renyi(target, p, rng);
   }
   if (family == "barabasi-albert") {
-    const std::uint64_t m = integral_value(
-        param_of(*this, "m"), "topology '" + key() + "': parameter 'm'");
+    const auto m = static_cast<std::uint64_t>(param_of(*this, "m"));
     FNR_CHECK_MSG(m >= 1 && target >= m + 2,
                   "topology '" << key() << "': needs n >= m + 2");
     return graph::make_barabasi_albert(target, m, rng);
   }
   if (family == "watts-strogatz") {
-    const std::uint64_t k = integral_value(
-        param_of(*this, "k"), "topology '" + key() + "': parameter 'k'");
+    const auto k = static_cast<std::uint64_t>(param_of(*this, "k"));
     const double beta = param_of(*this, "beta");
     FNR_CHECK_MSG(k >= 1 && 2 * k + 1 <= target,
                   "topology '" << key() << "': needs 2k + 1 <= n");
@@ -197,6 +202,7 @@ TopologySpec parse_topology(const std::string& token) {
   TopologySpec spec;
   spec.family = std::move(parsed.name);
   spec.params = std::move(parsed.params);
+  spec.validate();
   return spec;
 }
 

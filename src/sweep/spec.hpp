@@ -83,7 +83,8 @@ struct TopologySpec {
   /// parameter names are rejected by validate().
   std::map<std::string, double> params;
 
-  /// Throws CheckError on an unknown family or unknown/invalid params.
+  /// Throws CheckError on an unknown family, an unknown param, or an
+  /// integer param (`deg`, `m`, `k`) that is not a non-negative integer.
   void validate() const;
 
   /// Canonical label, e.g. "near-regular:deg=16" — used in cell keys and
@@ -109,7 +110,7 @@ inline constexpr std::uint64_t kGraphStream = 911;
 /// Supported family names, in a stable listing order.
 [[nodiscard]] const std::vector<std::string>& topology_families();
 
-/// Parses `family[:param=value]...` (see the file header).
+/// Parses `family[:param=value]...` (see the file header) and validates it.
 [[nodiscard]] TopologySpec parse_topology(const std::string& token);
 
 /// A full sweep specification (see file header for the text format).

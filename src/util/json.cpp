@@ -101,7 +101,7 @@ std::string JsonCursor::parse_string() {
       continue;
     }
     ++p_;  // consume the backslash
-    FNR_CHECK_MSG(p_ < end_, context_ << ": dangling escape at end of input");
+    FNR_REQUIRE(p_ < end_, context_ << ": dangling escape at end of input");
     const char code = *p_++;
     switch (code) {
       case '"': out.push_back('"'); break;
@@ -115,8 +115,7 @@ std::string JsonCursor::parse_string() {
       case 'u': {
         // json_escape only emits \u00XX; anything above U+00FF would need
         // UTF-16 surrogate handling, which is outside the schema.
-        FNR_CHECK_MSG(end_ - p_ >= 4,
-                      context_ << ": truncated \\u escape");
+        FNR_REQUIRE(end_ - p_ >= 4, context_ << ": truncated \\u escape");
         unsigned value = 0;
         for (int i = 0; i < 4; ++i) {
           const char h = *p_++;
@@ -127,19 +126,19 @@ std::string JsonCursor::parse_string() {
           else if (h >= 'A' && h <= 'F')
             digit = static_cast<unsigned>(h - 'A') + 10;
           else
-            FNR_CHECK_MSG(false, context_ << ": bad \\u escape digit '" << h
-                                          << "'");
+            FNR_REQUIRE(false, context_ << ": bad \\u escape digit '" << h
+                                        << "'");
           value = value * 16 + digit;
         }
-        FNR_CHECK_MSG(value <= 0xFF,
-                      context_ << ": \\u escapes above U+00FF are not in "
-                                  "the schema");
+        FNR_REQUIRE(value <= 0xFF,
+                    context_ << ": \\u escapes above U+00FF are not in "
+                                "the schema");
         out.push_back(static_cast<char>(value));
         break;
       }
       default:
-        FNR_CHECK_MSG(false, context_ << ": unsupported escape '\\" << code
-                                      << "'");
+        FNR_REQUIRE(false, context_ << ": unsupported escape '\\" << code
+                                    << "'");
     }
   }
   expect('"');
@@ -150,21 +149,21 @@ double JsonCursor::parse_number() {
   skip_ws();
   char* after = nullptr;
   const double value = std::strtod(p_, &after);
-  FNR_CHECK_MSG(after != p_, context_ << ": expected a number");
+  FNR_REQUIRE(after != p_, context_ << ": expected a number");
   p_ = after;
   return value;
 }
 
 std::uint64_t JsonCursor::parse_uint64() {
   skip_ws();
-  FNR_CHECK_MSG(p_ < end_ && *p_ != '-',
-                context_ << ": expected a non-negative integer");
+  FNR_REQUIRE(p_ < end_ && *p_ != '-',
+              context_ << ": expected a non-negative integer");
   char* after = nullptr;
   errno = 0;
   const std::uint64_t value = std::strtoull(p_, &after, 10);
-  FNR_CHECK_MSG(after != p_, context_ << ": expected an integer");
-  FNR_CHECK_MSG(errno != ERANGE,
-                context_ << ": integer field out of 64-bit range");
+  FNR_REQUIRE(after != p_, context_ << ": expected an integer");
+  FNR_REQUIRE(errno != ERANGE,
+              context_ << ": integer field out of 64-bit range");
   p_ = after;
   return value;
 }
@@ -179,20 +178,20 @@ bool JsonCursor::parse_bool() {
     p_ += 5;
     return false;
   }
-  FNR_CHECK_MSG(false, context_ << ": expected true/false");
+  FNR_REQUIRE(false, context_ << ": expected true/false");
   throw std::logic_error("unreachable");
 }
 
 void JsonCursor::skip_value() {
   skip_ws();
-  FNR_CHECK_MSG(p_ < end_, context_ << ": expected a value");
+  FNR_REQUIRE(p_ < end_, context_ << ": expected a value");
   if (*p_ == '"') {
     (void)parse_string();
     return;
   }
   if (*p_ == '{' || *p_ == '[') {
-    FNR_CHECK_MSG(++depth_ <= kMaxDepth,
-                  context_ << ": values nested deeper than " << kMaxDepth);
+    FNR_REQUIRE(++depth_ <= kMaxDepth,
+                context_ << ": values nested deeper than " << kMaxDepth);
     if (*p_ == '{') {
       object([this](const std::string&) { skip_value(); });
     } else {

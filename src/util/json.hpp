@@ -73,16 +73,11 @@ class JsonCursor {
       ++p_;
   }
 
-  [[nodiscard]] bool peek_is(char c) {
-    skip_ws();
-    return p_ < end_ && *p_ == c;
-  }
-
   void expect(char c) {
     skip_ws();
-    FNR_CHECK_MSG(p_ < end_ && *p_ == c,
-                  context_ << ": expected '" << c << "' with " << (end_ - p_)
-                           << " bytes left");
+    FNR_REQUIRE(p_ < end_ && *p_ == c,
+                context_ << ": expected '" << c << "' with " << (end_ - p_)
+                         << " bytes left");
     ++p_;
   }
 
@@ -137,7 +132,7 @@ class JsonCursor {
 
   void expect_end() {
     skip_ws();
-    FNR_CHECK_MSG(p_ == end_, context_ << ": trailing content after value");
+    FNR_REQUIRE(p_ == end_, context_ << ": trailing content after value");
   }
 
  private:

@@ -68,8 +68,12 @@ std::string param_suffix(const std::map<std::string, double>& params) {
   return out;
 }
 
+bool is_integral(double value) {
+  return value >= 0.0 && value == std::floor(value) && value <= 1e18;
+}
+
 std::uint64_t integral_value(double value, const std::string& what) {
-  FNR_REQUIRE(value >= 0.0 && value == std::floor(value) && value <= 1e18,
+  FNR_REQUIRE(is_integral(value),
               what << " must be a non-negative integer, got " << value);
   return static_cast<std::uint64_t>(value);
 }

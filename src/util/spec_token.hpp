@@ -47,8 +47,12 @@ using DeclaredFn =
 [[nodiscard]] std::string param_suffix(
     const std::map<std::string, double>& params);
 
-/// `value` as a non-negative integer (an integral double such as 3.0 is
-/// fine); otherwise throws a plain CheckError naming `what`.
+/// Whether `value` is a non-negative integer (an integral double such as
+/// 3.0 is one) small enough for std::uint64_t.
+[[nodiscard]] bool is_integral(double value);
+
+/// `value` as a non-negative integer (see is_integral); otherwise throws a
+/// plain CheckError naming `what`.
 [[nodiscard]] std::uint64_t integral_value(double value,
                                            const std::string& what);
 

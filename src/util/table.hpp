@@ -23,9 +23,6 @@ class Table {
   /// Adds one row; its arity must match the header.
   void add_row(std::vector<std::string> cells);
 
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t num_cols() const noexcept { return header_.size(); }
-
   /// GitHub-flavoured markdown rendering.
   [[nodiscard]] std::string to_markdown() const;
 

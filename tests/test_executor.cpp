@@ -2,10 +2,9 @@
 // Campaign. The headline contract under test is byte-identity — merged
 // JSON, checkpoint lines (modulo the informational "seconds" field), and
 // callback order must not depend on the executor pool size — plus the
-// LPT cost model, the graph-aware pick, trial-shard splitting, the
-// restored-before-live replay ordering on resume, max_cells prefix
-// semantics, and the graph lifecycle: each key generated once and released
-// after its last unit.
+// graph-aware pick, trial-shard splitting, the restored-before-live replay
+// ordering on resume, max_cells prefix semantics, and the graph lifecycle:
+// each key generated once and released after its last unit.
 #include "campaign/executor.hpp"
 
 #include <algorithm>
@@ -27,8 +26,8 @@ namespace fnr::campaign {
 namespace {
 
 // Mirrors the CI smoke grid: 16 heterogeneous cells across two programs,
-// two scenarios, two families, two sizes — enough shape spread for the
-// LPT queue to schedule out of canonical order at threads > 1.
+// two scenarios, two families, two sizes — enough graph keys for the
+// graph-ordered queue to schedule out of canonical order at threads > 1.
 constexpr const char* kGridSpec = R"(
 name       = executor-grid
 trials     = 3
@@ -97,73 +96,9 @@ RunArtifacts run_campaign(const sweep::SweepSpec& spec,
   return artifacts;
 }
 
-TEST(CellCostModel, WeightRanksFamilyAndShape) {
-  auto spec = sweep::parse_spec(kGridSpec);
-  const auto cells = sweep::expand(spec);
-
-  // Same program/scenario/size: the neighborhood-scan-heavy near-regular
-  // family must outrank the cheap ring.
-  const sweep::SweepCell* ring = nullptr;
-  const sweep::SweepCell* near_regular = nullptr;
-  const sweep::SweepCell* ring_small = nullptr;
-  for (const auto& cell : cells) {
-    if (cell.program != cells.front().program ||
-        cell.scenario != cells.front().scenario)
-      continue;
-    if (cell.topology.family == "ring" && cell.n == 64) ring = &cell;
-    if (cell.topology.family == "ring" && cell.n == 32) ring_small = &cell;
-    if (cell.topology.family == "near-regular" && cell.n == 64)
-      near_regular = &cell;
-  }
-  ASSERT_NE(ring, nullptr);
-  ASSERT_NE(ring_small, nullptr);
-  ASSERT_NE(near_regular, nullptr);
-  EXPECT_GT(CellCostModel::weight(*near_regular),
-            CellCostModel::weight(*ring));
-  // Bigger graphs cost more at equal trial counts.
-  EXPECT_GT(CellCostModel::weight(*ring), CellCostModel::weight(*ring_small));
-  // More trials cost proportionally more.
-  sweep::SweepCell heavy = *ring;
-  heavy.trials *= 10;
-  EXPECT_GT(CellCostModel::weight(heavy), CellCostModel::weight(*ring));
-}
-
-TEST(CellCostModel, ObservedRatesRefineAndUnobservedExploresFirst) {
-  const auto spec = sweep::parse_spec(kGridSpec);
-  const auto cells = sweep::expand(spec);
-  const sweep::SweepCell* ring = nullptr;
-  const sweep::SweepCell* near_regular = nullptr;
-  for (const auto& cell : cells) {
-    if (cell.program != cells.front().program ||
-        cell.scenario != cells.front().scenario || cell.n != 64)
-      continue;
-    if (cell.topology.family == "ring") ring = &cell;
-    if (cell.topology.family == "near-regular") near_regular = &cell;
-  }
-  ASSERT_NE(ring, nullptr);
-  ASSERT_NE(near_regular, nullptr);
-
-  CellCostModel model;
-  // Before any observation the estimate IS the raw weight.
-  EXPECT_EQ(model.estimate(*ring), CellCostModel::weight(*ring));
-
-  // A measured (program, family) rate rescales its estimate; a family
-  // never observed keeps its raw weight, which dwarfs any realistic
-  // seconds-based estimate — LPT explores unknown cost first.
-  model.observe(*near_regular, 2.0);
-  const double observed = model.estimate(*near_regular);
-  EXPECT_NE(observed, CellCostModel::weight(*near_regular));
-  EXPECT_GT(model.estimate(*ring), observed);
-
-  // The EMA folds further observations in (same cell, slower second run).
-  model.observe(*near_regular, 6.0);
-  EXPECT_GT(model.estimate(*near_regular), observed);
-}
-
-QueuedUnit queued(double estimate, std::size_t graph, std::uint64_t index,
+QueuedUnit queued(std::size_t graph, std::uint64_t index,
                   bool blocked = false, std::uint64_t shard = 0) {
   QueuedUnit unit;
-  unit.estimate = estimate;
   unit.graph = graph;
   unit.index = index;
   unit.shard = shard;
@@ -176,36 +111,35 @@ TEST(PickUnit, EmptyQueuePicksNothing) {
 }
 
 TEST(PickUnit, BlockedUnitLosesToAnyRunnableUnit) {
-  // Whatever its estimate, a unit whose graph is in flight on another
-  // worker goes after every runnable unit.
+  // Whatever its graph key and grid index, a unit whose graph is in flight
+  // on another worker goes after every runnable unit.
   const std::vector<QueuedUnit> units = {
-      queued(1e9, 0, 0, /*blocked=*/true),
-      queued(1.0, 2, 5),
-      queued(1e12, 1, 1, /*blocked=*/true),
+      queued(0, 0, /*blocked=*/true),
+      queued(2, 5),
+      queued(1, 1, /*blocked=*/true),
   };
   EXPECT_EQ(pick_unit(units), 1u);
 }
 
-TEST(PickUnit, RunnableUnitsKeepLptOrderAndTieBreak) {
-  // Highest estimate first among runnable units.
-  EXPECT_EQ(pick_unit({queued(2.0, 0, 0), queued(3.0, 1, 1),
-                       queued(9.0, 2, 2, /*blocked=*/true)}),
+TEST(PickUnit, RunnableUnitsGoInGraphThenGridThenShardOrder) {
+  // The lowest graph key id first among runnable units.
+  EXPECT_EQ(pick_unit({queued(2, 0), queued(1, 9),
+                       queued(0, 2, /*blocked=*/true)}),
             1u);
-  // Equal estimates break by graph key, then grid index, then shard.
-  EXPECT_EQ(pick_unit({queued(5.0, 3, 0), queued(5.0, 1, 7),
-                       queued(5.0, 1, 4), queued(5.0, 2, 1)}),
+  // Within a graph key, grid index, then shard.
+  EXPECT_EQ(pick_unit({queued(3, 0), queued(1, 7), queued(1, 4),
+                       queued(2, 1)}),
             2u);
-  EXPECT_EQ(pick_unit({queued(5.0, 1, 4, false, 2),
-                       queued(5.0, 1, 4, false, 1)}),
+  EXPECT_EQ(pick_unit({queued(1, 4, false, 2), queued(1, 4, false, 1)}),
             1u);
 }
 
-TEST(PickUnit, AllBlockedFallsBackToTheLptBestUnit) {
-  // Nothing runnable: the worker takes the LPT pick and waits for its
-  // graph, with the same tie-break.
-  EXPECT_EQ(pick_unit({queued(2.0, 0, 0, true), queued(8.0, 1, 1, true),
-                       queued(8.0, 0, 2, true)}),
-            2u);
+TEST(PickUnit, AllBlockedFallsBackToTheFirstUnitInOrder) {
+  // Nothing runnable: the worker takes the first unit in the same order and
+  // waits for its graph.
+  EXPECT_EQ(pick_unit({queued(1, 1, true), queued(0, 2, true),
+                       queued(0, 0, true, 1), queued(0, 0, true, 0)}),
+            3u);
 }
 
 TEST(GraphCache, ReleasedGraphStaysValidForItsHolder) {
@@ -438,7 +372,7 @@ TEST(CellExecutor, RestoredCellsReplayBeforeAnyLiveCell) {
 
 TEST(CellExecutor, MaxCellsRunsTheCanonicalPrefixWithoutDiscards) {
   // max_cells restricts the schedulable set, so even at threads=4 — where the
-  // LPT queue would otherwise start the most expensive cells first — the
+  // graph-ordered queue would otherwise start cells out of grid order — the
   // executed set is exactly the first N canonical cells and no completed
   // work is thrown away.
   const auto spec = sweep::parse_spec(kGridSpec);

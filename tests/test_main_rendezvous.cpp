@@ -70,6 +70,8 @@ TEST(MainRendezvous, MeetingInsideConstructReportsItsLiveCounters) {
     EXPECT_GT(construct.sample_visits + construct.probe_visits, 0u)
         << "seed " << seed << " " << report.describe();
     EXPECT_EQ(construct.rounds_used, 0u);  // set when Construct finishes
+    EXPECT_GT(report.agent_a.delta_hat_final, 0.0)
+        << "seed " << seed << " " << report.describe();
   }
   EXPECT_GT(inside, 0) << "no seed met inside Construct";
 }

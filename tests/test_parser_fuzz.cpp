@@ -67,8 +67,10 @@ std::vector<std::string> mutations(
   return out;
 }
 
-/// Feeds every mutation to `parse`; returns how many it rejected.
-std::size_t expect_parse_or_named_rejection(
+/// Feeds every mutation to `parse`; returns how many it rejected. Each
+/// rejection must name `context` and be plain: no check expression or
+/// source location.
+std::size_t expect_parse_or_plain_rejection(
     const std::vector<std::string>& inputs, const std::string& context,
     const std::function<void(const std::string&)>& parse) {
   std::size_t rejected = 0;
@@ -77,32 +79,17 @@ std::size_t expect_parse_or_named_rejection(
       parse(input);
     } catch (const CheckError& error) {
       ++rejected;
-      EXPECT_NE(std::string(error.what()).find(context), std::string::npos)
-          << "rejection without '" << context << "': " << error.what();
+      const std::string what = error.what();
+      EXPECT_NE(what.find(context), std::string::npos)
+          << "rejection without '" << context << "': " << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos)
+          << what << "\n" << input;
     } catch (const std::exception& error) {
       ADD_FAILURE() << "not a CheckError: " << error.what() << "\n"
                     << input;
     }
   }
   return rejected;
-}
-
-/// The same for the spec readers, whose rejections must also be plain:
-/// no check expression or source location.
-std::size_t expect_parse_or_plain_rejection(
-    const std::vector<std::string>& inputs, const std::string& context,
-    const std::function<void(const std::string&)>& parse) {
-  return expect_parse_or_named_rejection(
-      inputs, context, [&](const std::string& input) {
-        try {
-          parse(input);
-        } catch (const CheckError& error) {
-          EXPECT_EQ(std::string(error.what()).find("check failed"),
-                    std::string::npos)
-              << error.what() << "\n" << input;
-          throw;
-        }
-      });
 }
 
 runner::TrialAggregate sample_aggregate(bool faults) {
@@ -127,7 +114,7 @@ TEST(ParserFuzz, TrialAggregates) {
                                           sample_aggregate(true).to_json()};
   for (const auto& seed : seeds)
     EXPECT_EQ(runner::TrialAggregate::from_json(seed).to_json(), seed);
-  const auto rejected = expect_parse_or_named_rejection(
+  const auto rejected = expect_parse_or_plain_rejection(
       mutations(seeds, 3000, 1), "trial aggregate", [](const std::string& in) {
         (void)runner::TrialAggregate::from_json(in);
       });
@@ -152,7 +139,7 @@ TEST(ParserFuzz, CheckpointLines) {
   // Each mutated line is followed by an intact one, so a bad line is
   // corruption (it throws) rather than a torn tail (it is dropped).
   const std::string path = testing::TempDir() + "parser_fuzz.jsonl";
-  const auto rejected = expect_parse_or_named_rejection(
+  const auto rejected = expect_parse_or_plain_rejection(
       mutations(seeds, 600, 2), "sweep checkpoint",
       [&](const std::string& line) {
         {
@@ -210,7 +197,7 @@ TEST(ParserFuzz, FnrdRequests) {
       service::serialize_request(stream)};
   for (const auto& seed : seeds)
     EXPECT_EQ(service::serialize_request(service::parse_request(seed)), seed);
-  const auto rejected = expect_parse_or_named_rejection(
+  const auto rejected = expect_parse_or_plain_rejection(
       mutations(seeds, 3000, 3), "fnrd request", [](const std::string& in) {
         (void)service::parse_request(in);
       });
@@ -228,7 +215,7 @@ TEST(ParserFuzz, FnrdResponsesAsFnrcReadsThem) {
   for (const auto& seed : seeds)
     EXPECT_EQ(service::response_field(seed, "type"),
               "\"" + service::response_type(seed) + "\"");
-  const auto rejected = expect_parse_or_named_rejection(
+  const auto rejected = expect_parse_or_plain_rejection(
       mutations(seeds, 3000, 4), "fnrd response", [](const std::string& in) {
         (void)service::response_type(in);
         for (const char* field : {"state", "report", "agg", "error"}) {

@@ -171,7 +171,6 @@ const std::vector<Row> kTopologyRows = {
     {"near-regular:deg=16", "near-regular:deg=16"},
     {"near-regular : deg = 16", "near-regular:deg=16"},
     {"near-regular:deg=16.0", "near-regular:deg=16"},
-    {"near-regular:deg=4.5", "near-regular:deg=4.5"},
     {"watts-strogatz:k=6:beta=0.1", "watts-strogatz:beta=0.1:k=6"},
     {"watts-strogatz:beta=0.1234567", "watts-strogatz:beta=0.123457"},
     {"torus:", nullptr},
@@ -183,6 +182,9 @@ const std::vector<Row> kTopologyRows = {
     {"near-regular:deg=", nullptr},
     {"near-regular:deg=4:deg=5", nullptr},
     {"near-regular:deg=nan", nullptr},
+    {"near-regular:deg=4.5", nullptr},
+    {"barabasi-albert:m=2.5", nullptr},
+    {"watts-strogatz:k=3.5", nullptr},
     {"near-regular?deg=4", nullptr},
     {":deg=4", nullptr},
     {"", nullptr},
