@@ -81,9 +81,8 @@ rm -f sweep_ci_a.jsonl sweep_ci_b.jsonl sweep_ci_a.json sweep_ci_b.json
         --threads=1 --resume --quiet
 diff sweep_ci_a.json sweep_ci_b.json
 
-# Large-n identity: the predefined large-n spec runs graphs far above the
-# n <= 2048 port_by_pair cutoff, so every port lookup takes the search
-# path. At default flags and at --threads=1 its merged JSON must match.
+# Large-n identity: the predefined large-n spec runs graphs up to
+# n = 2^17. At default flags and at --threads=1 its merged JSON must match.
 # The default run must also generate each of its 12 graphs exactly once:
 # releasing a graph after its last cell never causes a second generation.
 rm -f sweep_large_default.json sweep_large_t1.json

@@ -29,7 +29,7 @@ bool GatherAtMinAgent::discover(graph::VertexId id, Local parent) {
   const auto local = static_cast<Local>(vertices_.size());
   FNR_CHECK(local != kNone);
   slot = Slot{id, local};
-  vertices_.push_back(Vertex{id, parent, 0, 0, kNone, kNone});
+  vertices_.push_back(Vertex{id, parent, 0, kNone, {}});
   return true;
 }
 
@@ -78,9 +78,7 @@ sim::Action GatherAtMinAgent::decide(const sim::View& view) {
     // Every vertex the DFS stands on was discovered before it moved there.
     const Local h = find(here);
     FNR_CHECK_MSG(h != kNone, "DFS stands on undiscovered vertex " << here);
-    if (vertices_[h].adj_begin == kNone) {
-      const auto ids = view.neighbor_ids();
-      FNR_CHECK(neighbors_.size() + ids.size() < kNone);
+    if (vertices_[h].cursor == kNone) {
       if (h != 0) {
         // First visit: the DFS came from the parent, so the port it
         // arrived through leads back there.
@@ -89,21 +87,21 @@ sim::Action GatherAtMinAgent::decide(const sim::View& view) {
                       "DFS entered vertex " << here << " without moving");
         vertices_[h].parent_port = static_cast<Local>(*arrival);
       }
-      vertices_[h].adj_begin = static_cast<Local>(neighbors_.size());
-      vertices_[h].cursor = vertices_[h].adj_begin;
-      neighbors_.insert(neighbors_.end(), ids.begin(), ids.end());
-      vertices_[h].adj_end = static_cast<Local>(neighbors_.size());
+      vertices_[h].neighbors = view.neighbor_ids();
+      vertices_[h].cursor = 0;
+      learned_ids_ += vertices_[h].neighbors.size();
       ++visited_;
       min_seen_ = std::min(min_seen_, here);
     }
     // Resume this vertex's child scan where it left off (keeps the whole
-    // DFS O(m) bookkeeping instead of O(sum deg^2)). The slice is in port
-    // order, so a neighbor's offset in it is its port.
-    while (vertices_[h].cursor < vertices_[h].adj_end) {
-      const Local i = vertices_[h].cursor++;
-      const graph::VertexId u = neighbors_[i];
-      if (!discover(u, h)) continue;
-      return depart(Hop{i - vertices_[h].adj_begin, u}, here);
+    // DFS O(m) bookkeeping instead of O(sum deg^2)). The row is in port
+    // order, so the cursor is the port of the neighbor it reads. (discover
+    // may grow vertices_, so the record is re-indexed, not held.)
+    const auto neighbors = vertices_[h].neighbors;
+    while (vertices_[h].cursor < neighbors.size()) {
+      const Local port = vertices_[h].cursor++;
+      if (!discover(neighbors[port], h)) continue;
+      return depart(Hop{port, neighbors[port]}, here);
     }
     if (h != 0) {
       const Vertex& v = vertices_[h];
@@ -129,7 +127,7 @@ void GatherAtMinAgent::plan_route(Local from, Local to) {
   // Only discovered vertices can lie on a route: an ID seen in a neighbor
   // list but never discovered has no neighbors on record, so skipping it
   // leaves every other vertex's BFS predecessor unchanged. (A vertex never
-  // visited has the empty slice [kNone, kNone).)
+  // visited has an empty row.)
   struct Pred {
     Local vertex;  ///< BFS predecessor, kNone until reached
     Local port;    ///< the predecessor's port to this vertex
@@ -142,10 +140,11 @@ void GatherAtMinAgent::plan_route(Local from, Local to) {
   for (std::size_t next = 0;
        next < frontier.size() && pred[to].vertex == kNone;) {
     const Local v = frontier[next++];
-    for (Local i = vertices_[v].adj_begin; i < vertices_[v].adj_end; ++i) {
-      const Local u = find(neighbors_[i]);
+    const auto neighbors = vertices_[v].neighbors;
+    for (Local port = 0; port < neighbors.size(); ++port) {
+      const Local u = find(neighbors[port]);
       if (u == kNone || pred[u].vertex != kNone) continue;
-      pred[u] = Pred{v, i - vertices_[v].adj_begin};
+      pred[u] = Pred{v, port};
       frontier.push_back(u);
     }
   }
@@ -165,8 +164,8 @@ std::size_t GatherAtMinAgent::memory_words() const {
   // adjacency list (1 + degree) and a child cursor (2) per visited vertex,
   // a parent link (2) per discovered one; plus two words per rally hop not
   // yet taken.
-  return 2 * (route_.size() - route_head_) + 4 + visited_ +
-         neighbors_.size() + 2 * vertices_.size() + 2 * visited_;
+  return 2 * (route_.size() - route_head_) + 4 + visited_ + learned_ids_ +
+         2 * vertices_.size() + 2 * visited_;
 }
 
 }  // namespace fnr::baselines

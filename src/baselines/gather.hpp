@@ -12,32 +12,31 @@
 // Learned-map layout. The agent knows vertices only by the IDs it has
 // observed, so the map is keyed by ID, never by the simulator's vertex
 // index, and nothing is sized by the ID range (sparse or 64-bit IDs cost
-// the same as dense ones). Three flat arrays hold it:
+// the same as dense ones). Two flat arrays hold it:
 //   - slots_: an open-addressing table (power-of-two size, linear probing,
 //     grown at load 1/2) from a discovered vertex's ID to its local index;
 //   - vertices_: one record per discovered vertex, by local index (the DFS
-//     parent and the port back to it, the child-scan cursor, and the
-//     vertex's slice of neighbors_); the DFS root, discovered first, is
-//     local index 0;
-//   - neighbors_: each visited vertex's neighbor IDs, appended on its first
-//     visit in port order.
+//     parent and the port back to it, the child-scan cursor, and the span
+//     View::neighbor_ids() returned on its first visit, which stays valid
+//     as long as the graph, so no row is copied); the DFS root, discovered
+//     first, is local index 0.
 // Local indices are assigned in discovery order, so the DFS child order and
 // the rally route's BFS tie-breaks follow the observed port order exactly.
 // A whole exploration allocates O(log n) times (array doublings), instead
 // of once or more per vertex with node-based hash maps.
 //
 // Moves are by port, as in the model (§2.1): the agent never turns an ID
-// back into a port. A child hop leaves through the scan cursor's offset in
-// the vertex's neighbors_ slice, which is that neighbor's port. The port
-// back to the DFS parent is the arrival port observed on the vertex's first
-// visit (the DFS always enters a vertex first from its parent). The rally
-// route is a list of (port, target ID) hops whose ports are slice offsets
-// recorded by the BFS. A hop blocked by edge churn leaves the agent where
-// it was, and the agent tries the same port again until it stands on the
-// hop's target.
+// back into a port. The neighbor IDs are in port order, so the child-scan
+// cursor is the port of the neighbor it reads. The port back to the DFS
+// parent is the arrival port observed on the vertex's first visit (the DFS
+// always enters a vertex first from its parent). The rally route is a list
+// of (port, target ID) hops whose ports the BFS records. A hop blocked by
+// edge churn leaves the agent where it was, and the agent tries the same
+// port again until it stands on the hop's target.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/view.hpp"
@@ -67,9 +66,9 @@ class GatherAtMinAgent final : public sim::Agent {
     graph::VertexId id;
     Local parent;       ///< local index of the DFS parent (0 at the root)
     Local parent_port;  ///< port back to the parent (unset at the root)
-    Local cursor;       ///< next neighbors_ position the child scan reads
-    Local adj_begin;    ///< [adj_begin, adj_end) = [kNone, kNone) until the
-    Local adj_end;      ///< vertex is visited
+    Local cursor;       ///< next port the child scan reads (kNone: unvisited)
+    /// Neighbor IDs by port; empty until the vertex is visited.
+    std::span<const graph::VertexId> neighbors;
   };
 
   /// One move: leave through `port`, expecting to stand on `target` next.
@@ -106,9 +105,9 @@ class GatherAtMinAgent final : public sim::Agent {
   bool arrived_ = false;
   graph::VertexId min_seen_ = 0;
   std::size_t visited_ = 0;
+  std::size_t learned_ids_ = 0;  ///< sum of the visited vertices' degrees
   std::vector<Slot> slots_;
   std::vector<Vertex> vertices_;
-  std::vector<graph::VertexId> neighbors_;
   /// The rally route; route_[0, route_head_) are taken.
   std::vector<Hop> route_;
   std::size_t route_head_ = 0;

@@ -114,9 +114,11 @@ GraphCache::Stats GraphCache::stats() const {
 
 namespace {
 
+// Every error message starts with `context`.
 CheckpointEntry parse_checkpoint_line(const std::string& line,
+                                      const std::string& context,
                                       std::string* key_out) {
-  JsonCursor cursor(line, "sweep checkpoint");
+  JsonCursor cursor(line, context);
   CheckpointEntry entry;
   bool have_key = false;
   cursor.object([&](const std::string& field) {
@@ -132,14 +134,13 @@ CheckpointEntry parse_checkpoint_line(const std::string& line,
     } else if (field == "error") {
       entry.error = cursor.parse_string();
     } else {
-      FNR_REQUIRE(false, "sweep checkpoint: unknown field '" << field << "'");
+      FNR_REQUIRE(false, context << ": unknown field '" << field << "'");
     }
   });
   cursor.expect_end();
-  FNR_REQUIRE(have_key, "sweep checkpoint: line without a cell key");
+  FNR_REQUIRE(have_key, context << ": line without a cell key");
   FNR_REQUIRE(entry.ok == !entry.agg_json.empty(),
-              "sweep checkpoint: ok cells must carry 'agg', failed cells "
-              "must not");
+              context << ": ok cells must carry 'agg', failed ones must not");
   return entry;
 }
 
@@ -161,15 +162,17 @@ std::map<std::string, CheckpointEntry> load_checkpoint(
     if (lines[i].empty()) continue;
     std::string key;
     try {
-      CheckpointEntry entry = parse_checkpoint_line(lines[i], &key);
+      CheckpointEntry entry = parse_checkpoint_line(
+          lines[i],
+          "sweep checkpoint '" + path + "' line " + std::to_string(i + 1),
+          &key);
       done[key] = std::move(entry);
-    } catch (const CheckError& error) {
+    } catch (const CheckError&) {
       if (i + 1 == last) break;  // torn final line: drop it, cell re-runs
       // A bad line with intact records after it is corruption, not an
       // interrupt signature. The old behavior — stop scanning — silently
       // discarded every later completed cell; fail loudly instead.
-      throw CheckError("sweep checkpoint '" + path + "' line " +
-                       std::to_string(i + 1) + ": " + error.what());
+      throw;
     }
   }
   return done;

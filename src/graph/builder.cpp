@@ -99,14 +99,6 @@ Graph GraphBuilder::build(IdSpace ids) && {
     g.neighbor_ids_[s] = ids.ids[u];
     g.reverse_ports_[s] = next_port[u]++;
   }
-  if (n_ <= kPortPairMaxVertices) {
-    g.port_by_pair_.assign(n_ * n_, kNoPort);
-    for (VertexIndex v = 0; v < n_; ++v) {
-      for (std::uint64_t s = g.offsets_[v]; s < g.offsets_[v + 1]; ++s)
-        g.port_by_pair_[v * n_ + g.adjacency_[s]] =
-            static_cast<std::uint16_t>(s - g.offsets_[v]);
-    }
-  }
   g.id_space_ = std::move(ids);
   return g;
 }

@@ -6,11 +6,6 @@
 namespace fnr::graph {
 
 std::size_t Graph::port_to(VertexIndex v, VertexIndex u) const {
-  if (!port_by_pair_.empty() && u < num_vertices()) {
-    const std::uint16_t port = port_by_pair_[v * num_vertices() + u];
-    if (port != kNoPort) return port;
-    // Not an edge: fall through so the search raises the canonical error.
-  }
   const auto nbrs = neighbors(v);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);
   FNR_CHECK_MSG(it != nbrs.end() && *it == u,

@@ -34,13 +34,6 @@ using VertexId = std::uint64_t;
 /// Sentinel for "no vertex".
 inline constexpr VertexIndex kNoVertex = static_cast<VertexIndex>(-1);
 
-/// Sentinel in Graph::port_by_pair for vertex pairs that share no edge.
-inline constexpr std::uint16_t kNoPort = 0xFFFF;
-
-/// Largest n that gets the n² port_by_pair table (8 MB at the cutoff);
-/// larger graphs answer port_to by binary search.
-inline constexpr std::size_t kPortPairMaxVertices = 2048;
-
 /// The naming regime attached to a graph (paper §2.1 and §4.2).
 struct IdSpace {
   std::vector<VertexId> ids;  ///< index -> ID, all distinct, < bound
@@ -83,9 +76,9 @@ class Graph {
     return nbrs[port];
   }
 
-  /// Inverse port map ˆP_v^{-1}: the port of v leading to u; kNoVertex-free:
-  /// requires (v, u) to be an edge. One load from port_by_pair when the
-  /// graph has it, else a binary search over v's neighbors.
+  /// Inverse port map ˆP_v^{-1}: the port of v leading to u, found by a
+  /// binary search over v's sorted row. Throws CheckError unless (v, u) is
+  /// an edge.
   [[nodiscard]] std::size_t port_to(VertexIndex v, VertexIndex u) const;
 
   /// IDs of v's neighbors in port order: neighbor_ids(v)[p] ==
@@ -110,13 +103,6 @@ class Graph {
   /// sparse polynomial naming, where try_index_of uses a hash index.
   [[nodiscard]] std::span<const VertexIndex> index_by_id() const noexcept {
     return index_by_id_;
-  }
-
-  /// port_by_pair()[v * n + u] is the port of v leading to u (kNoPort when
-  /// vu is not an edge). Quadratic in n, so built only for n <=
-  /// kPortPairMaxVertices; empty otherwise.
-  [[nodiscard]] std::span<const std::uint16_t> port_by_pair() const noexcept {
-    return port_by_pair_;
   }
 
   [[nodiscard]] bool has_edge(VertexIndex u, VertexIndex v) const;
@@ -158,7 +144,6 @@ class Graph {
   IdSpace id_space_;
   std::vector<VertexIndex> index_by_id_;  // dense ID spaces only
   std::unordered_map<VertexId, VertexIndex> id_to_index_;  // sparse only
-  std::vector<std::uint16_t> port_by_pair_;  // n <= kPortPairMaxVertices
   std::size_t min_degree_ = 0;
   std::size_t max_degree_ = 0;
 };

@@ -1,9 +1,9 @@
 // A zero-copy, vertex-indexed view of a graph's observation tables.
 //
 // The tables themselves — neighbor IDs and arrival ports per adjacency
-// slot, the dense ID→index array, the small-graph port_by_pair table — are
-// built once per graph in GraphBuilder::build and live in graph::Graph,
-// where every Scheduler and View reads them directly.
+// slot, the dense ID→index array — are built once per graph in
+// GraphBuilder::build and live in graph::Graph, where every Scheduler and
+// View reads them directly.
 // NeighborTable only re-exposes them in row form (ids[v][port],
 // rev[v][port]) for code that inspects the tables as a whole; constructing
 // one copies nothing and allocates nothing.
@@ -57,8 +57,7 @@ struct NeighborTable {
   explicit NeighborTable(const graph::Graph& g)
       : ids(g),
         rev(g),
-        index_by_id(g.index_by_id()),
-        port_by_pair(g.port_by_pair()) {}
+        index_by_id(g.index_by_id()) {}
 
   /// ids[v][port] — ID of v's neighbor through `port` (Graph::neighbor_ids).
   Rows<&graph::Graph::neighbor_ids> ids;
@@ -67,7 +66,9 @@ struct NeighborTable {
   Rows<&graph::Graph::reverse_ports> rev;
   /// Graph::index_by_id — empty under sparse naming.
   std::span<const graph::VertexIndex> index_by_id;
-  /// Graph::port_by_pair — empty above kPortPairMaxVertices.
+  /// Always empty: graphs keep no n² port table (Graph::port_to searches
+  /// the sorted row). Kept only because the benchmark's table-bytes probe
+  /// still reads it; it goes away together with NeighborTable.
   std::span<const std::uint16_t> port_by_pair;
 };
 

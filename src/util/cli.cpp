@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cstdlib>
 #include <iostream>
 
 #include "util/check.hpp"
@@ -12,6 +13,8 @@ namespace fnr {
 // only be noise.
 
 Cli::Cli(int argc, const char* const* argv) {
+  if (argc > 0) program_ = argv[0];
+  program_.erase(0, program_.find_last_of('/') + 1);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0)
@@ -67,12 +70,17 @@ bool Cli::get_flag(const std::string& name) {
 }
 
 void Cli::reject_unknown() const {
+  std::string accepted;
+  for (const std::string& known : declared_) accepted += " --" + known;
+  if (values_.contains("help") && !declared_.contains("help")) {
+    std::cout << "usage: " << program_ << " [--name[=value] ...]\naccepted:"
+              << accepted << std::endl;
+    std::exit(0);
+  }
   for (const auto& [name, value] : values_) {
     (void)value;
     if (declared_.contains(name)) continue;
-    std::string message = "unknown option --" + name + "; accepted:";
-    for (const std::string& known : declared_) message += " --" + known;
-    throw CheckError(message);
+    throw CheckError("unknown option --" + name + "; accepted:" + accepted);
   }
 }
 

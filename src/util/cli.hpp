@@ -43,12 +43,15 @@ class Cli {
   /// meant *on*; unrecognized spellings are now rejected).
   [[nodiscard]] bool get_flag(const std::string& name);
 
-  /// Call after all get_* declarations; throws if the user passed an option
-  /// that was never declared. The message names the option and lists the
+  /// Call after all get_* declarations and before any required-flag check.
+  /// `--help` (unless declared) prints `usage:` and the declared options to
+  /// stdout and exits 0. Otherwise throws if the user passed an option that
+  /// was never declared; the message names the option and lists the
   /// declared ones.
   void reject_unknown() const;
 
  private:
+  std::string program_;  ///< argv[0] without its directory
   std::map<std::string, std::string> values_;
   std::set<std::string> declared_;
 };

@@ -2,8 +2,10 @@
 //
 // Include from exactly one translation unit of a test binary (every test
 // binary here is one file): the replacements apply to the whole binary,
-// and allocation_count() reports how many heap allocations it has made.
-// Tests snapshot the counter around a run to pin its allocation cost.
+// allocation_count() reports how many heap allocations it has made, and
+// allocated_bytes() how many bytes they requested in total (frees are not
+// subtracted). Tests snapshot the counters around a run to pin its
+// allocation cost.
 #pragma once
 
 #include <atomic>
@@ -14,13 +16,23 @@
 namespace fnr::test {
 
 inline std::atomic<std::uint64_t> g_allocations{0};
+inline std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 inline std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-inline void* counted_alloc(std::size_t size) {
+inline std::uint64_t allocated_bytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
+}
+
+inline void count_allocation(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
+
+inline void* counted_alloc(std::size_t size) {
+  count_allocation(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -32,7 +44,7 @@ void* operator new[](std::size_t size) {
   return fnr::test::counted_alloc(size);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
-  fnr::test::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  fnr::test::count_allocation(size);
   const auto a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;

@@ -8,7 +8,8 @@
 //   2. A warm run_scenario allocates exactly once per run (the returned
 //      result's agent vector), however many rounds it runs.
 //   3. An explore-rally agent learns its map in flat arrays: one whole
-//      exploration allocates O(log n) times, not once per vertex.
+//      exploration allocates O(log n) times, not once per vertex, and it
+//      keeps no copy of the adjacency rows it observes.
 // Plus bit-exactness regressions for arena reuse (a reused scheduler must
 // reproduce a fresh scheduler's run exactly, including after a k-downsize).
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 namespace fnr {
 namespace {
 
+using test::allocated_bytes;
 using test::allocation_count;
 
 /// Heap-free agent that exercises every hot-path observation: whiteboard
@@ -195,12 +197,42 @@ TEST(AllocGuard, ExploreRallyAllocatesLogarithmicallyInN) {
     return allocation_count() - before;
   };
 
+  // Measured 23 and 27 (35 and 41 while the agent copied each visited
+  // row into a growing array of its own).
   const auto at_1k = count_exploration(1024);
   const auto at_4k = count_exploration(4096);
-  EXPECT_LE(at_1k, 64u) << "n = 1024 exploration allocated " << at_1k
+  EXPECT_LE(at_1k, 23u) << "n = 1024 exploration allocated " << at_1k
                         << " times";
-  EXPECT_LE(at_4k, at_1k + 16) << "n = 4096 exploration allocated " << at_4k
-                               << " times (n = 1024: " << at_1k << ")";
+  EXPECT_LE(at_4k, at_1k + 4) << "n = 4096 exploration allocated " << at_4k
+                              << " times (n = 1024: " << at_1k << ")";
+}
+
+TEST(AllocGuard, ExploreRallyKeepsNoCopyOfTheGraph) {
+  // The agent keeps the neighbor-ID span each View hands it, so the bytes
+  // one exploration requests depend on n, not on m. On a dense graph at
+  // n = 1024 (2m * 8 = 516,288 bytes of neighbor IDs) one warm exploration
+  // requested 225,016 bytes; a private copy of every visited row made it
+  // 1,475,296.
+  constexpr std::size_t n = 1024;
+  Rng rng(7, 3);
+  const auto g = graph::make_near_regular(n, 32, rng);
+  sim::Scheduler scheduler(g, sim::Model::full());
+  {
+    baselines::GatherAtMinAgent warm;
+    (void)scheduler.run_single(warm, 0, 8 * n);
+  }
+  const auto before = allocated_bytes();
+  {
+    baselines::GatherAtMinAgent agent;
+    (void)scheduler.run_single(agent, n / 2, 8 * n);
+    EXPECT_TRUE(agent.arrived());
+    EXPECT_EQ(agent.visited_count(), n);
+  }
+  const auto bytes = allocated_bytes() - before;
+  const std::size_t one_copy = 2 * g.num_edges() * sizeof(graph::VertexId);
+  EXPECT_LT(2 * bytes, one_copy)
+      << "one exploration requested " << bytes << " bytes; the graph's "
+      << "neighbor IDs take " << one_copy;
 }
 
 void expect_same_run(const sim::RunResult& x, const sim::RunResult& y) {

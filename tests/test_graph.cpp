@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -273,14 +274,10 @@ TEST(Generators, WithIdsPreservesTopology) {
 // --- per-slot observation tables --------------------------------------------
 
 /// Checks the tables GraphBuilder::build fills against the accessors they
-/// mirror. Reverse ports are checked against a binary search of their own
-/// (port_to itself reads port_by_pair on small graphs).
+/// mirror. Reverse ports are checked against a binary search of their own,
+/// and port_to against the port of every slot.
 ::testing::AssertionResult tables_match(const Graph& g) {
   const std::size_t n = g.num_vertices();
-  const bool pair_table = n <= kPortPairMaxVertices;
-  if (g.port_by_pair().size() != (pair_table ? n * n : 0))
-    return ::testing::AssertionFailure()
-           << "port_by_pair has " << g.port_by_pair().size() << " entries";
   const bool dense = g.id_bound() <= 8 * n + 1024;
   if (g.index_by_id().size() != (dense ? g.id_bound() : 0))
     return ::testing::AssertionFailure()
@@ -304,18 +301,7 @@ TEST(Generators, WithIdsPreservesTopology) {
           back[rev[port]] != v || g.port_to(v, u) != port)
         return ::testing::AssertionFailure()
                << "slot (" << v << ", port " << port << ") differs";
-      if (pair_table && g.port_by_pair()[v * n + u] != port)
-        return ::testing::AssertionFailure()
-               << "port_by_pair at (" << v << ", " << u << ")";
     }
-  }
-  if (pair_table) {
-    const auto pairs = static_cast<std::size_t>(
-        std::count_if(g.port_by_pair().begin(), g.port_by_pair().end(),
-                      [](std::uint16_t port) { return port != kNoPort; }));
-    if (pairs != 2 * g.num_edges())
-      return ::testing::AssertionFailure()
-             << pairs << " pair entries for " << g.num_edges() << " edges";
   }
   if (dense) {
     const auto named = std::count_if(
@@ -368,9 +354,9 @@ std::vector<std::pair<std::string, Graph>> every_family(std::size_t n,
 
 TEST(GraphTables, MatchAccessorsOnEveryFamilyAndNaming) {
   Rng rng(2048);
-  bool saw_pair_table = false, saw_no_pair_table = false;
   bool saw_dense = false, saw_sparse = false;
-  // 2048 is the last size with a pair table, 2049 the first without.
+  // 2048 and 2049 straddle the cutoff of the n² port table graphs once
+  // kept; every size now answers port_to by searching the row.
   for (const std::size_t target : {64, 2048, 2049}) {
     for (auto& [family, base] : every_family(target, rng)) {
       const std::size_t n = base.num_vertices();
@@ -384,13 +370,10 @@ TEST(GraphTables, MatchAccessorsOnEveryFamilyAndNaming) {
       for (const auto& [naming, g] : namings) {
         SCOPED_TRACE(family + " n=" + std::to_string(n) + " " + naming);
         EXPECT_TRUE(tables_match(g));
-        (n <= kPortPairMaxVertices ? saw_pair_table : saw_no_pair_table) =
-            true;
         (g.index_by_id().empty() ? saw_sparse : saw_dense) = true;
       }
     }
   }
-  EXPECT_TRUE(saw_pair_table && saw_no_pair_table);
   EXPECT_TRUE(saw_dense && saw_sparse);
 }
 
@@ -433,15 +416,30 @@ TEST(GraphTables, ShuffledEdgeListsBuildAscendingRows) {
 }
 
 TEST(GraphTables, NonEdgesAndUnknownIdsStillThrow) {
-  const Graph small = make_ring(8);  // pair table
+  const Graph small = make_ring(8);
   EXPECT_THROW((void)small.port_to(0, 4), CheckError);
-  const Graph large = make_ring(kPortPairMaxVertices + 1);  // search
+  const Graph large = make_ring(2049);
   EXPECT_THROW((void)large.port_to(0, 4), CheckError);
   Rng rng(3);
   const Graph sparse = with_ids(make_ring(8), sparse_ids(8, 4.0, rng));
   EXPECT_TRUE(sparse.index_by_id().empty());
   EXPECT_EQ(sparse.try_index_of(sparse.id_bound() + 1), kNoVertex);
   EXPECT_EQ(small.try_index_of(small.id_bound()), kNoVertex);
+}
+
+TEST(GraphTables, BuildHeapIsLinearInTheGraph) {
+  // Every per-graph table is sized by n, m or the ID bound (n here), so
+  // generating and building a graph requests O(n + m) bytes. Measured:
+  // 1,006,504 bytes for n = 2048, m = 16,349 (~55 per vertex or edge);
+  // 9,395,112 while graphs with n <= 2048 also kept an n² port table.
+  const auto before = test::allocated_bytes();
+  Rng rng(11, 5);
+  const Graph g = make_near_regular(2048, 8, rng);
+  const auto bytes = test::allocated_bytes() - before;
+  const std::size_t bound = 64 * (g.num_vertices() + g.num_edges());
+  EXPECT_LE(bytes, bound) << "building n = " << g.num_vertices()
+                          << ", m = " << g.num_edges() << " requested "
+                          << bytes << " bytes";
 }
 
 TEST(GraphTables, NeighborTableRowsServeExactNeighborViews) {

@@ -73,8 +73,8 @@ const Pin kPins[] = {
     {"no-whiteboard/torus-32x32", {1894, 1894, 0, 256}, 52.14},
     {"no-whiteboard/hypercube-10", {4998, 4998, 0, 256}, 85.38},
     {"no-whiteboard/watts-strogatz-1024", {6176, 6176, 0, 256}, 95.62},
-    {"explore-rally/swarm-quorum-k256", {4654, 1191424, 0, 32}, 6014.72},
-    {"campaign/perf-campaign", {2391478, 2459069, 35874, 768}, 150.61},
+    {"explore-rally/swarm-quorum-k256", {4654, 1191424, 0, 32}, 3926.72},
+    {"campaign/perf-campaign", {2391478, 2459069, 35874, 768}, 150.60},
 };
 
 const Pin& pin_for(const std::string& cell) {
