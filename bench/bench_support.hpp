@@ -27,20 +27,18 @@
 
 namespace fnr::bench {
 
-/// Registry listing flags shared by the scenario-driven benches. Returns
-/// true (after printing) when argv asked for `--list-programs` or
-/// `--list-scenarios`; callers exit before parsing the remaining flags.
-inline bool handle_registry_listings(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list-programs") {
-      scenario::print_program_listing(std::cout);
-      return true;
-    }
-    if (arg == "--list-scenarios") {
-      scenario::print_scenario_listing(std::cout);
-      return true;
-    }
+/// Registry listing flags shared by the scenario-driven benches, declared
+/// on `cli` so `--help` lists them. Returns true (after printing) when the
+/// command line asked for `--list-programs` or `--list-scenarios`; callers
+/// exit before checking the remaining flags.
+inline bool handle_registry_listings(Cli& cli) {
+  if (cli.get_flag("list-programs")) {
+    scenario::print_program_listing(std::cout);
+    return true;
+  }
+  if (cli.get_flag("list-scenarios")) {
+    scenario::print_scenario_listing(std::cout);
+    return true;
   }
   return false;
 }
@@ -60,6 +58,11 @@ struct BenchConfig {
 
   [[nodiscard]] static BenchConfig from_cli(int argc, const char* const* argv) {
     Cli cli(argc, argv);
+    return from_cli(cli);
+  }
+
+  /// Same, on a Cli that may already declare options of its own.
+  [[nodiscard]] static BenchConfig from_cli(Cli& cli) {
     BenchConfig config;
     config.reps = static_cast<std::uint64_t>(cli.get_int("reps", 5, 1));
     config.quick = cli.get_flag("quick");

@@ -32,7 +32,7 @@ class ConstructProbe final : public sim::ScriptedAgent {
     }
     if (view.here() != knowledge_.home()) {
       run_->on_arrival(view);
-      plan_route(knowledge_.route_to_home(view.here()));
+      plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
       return;
     }
     while (auto target = run_->next_target(rng_)) {

@@ -19,23 +19,6 @@
 
 using namespace fnr;
 
-namespace {
-
-core::NoWbOracle make_oracle(const graph::Graph& g,
-                             graph::VertexIndex a_start) {
-  core::NoWbOracle oracle;
-  oracle.enabled = true;
-  for (const auto x : g.neighbors(a_start)) {
-    std::vector<graph::VertexId> nbrs;
-    nbrs.reserve(g.degree(x));
-    for (const auto w : g.neighbors(x)) nbrs.push_back(g.id_of(w));
-    oracle.two_ball.emplace_back(g.id_of(x), std::move(nbrs));
-  }
-  return oracle;
-}
-
-}  // namespace
-
 int run_bench(int argc, char** argv) {
   const auto config = bench::BenchConfig::from_cli(argc, argv);
   const auto runner = config.trial_runner();
@@ -112,7 +95,7 @@ int run_bench(int argc, char** argv) {
             Rng agent_seed(seed);
             core::NoWhiteboardAgentA agent_a(
                 params, delta, agent_seed.split(),
-                make_oracle(g, placement.a_start));
+                core::NoWbOracle::from_graph(g, placement.a_start));
             core::NoWhiteboardAgentB agent_b(params, delta,
                                              agent_seed.split(),
                                              /*synchronized_start=*/false);

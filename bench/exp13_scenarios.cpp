@@ -86,8 +86,9 @@ std::vector<scenario::Program> programs_for(const scenario::Scenario& s,
 }  // namespace
 
 int run_bench(int argc, char** argv) {
-  if (bench::handle_registry_listings(argc, argv)) return 0;
-  const auto config = bench::BenchConfig::from_cli(argc, argv);
+  Cli cli(argc, argv);
+  if (bench::handle_registry_listings(cli)) return 0;
+  const auto config = bench::BenchConfig::from_cli(cli);
   const auto runner = config.trial_runner();
   bench::print_header(
       "E13 — scenarios x topologies",

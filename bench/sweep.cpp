@@ -101,8 +101,8 @@ void write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   using namespace fnr;
   try {
-    if (bench::handle_registry_listings(argc, argv)) return 0;
     Cli cli(argc, argv);
+    if (bench::handle_registry_listings(cli)) return 0;
     const std::string spec_arg = cli.get_string("spec", "");
     const bool list = cli.get_flag("list");
     const bool cells_only = cli.get_flag("cells");

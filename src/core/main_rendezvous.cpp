@@ -41,10 +41,10 @@ void WhiteboardAgentA::on_idle(const sim::View& view) {
     // Arrival at a planned target.
     if (phase_ == Phase::Construct) {
       if (!restart_pending_) construct_->on_arrival(view);
-      plan_route(knowledge_.route_to_home(view.here()));
+      plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
     } else if (phase_ == Phase::Main) {
       if (!check_mark(view)) {
-        plan_route(knowledge_.route_to_home(view.here()));
+        plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
       }
     }
     return;
@@ -108,8 +108,8 @@ bool WhiteboardAgentA::check_mark(const sim::View& view) {
     return false;
   }
   stats_.found_mark = true;
-  plan_route(knowledge_.route_to_home(view.here()));
-  plan_move(b_home);
+  plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
+  plan_route(knowledge_.route_from_home(b_home));
   phase_ = Phase::Sit;
   FNR_DEBUG("agent a: found mark for " << b_home << " at round "
                                        << view.round());
@@ -147,10 +147,13 @@ sim::Action WhiteboardAgentB::step(const sim::View& view) {
     }
     return sim::Action::move(pick);
   }
-  // At the chosen neighbor: leave the mark and head straight home.
+  // At the chosen neighbor: leave the mark and head straight home, back
+  // through the port it arrived by. Only after churn blocked that hop (the
+  // agent stayed, so no arrival port) is home's port looked up.
   sim::Action action;
   action.whiteboard_write = home_;
-  action.move_port = view.port_of(home_);
+  const auto back = view.arrival_port();
+  action.move_port = back.has_value() ? *back : view.port_of(home_);
   ++marks_;
   return action;
 }

@@ -34,6 +34,18 @@ std::vector<std::vector<graph::VertexId>> build_blocks(
   return blocks;
 }
 
+NoWbOracle NoWbOracle::from_graph(const graph::Graph& g,
+                                  graph::VertexIndex home) {
+  NoWbOracle oracle;
+  oracle.enabled = true;
+  for (const auto x : g.neighbor_ids(home)) {
+    const auto row = g.neighbor_ids(g.index_of(x));
+    oracle.two_ball.emplace_back(
+        x, std::vector<graph::VertexId>(row.begin(), row.end()));
+  }
+  return oracle;
+}
+
 // --- agent a ---------------------------------------------------------------
 
 NoWhiteboardAgentA::NoWhiteboardAgentA(const Params& params, double delta,
@@ -73,11 +85,11 @@ void NoWhiteboardAgentA::on_idle(const sim::View& view) {
   if (view.here() != knowledge_.home()) {
     if (phase_ == Phase::Construct) {
       construct_->on_arrival(view);
-      plan_route(knowledge_.route_to_home(view.here()));
+      plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
     } else {
       // Tour arrival at a Φᵃ vertex: sit out the agreed window, then return.
       plan_wait(schedule_.a_wait);
-      plan_route(knowledge_.route_to_home(view.here()));
+      plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
     }
     return;
   }
@@ -180,8 +192,13 @@ void NoWhiteboardAgentB::on_idle(const sim::View& view) {
     const double p = params_.mark_probability(delta_, view.num_vertices());
     std::vector<graph::VertexId> phi;
     if (rng_.bernoulli(p)) phi.push_back(home_);
-    for (const auto u : view.neighbor_ids())
+    const auto row = view.neighbor_ids();
+    for (const auto u : row)
       if (rng_.bernoulli(p)) phi.push_back(u);
+    if (!row.empty())
+      home_port_.resize(*std::max_element(row.begin(), row.end()) + 1);
+    for (std::size_t port = 0; port < row.size(); ++port)
+      home_port_[row[port]] = static_cast<std::uint32_t>(port);
     if (!synchronized_start_) schedule_.t_start = 0;
     blocks_ = build_blocks(phi, schedule_);
     for (const auto& block : blocks_) phi_size_ += block.size();
@@ -209,8 +226,8 @@ void NoWhiteboardAgentB::on_idle(const sim::View& view) {
     plan_wait(1);  // "visiting" home is just standing on it
     return;
   }
-  plan_move(u);
-  plan_move(home_);
+  plan_move(sim::Hop{u, home_port_[u]});
+  plan_move(sim::Hop{home_, sim::Hop::kBack});
 }
 
 std::size_t NoWhiteboardAgentB::memory_words() const {

@@ -65,10 +65,18 @@ struct NoWbSchedule {
 /// end-to-end runs the agents usually stumble into each other during
 /// Construct long before the schedule begins.
 struct NoWbOracle {
-  /// For each x ∈ N(home): the IDs of N+(x) (defines T^a and the routes).
+  /// For each x ∈ N(home): x's row, the IDs of N(x) in port order (row[p]
+  /// is the neighbor behind x's port p). It defines T^a, and the routes
+  /// take their ports from it, so a row out of port order sends the agent
+  /// to the wrong vertex.
   std::vector<std::pair<graph::VertexId, std::vector<graph::VertexId>>>
       two_ball;
   bool enabled = false;
+
+  /// The enabled oracle for an agent a starting on `home`: every home
+  /// neighbor's row, read from `g` in port order.
+  [[nodiscard]] static NoWbOracle from_graph(const graph::Graph& g,
+                                             graph::VertexIndex home);
 };
 
 class NoWhiteboardAgentA final : public sim::ScriptedAgent {
@@ -130,6 +138,9 @@ class NoWhiteboardAgentB final : public sim::ScriptedAgent {
 
   bool init_ = false;
   graph::VertexId home_ = 0;
+  /// By ID: the port from home to that neighbor. Shorthand for re-reading
+  /// home's row when leaving it, so not charged to memory_words.
+  std::vector<std::uint32_t> home_port_;
   NoWbSchedule schedule_;
   std::vector<std::vector<graph::VertexId>> blocks_;
   std::size_t phi_size_ = 0;

@@ -1,5 +1,7 @@
 #include "core/sample.hpp"
 
+#include <bit>
+
 namespace fnr::core {
 
 SampleRun::SampleRun(std::vector<graph::VertexId> gamma, double alpha,
@@ -20,10 +22,11 @@ std::optional<graph::VertexId> SampleRun::next_target(Rng& rng) {
 
 void SampleRun::record_visit(const sim::View& view,
                              const Knowledge& knowledge) {
-  // Counted IDs all pass in_home_closed, so they are < home_id_cap(); one
-  // resize up front keeps the bump itself branch-light and allocation-free.
-  if (counts_.size() < knowledge.home_id_cap())
-    counts_.resize(knowledge.home_id_cap(), 0);
+  // Counted IDs are all home-mask members, so they are < mask.size(); one
+  // resize up front keeps the marking allocation-free.
+  const std::span<const char> mask = knowledge.home_mask();
+  FNR_ASSERT(!mask.empty());
+  if (counts_.size() < mask.size()) counts_.resize(mask.size(), 0);
   if (visit_counts_[last_idx_] == 0) {
     // First visit to this target in this run: the only visit that walks the
     // overlap. The memo slice (recorded now, or by an earlier run of the
@@ -31,34 +34,40 @@ void SampleRun::record_visit(const sim::View& view,
     // counted ID with the marker 1, exactly when and in which order an
     // eager bump would have first touched it.
     const graph::VertexId id = gamma_[last_idx_];
-    if (id >= memo_->start.size()) {
-      memo_->start.resize(id + 1, OverlapMemo::kUnscanned);
-      memo_->len.resize(id + 1, 0);
+    OverlapMemo& memo = *memo_;
+    if (id >= memo.start.size()) {
+      memo.start.resize(id + 1, OverlapMemo::kUnscanned);
+      memo.len.resize(id + 1, 0);
     }
-    if (memo_->start[id] == OverlapMemo::kUnscanned) {
-      // Never scanned in this trial: one degree-wide scan, recorded.
-      memo_->start[id] = static_cast<std::uint32_t>(memo_->pool.size());
-      auto scan = [&](graph::VertexId u) {
-        if (knowledge.in_home_closed(u)) {
-          memo_->pool.push_back(u);
-          if (counts_[u] == 0) {
-            counts_[u] = 1;
-            touched_.push_back(u);
-          }
-        }
+    if (memo.start[id] == OverlapMemo::kUnscanned) {
+      // Never scanned in this trial: one degree-wide scan, recorded. Every
+      // ID is written to the pool's end, which then advances by the ID's
+      // home-mask byte, so the scan takes no branch on membership (which
+      // is unpredictable and the rows do not fit in cache).
+      const auto row = view.neighbor_ids();
+      const std::size_t begin = memo.used;
+      const std::size_t need = begin + row.size() + 1;
+      if (memo.pool.size() < need) memo.pool.resize(std::bit_ceil(need));
+      graph::VertexId* out = memo.pool.data() + begin;
+      const std::size_t cap = mask.size();
+      const auto put = [&](graph::VertexId u) {
+        *out = u;
+        const bool inside = u < cap;
+        out += static_cast<std::size_t>(inside & (mask[inside ? u : 0] != 0));
       };
-      scan(view.here());  // the vertex is in its own closed neighborhood
-      for (const auto u : view.neighbor_ids()) scan(u);
-      memo_->len[id] =
-          static_cast<std::uint32_t>(memo_->pool.size() - memo_->start[id]);
-    } else {
-      const std::uint32_t start = memo_->start[id];
-      for (std::uint32_t j = 0; j < memo_->len[id]; ++j) {
-        const graph::VertexId u = memo_->pool[start + j];
-        if (counts_[u] == 0) {
-          counts_[u] = 1;
-          touched_.push_back(u);
-        }
+      put(view.here());  // the vertex is in its own closed neighborhood
+      for (const auto u : row) put(u);
+      memo.used = static_cast<std::size_t>(out - memo.pool.data());
+      memo.start[id] = static_cast<std::uint32_t>(begin);
+      memo.len[id] = static_cast<std::uint32_t>(memo.used - begin);
+    }
+    // Mark the slice's newly counted IDs, in slice order.
+    const graph::VertexId* slice = memo.pool.data() + memo.start[id];
+    for (std::uint32_t j = 0; j < memo.len[id]; ++j) {
+      const graph::VertexId u = slice[j];
+      if (counts_[u] == 0) {
+        counts_[u] = 1;
+        touched_.push_back(u);
       }
     }
   }

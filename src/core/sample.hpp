@@ -7,7 +7,10 @@
 // reaches the threshold l are output as heavy (Lemma 2 / Corollary 1).
 //
 // SampleRun is a passive state object: the owning agent asks next_target()
-// where to go and reports the view upon arrival via record_visit().
+// where to go (and reaches it along a Knowledge route, hop by port) and
+// reports the view upon arrival via record_visit(). A target's first visit
+// in a trial scans its row once, without branching on membership; later
+// visits only count (see record_visit).
 #pragma once
 
 #include <optional>
@@ -34,7 +37,10 @@ struct OverlapMemo {
   static constexpr std::uint32_t kUnscanned = ~std::uint32_t{0};
   std::vector<std::uint32_t> start;  ///< by target ID; kUnscanned = no slice
   std::vector<std::uint32_t> len;    ///< slice length, valid when scanned
-  std::vector<graph::VertexId> pool; ///< concatenated slices, scan order
+  /// Concatenated slices in scan order: pool[0, used) is live, the rest
+  /// is room for the next scan (it writes every ID of a row there).
+  std::vector<graph::VertexId> pool;
+  std::size_t used = 0;
 };
 
 class SampleRun {
@@ -50,8 +56,10 @@ class SampleRun {
 
   /// Report arrival at the last requested target: increments C[u] for every
   /// u ∈ N+(target) ∩ N+(home). The per-u bumps are deferred: the first
-  /// visit to a target scans its neighborhood once into the memo (or
-  /// replays the slice a previous run already recorded); repeat visits
+  /// visit to a target scans its neighborhood once into the memo (every ID
+  /// is written, the pool's end advancing by its home-mask byte; a second
+  /// pass over the hits marks the newly counted ones in scan order) or
+  /// replays the slice a previous run already recorded; repeat visits
   /// (targets are drawn with replacement) just count, and heavy_output()
   /// settles the counters. Observable state (counters, touched order,
   /// memory charge over time) is bit-identical to bumping eagerly on every
@@ -76,6 +84,15 @@ class SampleRun {
 
   [[nodiscard]] std::size_t memory_words() const noexcept {
     return gamma_.size() + 2 * touched_.size();
+  }
+
+  /// The counted members of N+(home), in the order they were first counted.
+  [[nodiscard]] const std::vector<graph::VertexId>& touched() const noexcept {
+    return touched_;
+  }
+  /// C[u] for a counted u; exact once heavy_output() has settled the run.
+  [[nodiscard]] std::uint64_t count(graph::VertexId u) const {
+    return u < counts_.size() ? counts_[u] : 0;
   }
 
   /// Takes over a counter buffer released by a finished run (all zeros).

@@ -10,12 +10,14 @@
 //   3. An explore-rally agent learns its map in flat arrays: one whole
 //      exploration allocates O(log n) times, not once per vertex, and it
 //      keeps no copy of the adjacency rows it observes.
+//   4. A paper agent's routes are values: planning one allocates nothing.
 // Plus bit-exactness regressions for arena reuse (a reused scheduler must
 // reproduce a fresh scheduler's run exactly, including after a k-downsize).
 #include <gtest/gtest.h>
 
 #include "alloc_counter.hpp"
 #include "baselines/gather.hpp"
+#include "core/knowledge.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "sim/scheduler.hpp"
@@ -233,6 +235,37 @@ TEST(AllocGuard, ExploreRallyKeepsNoCopyOfTheGraph) {
   EXPECT_LT(2 * bytes, one_copy)
       << "one exploration requested " << bytes << " bytes; the graph's "
       << "neighbor IDs take " << one_copy;
+}
+
+TEST(AllocGuard, PlanningPaperRoutesAllocatesNothing) {
+  // A paper agent's trip is a Route value planned into the ScriptedAgent's
+  // op queue: once the queue has held one round trip, planning every
+  // route there and back (zero, one or two hops each way) allocates
+  // nothing.
+  class Planner final : public sim::ScriptedAgent {
+   public:
+    void plan_trip(const core::Knowledge& k, graph::VertexId w) {
+      plan_route(k.route_from_home(w));
+      plan_route(k.route_to_home(w, 0));
+      plan_clear();
+    }
+
+   protected:
+    void on_idle(const sim::View&) override {}
+  };
+  Rng rng(7, 3);
+  const auto g = graph::make_near_regular(512, 16, rng);
+  core::Knowledge k;
+  k.init_home(g.id_of(0), g.neighbor_ids(0));
+  for (const auto x : g.neighbor_ids(0))
+    (void)k.absorb_neighborhood(x, g.neighbor_ids(g.index_of(x)));
+  Planner planner;
+  const auto& ns = k.ns_list();
+  planner.plan_trip(k, ns.back());  // warm: ns_list ends at distance two
+  const auto before = allocation_count();
+  for (const auto w : ns) planner.plan_trip(k, w);
+  EXPECT_EQ(allocation_count() - before, 0u)
+      << "planning " << ns.size() << " round trips allocated";
 }
 
 void expect_same_run(const sim::RunResult& x, const sim::RunResult& y) {

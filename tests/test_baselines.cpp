@@ -208,7 +208,7 @@ class HashMapGatherAgent final : public sim::ScriptedAgent {
         arrived_ = true;
         return;
       }
-      plan_route(route(here, min_seen_));
+      for (const graph::VertexId v : route(here, min_seen_)) plan_move(v);
       return;
     }
     arrived_ = true;

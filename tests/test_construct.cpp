@@ -36,7 +36,7 @@ class ConstructDriver final : public sim::ScriptedAgent {
     }
     if (view.here() != knowledge_.home()) {
       run_->on_arrival(view);
-      plan_route(knowledge_.route_to_home(view.here()));
+      plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
       return;
     }
     while (auto target = run_->next_target(rng_)) {

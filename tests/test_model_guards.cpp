@@ -18,23 +18,42 @@ namespace {
 // --- Knowledge (agent a's map) ---------------------------------------------
 
 using Ids = std::vector<graph::VertexId>;
+using Hops = std::vector<std::pair<graph::VertexId, std::uint32_t>>;
+
+/// A route's (target, port) pairs.
+Hops hops_of(const sim::Route& route) {
+  Hops hops;
+  for (const sim::Hop& hop : route.hops()) hops.emplace_back(hop.to, hop.port);
+  return hops;
+}
 
 TEST(Knowledge, RoutesCoverZeroOneTwoHops) {
   core::Knowledge k;
-  k.init_home(10, Ids{20, 30});
-  (void)k.absorb_neighborhood(20, Ids{10, 40});
-  EXPECT_TRUE(k.route_from_home(10).empty());
-  EXPECT_EQ(k.route_from_home(30), (std::vector<graph::VertexId>{30}));
-  EXPECT_EQ(k.route_from_home(40), (std::vector<graph::VertexId>{20, 40}));
-  EXPECT_EQ(k.route_to_home(40), (std::vector<graph::VertexId>{20, 10}));
-  EXPECT_EQ(k.route_to_home(30), (std::vector<graph::VertexId>{10}));
+  k.init_home(10, Ids{20, 30});  // home's ports: 0 -> 20, 1 -> 30
+  (void)k.absorb_neighborhood(20, Ids{40, 10});  // 20's: 0 -> 40, 1 -> 10
+  EXPECT_TRUE(k.route_from_home(10).hops().empty());
+  EXPECT_EQ(hops_of(k.route_from_home(30)), (Hops{{30, 1}}));
+  EXPECT_EQ(hops_of(k.route_from_home(40)), (Hops{{20, 0}, {40, 0}}));
+  // Back home: the first hop leaves by the arrival port, the second by
+  // 20's port to home.
+  EXPECT_EQ(hops_of(k.route_to_home(40, 5)), (Hops{{20, 5}, {10, 1}}));
+  EXPECT_EQ(hops_of(k.route_to_home(30, 2)), (Hops{{10, 2}}));
+  EXPECT_TRUE(k.route_to_home(10, std::nullopt).hops().empty());
 }
 
 TEST(Knowledge, UnknownRouteThrows) {
   core::Knowledge k;
   k.init_home(1, Ids{2});
   EXPECT_THROW((void)k.route_from_home(99), CheckError);
-  EXPECT_THROW((void)k.route_to_home(99), CheckError);
+  EXPECT_THROW((void)k.route_to_home(99, 0), CheckError);
+  // Away from home the first hop back needs the arrival port.
+  EXPECT_THROW((void)k.route_to_home(2, std::nullopt), CheckError);
+  // A vertex outside N(home) cannot be absorbed.
+  EXPECT_THROW((void)k.absorb_neighborhood(7, Ids{1}), CheckError);
+  // A row that never names home leaves no port back through its vertex.
+  (void)k.absorb_neighborhood(2, Ids{5});
+  EXPECT_EQ(hops_of(k.route_from_home(5)), (Hops{{2, 0}, {5, 0}}));
+  EXPECT_THROW((void)k.route_to_home(5, 0), CheckError);
 }
 
 TEST(Knowledge, AbsorbReportsOnlyFreshVertices) {
@@ -56,6 +75,61 @@ TEST(Knowledge, ResetCoverageKeepsHomeBall) {
   EXPECT_FALSE(k.in_ns(7));
   EXPECT_TRUE(k.in_ns(2));
   EXPECT_THROW((void)k.route_from_home(7), CheckError);
+}
+
+/// The work gate's four topologies plus a sparse-ID graph.
+std::vector<std::pair<const char*, graph::Graph>> route_graphs() {
+  std::vector<std::pair<const char*, graph::Graph>> graphs;
+  Rng near(4242, 911);
+  graphs.emplace_back("near-regular-1024",
+                      graph::make_near_regular(1024, 64, near));
+  graphs.emplace_back("torus-32x32", graph::make_torus(32, 32));
+  graphs.emplace_back("hypercube-10", graph::make_hypercube(10));
+  Rng ws(4242, 913);
+  graphs.emplace_back("watts-strogatz-1024",
+                      graph::make_watts_strogatz(1024, 6, 0.1, ws));
+  Rng ids(8, 4);
+  const auto base = graph::make_near_regular(300, 8, ids);
+  graphs.emplace_back(
+      "sparse-ids",
+      graph::with_ids(base, graph::sparse_ids(base.num_vertices(), 2.0, ids)));
+  return graphs;
+}
+
+TEST(Knowledge, EveryHopsPortLeadsToItsTargetAndBackHome) {
+  // Absorb every home neighbor's row (as Construct does on adoption), then
+  // walk route_from_home(w) for every w ∈ NS port by port on the graph,
+  // and route_to_home back from w with the port the walk arrived by.
+  for (const auto& [name, g] : route_graphs()) {
+    const auto n = static_cast<graph::VertexIndex>(g.num_vertices());
+    for (const graph::VertexIndex home : {0u, n / 2, n - 1}) {
+      core::Knowledge k;
+      k.init_home(g.id_of(home), g.neighbor_ids(home));
+      for (const auto x : g.neighbor_ids(home))
+        (void)k.absorb_neighborhood(x, g.neighbor_ids(g.index_of(x)));
+      std::size_t two_hop = 0;
+      for (const auto w : k.ns_list()) {
+        graph::VertexIndex at = home;
+        std::optional<std::size_t> arrival;
+        const auto walk = [&](const sim::Route& route) {
+          for (const sim::Hop& hop : route.hops()) {
+            ASSERT_LT(hop.port, g.degree(at)) << name << " w " << w;
+            ASSERT_EQ(g.neighbor_ids(at)[hop.port], hop.to)
+                << name << ": hop towards " << w << " from " << g.id_of(at);
+            arrival = g.reverse_ports(at)[hop.port];
+            at = g.index_of(hop.to);
+          }
+        };
+        const auto out = k.route_from_home(w);
+        two_hop += out.hops().size() == 2 ? 1 : 0;
+        walk(out);
+        ASSERT_EQ(g.id_of(at), w) << name;
+        walk(k.route_to_home(w, arrival));
+        ASSERT_EQ(at, home) << name << ": back from " << w;
+      }
+      EXPECT_GT(two_hop, 0u) << name << " home " << home;
+    }
+  }
 }
 
 // --- model enforcement ------------------------------------------------------
@@ -193,7 +267,7 @@ class StrictOnlyDriver final : public sim::ScriptedAgent {
     }
     if (view.here() != knowledge_.home()) {
       run_->on_arrival(view);
-      plan_route(knowledge_.route_to_home(view.here()));
+      plan_route(knowledge_.route_to_home(view.here(), view.arrival_port()));
       return;
     }
     while (auto target = run_->next_target(rng_)) {

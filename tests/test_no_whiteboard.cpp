@@ -2,6 +2,8 @@
 // end-to-end whiteboard-free rendezvous.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/no_whiteboard.hpp"
 #include "graph/id_space.hpp"
 #include "test_support.hpp"
@@ -135,6 +137,48 @@ TEST(NoWhiteboard, PhasesUsedStaysInSchedule) {
       g.num_vertices(), g.id_bound(), report.delta_used,
       Params::practical());
   EXPECT_LE(report.agent_a.phases_used, schedule.num_blocks);
+}
+
+TEST(NoWbOracle, RowsAreTheGraphsRowsInPortOrder) {
+  // The oracle's routes take their ports from the row indexes, so every row
+  // must be x's row in port order, as the graph stores it.
+  Rng rng(4, 4);
+  const auto g = graph::with_ids(test::dense_graph(128, 12),
+                                 graph::shuffled_ids(128, rng));
+  const auto oracle = NoWbOracle::from_graph(g, 5);
+  EXPECT_TRUE(oracle.enabled);
+  ASSERT_EQ(oracle.two_ball.size(), g.degree(5));
+  for (std::size_t p = 0; p < oracle.two_ball.size(); ++p) {
+    const auto& [x, row] = oracle.two_ball[p];
+    EXPECT_EQ(x, g.neighbor_ids(5)[p]);
+    const auto want = g.neighbor_ids(g.index_of(x));
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()))
+        << "row of " << x;
+  }
+}
+
+TEST(NoWbOracle, PhaseScheduleMeetsOnOracleRoutes) {
+  // exp05's ablation: the oracle map and an unsynchronized start. Every
+  // tour hop, two-hop ones included, runs on the oracle's ports; a port
+  // that led elsewhere would fail the run with a CheckError.
+  const auto g = test::dense_graph(256, 44);
+  const auto params = Params::practical();
+  const double delta = static_cast<double>(g.min_degree());
+  const auto schedule =
+      NoWbSchedule::make(g.num_vertices(), g.id_bound(), delta, params);
+  sim::Scheduler scheduler(g, sim::Model::no_whiteboards());
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng placement_rng(seed, 3);
+    const auto placement = sim::random_adjacent_placement(g, placement_rng);
+    Rng agent_seed(seed);
+    NoWhiteboardAgentA agent_a(params, delta, agent_seed.split(),
+                               NoWbOracle::from_graph(g, placement.a_start));
+    NoWhiteboardAgentB agent_b(params, delta, agent_seed.split(),
+                               /*synchronized_start=*/false);
+    const auto result = scheduler.run(agent_a, agent_b, placement,
+                                      4 * schedule.total_rounds() + 1024);
+    EXPECT_TRUE(result.met) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Unit tests for ScriptedAgent: plan execution, write+move rounds,
-// wait-until semantics, on_idle re-entry, and the plan queue itself
+// wait-until semantics, on_idle re-entry, the plan queue itself
 // (pending-op accounting, appends mid-plan, clears, re-armed waits across
-// refills).
+// refills), and hops by port under churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/main_rendezvous.hpp"
+#include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/scripted_agent.hpp"
@@ -26,7 +30,9 @@ class TriangleWalker final : public ScriptedAgent {
     idle_positions.push_back(view.here());
     if (!planned_) {
       planned_ = true;
-      plan_route({1, 2, 0});
+      plan_move(1);
+      plan_move(2);
+      plan_move(0);
     }
   }
 
@@ -156,7 +162,8 @@ class OpenPlanAgent final : public ScriptedAgent {
  protected:
   void on_idle(const View& view) override {
     idles.push_back({view.round(), view.here()});
-    if (idles.size() == 1) plan_route(first_plan);
+    if (idles.size() == 1)
+      for (const graph::VertexId v : first_plan) plan_move(v);
   }
 };
 
@@ -275,6 +282,121 @@ TEST(ScriptedAgentQueue, WaitUntilReArmHoldsAcrossRefills) {
     EXPECT_EQ(probe.words[r], phase < 2 ? 4u : phase == 2 ? 2u : 0u)
         << "round " << r;
   }
+}
+
+// --- hops by port under churn ----------------------------------------------
+
+/// Goes out to its home's first neighbor through port 0 and back through
+/// the arrival port, once.
+class OutAndBack final : public ScriptedAgent {
+ protected:
+  void on_idle(const View& view) override {
+    if (planned_) return;
+    planned_ = true;
+    plan_move(Hop{view.neighbor_ids()[0], 0});
+    plan_move(Hop{view.here(), Hop::kBack});
+  }
+
+ private:
+  bool planned_ = false;
+};
+
+/// Records the vertex and the move port of every round of an inner agent.
+template <class Inner>
+class Recorder final : public Agent {
+ public:
+  explicit Recorder(Inner& inner) : inner_(inner) {}
+  Action step(const View& view) override {
+    const Action action = inner_.step(view);
+    here.push_back(view.here());
+    ports.push_back(action.move_port);
+    return action;
+  }
+  std::vector<graph::VertexId> here;
+  std::vector<std::size_t> ports;
+
+ private:
+  Inner& inner_;
+};
+
+TEST(ScriptedAgentChurn, BlockedHopIsRetriedOnItsPort) {
+  // Every edge is down in rounds [1, 4): the hop back, issued at round 1
+  // through the arrival port, is blocked three times. The arrival port is
+  // gone after the first block (the agent stayed), so each retry must
+  // re-issue the stored port.
+  const auto g = graph::make_ring(12);
+  Scheduler scheduler(g, Model::full());
+  const auto plan = fault::FaultPlan::parse("churn?rate=1&skip=1&count=3");
+  fault::FaultSession session(plan, Rng(1, 2));
+  scheduler.set_fault_session(&session);
+  OutAndBack walker;
+  Recorder recorder(walker);
+  StillAgent still;
+  ScenarioPlacement placement;
+  placement.starts = {0, 6};
+  const auto result = scheduler.run_scenario({&recorder, &still}, placement,
+                                              Gathering::AnyPair, 8);
+  scheduler.set_fault_session(nullptr);
+  EXPECT_EQ(result.faults.moves_blocked, 3u);
+  const graph::VertexId out = g.neighbor_ids(0)[0];
+  const std::size_t back = g.reverse_ports(0)[0];
+  const std::vector<graph::VertexId> here = {0, out, out, out, out, 0, 0, 0};
+  const std::vector<std::size_t> ports = {0,    back,         back,
+                                          back, back,         Action::kStay,
+                                          Action::kStay, Action::kStay};
+  EXPECT_EQ(recorder.here, here);
+  EXPECT_EQ(recorder.ports, ports);
+}
+
+TEST(ScriptedAgentChurn, HopThroughTheWrongPortFailsLoudly) {
+  // A hop names its target: landing anywhere but the target or (after a
+  // blocked move) the vertex it left is a CheckError, not a silent walk.
+  class WrongPort final : public ScriptedAgent {
+   protected:
+    void on_idle(const View& view) override {
+      plan_move(Hop{view.neighbor_ids()[0], 1});
+    }
+  };
+  const auto g = graph::make_ring(12);
+  Scheduler scheduler(g, Model::full());
+  WrongPort walker;
+  StillAgent still;
+  EXPECT_THROW((void)scheduler.run(walker, still, Placement{0, 6}, 4),
+               CheckError);
+}
+
+TEST(ScriptedAgentChurn, WhiteboardAgentBStaysInItsClosedNeighborhood) {
+  // Agent b returns home through its arrival port and looks home's port
+  // up only after churn blocked that hop; either way every round finds it
+  // in N+(home).
+  Rng rng(3, 9);
+  const auto g = graph::make_near_regular(64, 6, rng);
+  Scheduler scheduler(g, Model::full());
+  const auto plan = fault::FaultPlan::parse("churn?rate=0.5");
+  fault::FaultSession session(plan, Rng(5, 2));
+  scheduler.set_fault_session(&session);
+  core::WhiteboardAgentB agent_b(Rng(7, 1));
+  Recorder recorder(agent_b);
+  StillAgent still;
+  ScenarioPlacement placement;
+  placement.starts = {0, 0};
+  placement.starts[1] = g.num_vertices() - 1;
+  const auto result = scheduler.run_scenario({&recorder, &still}, placement,
+                                              Gathering::AnyPair, 400);
+  scheduler.set_fault_session(nullptr);
+  EXPECT_GT(result.faults.moves_blocked, 0u);
+  const auto home = g.neighbor_ids(0);
+  std::size_t away = 0, blocked_returns = 0;
+  for (std::size_t r = 0; r < recorder.here.size(); ++r) {
+    const auto v = recorder.here[r];
+    if (v == g.id_of(0)) continue;
+    ++away;
+    if (r > 0 && recorder.here[r - 1] == v) ++blocked_returns;
+    EXPECT_NE(std::find(home.begin(), home.end(), v), home.end())
+        << "agent b stood on " << v << " in round " << r;
+  }
+  EXPECT_GT(away, 0u);
+  EXPECT_GT(blocked_returns, 0u);  // the port_of fallback ran
 }
 
 }  // namespace

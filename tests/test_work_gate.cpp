@@ -57,24 +57,24 @@ struct Pin {
 
 const Pin kPins[] = {
     // {cell, {rounds, moves, writes, met}, max allocs per trial}
-    {"whiteboard/near-regular-1024", {121233, 241979, 60787, 256}, 628.48},
-    {"whiteboard/torus-32x32", {4006, 7560, 2172, 256}, 51.94},
-    {"whiteboard/hypercube-10", {9748, 19036, 5046, 256}, 88.04},
-    {"whiteboard/watts-strogatz-1024", {7228, 14180, 3669, 256}, 80.14},
+    {"whiteboard/near-regular-1024", {121233, 241979, 60787, 256}, 182.52},
+    {"whiteboard/torus-32x32", {4006, 7560, 2172, 256}, 35.78},
+    {"whiteboard/hypercube-10", {9748, 19036, 5046, 256}, 48.87},
+    {"whiteboard/watts-strogatz-1024", {7228, 14180, 3669, 256}, 50.23},
     {"whiteboard+doubling/near-regular-1024",
      {108645, 216861, 54467, 256},
-     605.88},
-    {"whiteboard+doubling/torus-32x32", {4006, 7560, 2172, 256}, 51.94},
-    {"whiteboard+doubling/hypercube-10", {9748, 19036, 5046, 256}, 88.04},
+     181.00},
+    {"whiteboard+doubling/torus-32x32", {4006, 7560, 2172, 256}, 35.78},
+    {"whiteboard+doubling/hypercube-10", {9748, 19036, 5046, 256}, 48.87},
     {"whiteboard+doubling/watts-strogatz-1024",
      {7228, 14180, 3669, 256},
-     80.14},
-    {"no-whiteboard/near-regular-1024", {107494, 107494, 0, 256}, 664.93},
-    {"no-whiteboard/torus-32x32", {1894, 1894, 0, 256}, 52.14},
-    {"no-whiteboard/hypercube-10", {4998, 4998, 0, 256}, 85.38},
-    {"no-whiteboard/watts-strogatz-1024", {6176, 6176, 0, 256}, 95.62},
+     50.23},
+    {"no-whiteboard/near-regular-1024", {107494, 107494, 0, 256}, 314.24},
+    {"no-whiteboard/torus-32x32", {1894, 1894, 0, 256}, 45.75},
+    {"no-whiteboard/hypercube-10", {4998, 4998, 0, 256}, 66.13},
+    {"no-whiteboard/watts-strogatz-1024", {6176, 6176, 0, 256}, 70.90},
     {"explore-rally/swarm-quorum-k256", {4654, 1191424, 0, 32}, 3926.72},
-    {"campaign/perf-campaign", {2391478, 2459069, 35874, 768}, 150.60},
+    {"campaign/perf-campaign", {2391478, 2459069, 35874, 768}, 56.64},
 };
 
 const Pin& pin_for(const std::string& cell) {
