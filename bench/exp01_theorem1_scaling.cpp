@@ -35,8 +35,9 @@ int run_bench(int argc, char** argv) {
   bench::print_header(
       "E1 — Theorem 1: whiteboard rendezvous scaling (near-regular, "
       "delta ~ n^0.78)",
-      "Expected shape: median rounds track C*[(n/d)ln^2 n + (sqrt(nD)/d)ln n]"
-      " with a stable constant C; both baselines grow strictly faster.");
+      "Reported: median meeting round (any co-location, Construct "
+      "included) beside the bound shape (n/d)ln^2 n + (sqrt(nD)/d)ln n and "
+      "two yardsticks, an O(D) neighbor sweep and an O(n) exploration.");
   bench::print_runner_info(runner);
 
   Table table({"n", "delta", "Delta", "rounds(med)", "met in construct",

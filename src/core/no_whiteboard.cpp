@@ -1,6 +1,7 @@
 #include "core/no_whiteboard.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/log.hpp"
 
@@ -18,19 +19,26 @@ NoWbSchedule NoWbSchedule::make(std::size_t n, graph::VertexId id_bound,
   return s;
 }
 
-std::vector<std::vector<graph::VertexId>> build_blocks(
-    const std::vector<graph::VertexId>& ids, const NoWbSchedule& schedule) {
-  std::vector<std::vector<graph::VertexId>> blocks(schedule.num_blocks);
+IdBlocks build_blocks(std::vector<graph::VertexId> ids,
+                      const NoWbSchedule& schedule) {
+  // The block index id / β only grows with the ID, so one sort puts every
+  // block's IDs side by side and in order; the first block_cap of each stay.
+  std::sort(ids.begin(), ids.end());
+  IdBlocks blocks;
+  blocks.offsets.assign(schedule.num_blocks + 1, 0);
+  std::size_t kept = 0;
   for (const auto id : ids) {
     const std::uint64_t block = id / schedule.beta;
     FNR_CHECK_MSG(block < schedule.num_blocks,
                   "ID " << id << " outside the agreed ID space");
-    blocks[block].push_back(id);
+    if (blocks.offsets[block + 1] == schedule.block_cap) continue;
+    ++blocks.offsets[block + 1];
+    ids[kept++] = id;
   }
-  for (auto& block : blocks) {
-    std::sort(block.begin(), block.end());
-    if (block.size() > schedule.block_cap) block.resize(schedule.block_cap);
-  }
+  ids.resize(kept);
+  std::partial_sum(blocks.offsets.begin(), blocks.offsets.end(),
+                   blocks.offsets.begin());
+  blocks.ids = std::move(ids);
   return blocks;
 }
 
@@ -72,8 +80,7 @@ void NoWhiteboardAgentA::on_idle(const sim::View& view) {
       std::vector<graph::VertexId> phi;
       for (const auto v : knowledge_.ns_list())
         if (rng_.bernoulli(p)) phi.push_back(v);
-      blocks_ = build_blocks(phi, schedule_);
-      for (const auto& block : blocks_) phi_size_ += block.size();
+      blocks_ = build_blocks(std::move(phi), schedule_);
       phase_ = Phase::Tour;
       return;
     }
@@ -106,7 +113,7 @@ void NoWhiteboardAgentA::on_idle(const sim::View& view) {
     phase_ = Phase::Exhausted;  // schedule spent without a meeting
     return;
   }
-  auto& block = blocks_[current_block_];
+  const auto block = blocks_.block(current_block_);
   if (current_pos_ < block.size()) {
     const graph::VertexId u = block[current_pos_++];
     if (u == knowledge_.home()) {
@@ -155,22 +162,18 @@ void NoWhiteboardAgentA::start_tour(const sim::View& view) {
   std::vector<graph::VertexId> phi;
   for (const auto v : construct_->t_set())
     if (rng_.bernoulli(p)) phi.push_back(v);
-  blocks_ = build_blocks(phi, schedule_);
-  phi_size_ = 0;
-  for (const auto& block : blocks_) phi_size_ += block.size();
+  blocks_ = build_blocks(std::move(phi), schedule_);
   construct_.reset();
   phase_ = Phase::Tour;
-  FNR_DEBUG("agent a: |Phi_a|=" << phi_size_ << ", t'=" << schedule_.t_start);
+  FNR_DEBUG("agent a: |Phi_a|=" << blocks_.ids.size()
+                                  << ", t'=" << schedule_.t_start);
 }
 
 std::size_t NoWhiteboardAgentA::memory_words() const {
-  // phi_size_ is the block words by construction: blocks_ is only ever
-  // rebuilt wholesale (oracle init / start_tour), and both sites re-derive
-  // phi_size_ as the sum of the new block sizes. Summing here again would
-  // walk num_blocks cache lines per round — this accessor runs every
-  // round for the peak-memory metric.
+  // Φ is charged its kept IDs; the block offsets only index them.
   return sim::ScriptedAgent::memory_words() + knowledge_.memory_words() +
-         phi_size_ + (construct_ ? construct_->memory_words() : 0) + 16;
+         blocks_.ids.size() + (construct_ ? construct_->memory_words() : 0) +
+         16;
 }
 
 // --- agent b ---------------------------------------------------------------
@@ -200,11 +203,10 @@ void NoWhiteboardAgentB::on_idle(const sim::View& view) {
     for (std::size_t port = 0; port < row.size(); ++port)
       home_port_[row[port]] = static_cast<std::uint32_t>(port);
     if (!synchronized_start_) schedule_.t_start = 0;
-    blocks_ = build_blocks(phi, schedule_);
-    for (const auto& block : blocks_) phi_size_ += block.size();
+    blocks_ = build_blocks(std::move(phi), schedule_);
     init_ = true;
     plan_wait_until(schedule_.t_start);
-    FNR_DEBUG("agent b: |Phi_b|=" << phi_size_ << ", t'="
+    FNR_DEBUG("agent b: |Phi_b|=" << blocks_.ids.size() << ", t'="
                                   << schedule_.t_start);
     return;
   }
@@ -212,7 +214,7 @@ void NoWhiteboardAgentB::on_idle(const sim::View& view) {
   if (current_block_ >= schedule_.num_blocks) return;  // schedule spent
 
   const std::uint64_t phase_end = schedule_.phase_end(current_block_);
-  const auto& block = blocks_[current_block_];
+  const auto block = blocks_.block(current_block_);
   // A visit costs 2 rounds (out + back); don't start one that can't finish.
   if (block.empty() || view.round() + 2 > phase_end) {
     ++current_block_;
@@ -231,9 +233,7 @@ void NoWhiteboardAgentB::on_idle(const sim::View& view) {
 }
 
 std::size_t NoWhiteboardAgentB::memory_words() const {
-  // phi_size_ == sum of block sizes (blocks_ is built exactly once, in
-  // init, and phi_size_ sums it there); see the AgentA note above.
-  return sim::ScriptedAgent::memory_words() + phi_size_ + 16;
+  return sim::ScriptedAgent::memory_words() + blocks_.ids.size() + 16;
 }
 
 }  // namespace fnr::core

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/construct.hpp"
@@ -54,10 +55,22 @@ struct NoWbSchedule {
   }
 };
 
+/// Φ grouped into the schedule's ID blocks in one flat array: block i is
+/// ids[offsets[i], offsets[i + 1]), ascending, at most block_cap long.
+struct IdBlocks {
+  std::vector<graph::VertexId> ids;   ///< every kept ID, in block order
+  std::vector<std::size_t> offsets;   ///< num_blocks + 1 entries
+
+  [[nodiscard]] std::span<const graph::VertexId> block(
+      std::uint64_t i) const {
+    return {ids.data() + offsets[i], ids.data() + offsets[i + 1]};
+  }
+};
+
 /// Groups `ids` into the schedule's ID blocks: ascending within a block,
 /// truncated to block_cap (sparseness).
-[[nodiscard]] std::vector<std::vector<graph::VertexId>> build_blocks(
-    const std::vector<graph::VertexId>& ids, const NoWbSchedule& schedule);
+[[nodiscard]] IdBlocks build_blocks(std::vector<graph::VertexId> ids,
+                                    const NoWbSchedule& schedule);
 
 /// Ablation hook (benches/tests): start the phase schedule immediately from
 /// a pre-supplied two-hop map instead of running Construct first. Isolates
@@ -111,8 +124,7 @@ class NoWhiteboardAgentA final : public sim::ScriptedAgent {
   Knowledge knowledge_;
   std::unique_ptr<ConstructRun> construct_;
   NoWbSchedule schedule_;
-  std::vector<std::vector<graph::VertexId>> blocks_;
-  std::size_t phi_size_ = 0;
+  IdBlocks blocks_;
   std::uint64_t current_block_ = 0;
   std::size_t current_pos_ = 0;
   AgentAStats stats_;
@@ -142,8 +154,7 @@ class NoWhiteboardAgentB final : public sim::ScriptedAgent {
   /// home's row when leaving it, so not charged to memory_words.
   std::vector<std::uint32_t> home_port_;
   NoWbSchedule schedule_;
-  std::vector<std::vector<graph::VertexId>> blocks_;
-  std::size_t phi_size_ = 0;
+  IdBlocks blocks_;
   std::uint64_t current_block_ = 0;
   std::size_t current_pos_ = 0;
 };

@@ -3,9 +3,12 @@
 // Generators work in index space [0, n); the ID space (naming regime) is
 // attached at build() time. The builder rejects self-loops and silently
 // deduplicates parallel edges, so generators may add an edge from both
-// endpoints, in any order, without bookkeeping. build() is O(n + m): a
-// two-pass counting sort orders the edges by (u, v), so every CSR row comes
-// out sorted by construction, with no per-row sort.
+// endpoints, in any order, without bookkeeping. build() is O(n + m) and
+// emits every CSR row sorted, with no per-row sort, by one of two paths:
+// when an n x ceil(n/64)-word bit matrix takes no more words than the edge
+// list has entries, each edge sets its two bits and the rows are read out
+// word by word; sparser graphs order the edge list by (u, v) with a
+// two-pass counting sort.
 #pragma once
 
 #include <utility>

@@ -5,8 +5,9 @@
 // vertices are dense indices [0, n); the ID space is attached at build time
 // (see id_space.hpp). Adjacency is CSR with per-vertex neighbor lists sorted
 // by neighbor index — that order defines the local port numbering ˆP_v.
-// GraphBuilder::build emits the rows in that order by construction (an
-// O(n + m) counting sort of the edge list; no per-row sort).
+// GraphBuilder::build emits the rows in that order by construction, with no
+// per-row sort: dense graphs read them from a bit matrix, sparse ones from
+// an O(n + m) counting sort of the edge list.
 //
 // The observation tables agents read every round (KT1 neighbor IDs, the
 // arrival port behind each move, ID → index) are built once in

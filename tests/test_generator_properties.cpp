@@ -8,11 +8,13 @@
 // and ID-space distinctness under every naming regime.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -343,6 +345,20 @@ TEST(GeneratorDigests, PinnedForEveryFamily) {
   const Graph base = make_near_regular(500, 12, rng);
   graphs.emplace_back("permute-indices", permute_indices(base, rng).graph);
   graphs.emplace_back("sparse-ids", with_ids(base, sparse_ids(500, 2.0, rng)));
+  // bench::dense_family's graphs for exp01 (seed 1000 + n, δ ≈ n^0.78) and
+  // exp05 (seed 700 + n, δ ≈ n^0.8): dense enough for the builder's bit
+  // matrix rows.
+  for (const auto& [n, exponent, seed] :
+       {std::tuple<std::size_t, double, std::uint64_t>{1024, 0.78, 2024},
+        {2048, 0.78, 3048},
+        {1024, 0.8, 1724}}) {
+    Rng dense_rng(seed, 911);
+    const auto out = static_cast<std::size_t>(
+        std::pow(static_cast<double>(n), exponent) / 2.0);
+    graphs.emplace_back(
+        "near-regular n=" + std::to_string(n) + " out=" + std::to_string(out),
+        make_near_regular(n, out, dense_rng));
+  }
 
   // Recorded before the builder's counting sort and the generators' stamp
   // arrays replaced std::sort and hash sets; they must not move.
@@ -373,6 +389,11 @@ TEST(GeneratorDigests, PinnedForEveryFamily) {
       0x864ac17becc21603ULL,  // barabasi-albert m=5
       0xc504bcc53c729fbfULL,  // permute-indices
       0x281a8ff60ce648a3ULL,  // sparse-ids
+      // Recorded with the counting-sort rows, before dense graphs took
+      // theirs from the bit matrix.
+      0x547880a515dca79aULL,  // near-regular n=1024 out=111
+      0x4f7e838ae135406dULL,  // near-regular n=2048 out=191
+      0x549536e746934bfaULL,  // near-regular n=1024 out=128
   };
   std::ostringstream actual;
   for (const auto& [label, g] : graphs)

@@ -415,6 +415,81 @@ TEST(GraphTables, ShuffledEdgeListsBuildAscendingRows) {
   }
 }
 
+/// Every array two builds of one edge set must share, byte for byte.
+::testing::AssertionResult same_graph(const Graph& a, const Graph& b) {
+  if (a.num_vertices() != b.num_vertices() ||
+      a.num_edges() != b.num_edges() || a.min_degree() != b.min_degree() ||
+      a.max_degree() != b.max_degree() ||
+      !std::ranges::equal(a.index_by_id(), b.index_by_id()))
+    return ::testing::AssertionFailure() << "sizes or ID index differ";
+  for (VertexIndex v = 0; v < a.num_vertices(); ++v) {
+    if (a.id_of(v) != b.id_of(v) ||
+        !std::ranges::equal(a.neighbors(v), b.neighbors(v)) ||
+        !std::ranges::equal(a.neighbor_ids(v), b.neighbor_ids(v)) ||
+        !std::ranges::equal(a.reverse_ports(v), b.reverse_ports(v)))
+      return ::testing::AssertionFailure() << "row " << v << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(GraphTables, MatrixRowsMatchSortedRowsAtTheDensityRule) {
+  // build() reads the rows from an n x ceil(n/64)-word bit matrix when the
+  // edge list has at least n * ceil(n/64) entries, and counting-sorts the
+  // list otherwise. At n = 128 the rule is 256 entries: 64 edges, each
+  // added in both orientations and twice, sit exactly at it (matrix rows);
+  // dropping the last entry, a repeat, leaves the same graph one entry
+  // below it (sorted rows). Both must build the same bytes.
+  constexpr std::size_t n = 128;
+  constexpr std::size_t rule = n * ((n + 63) / 64);
+  Rng rng(41, 9);
+  std::set<std::pair<VertexIndex, VertexIndex>> edges;
+  while (edges.size() < rule / 4) {
+    const auto u = static_cast<VertexIndex>(rng.below(n));
+    const auto v = static_cast<VertexIndex>(rng.below(n));
+    if (u != v) edges.emplace(std::min(u, v), std::max(u, v));
+  }
+  std::vector<std::pair<VertexIndex, VertexIndex>> entries;
+  std::vector<std::set<VertexIndex>> reference(n);
+  for (const auto& [u, v] : edges) {
+    for (int twice = 0; twice < 2; ++twice) {
+      entries.emplace_back(u, v);
+      entries.emplace_back(v, u);
+    }
+    reference[u].insert(v);
+    reference[v].insert(u);
+  }
+  shuffle(entries, rng);
+  ASSERT_EQ(entries.size(), rule);
+
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse IDs" : "shuffled IDs");
+    const IdSpace ids = sparse ? sparse_ids(n, 2.0, rng) : shuffled_ids(n, rng);
+    const auto build_first = [&](std::size_t count) {
+      GraphBuilder b(n);
+      for (std::size_t i = 0; i < count; ++i)
+        b.add_edge(entries[i].first, entries[i].second);
+      return std::move(b).build(ids);
+    };
+    const Graph at_rule = build_first(rule);
+    const Graph below = build_first(rule - 1);
+    for (VertexIndex v = 0; v < n; ++v)
+      ASSERT_TRUE(std::ranges::equal(at_rule.neighbors(v), reference[v]))
+          << "row " << v << " is not the ascending, duplicate-free set";
+    EXPECT_EQ(at_rule.num_edges(), edges.size());
+    EXPECT_TRUE(tables_match(at_rule));
+    EXPECT_TRUE(same_graph(at_rule, below));
+  }
+
+  // with_ids re-adds each edge once; a dense graph stays on the matrix side
+  // (n = 256, ~10k entries against a rule of 1024) and keeps its rows.
+  const Graph base = make_near_regular(256, 40, rng);
+  const Graph renamed = with_ids(base, sparse_ids(256, 2.0, rng));
+  EXPECT_TRUE(tables_match(renamed));
+  for (VertexIndex v = 0; v < 256; ++v)
+    ASSERT_TRUE(std::ranges::equal(renamed.neighbors(v), base.neighbors(v)))
+        << "row " << v;
+}
+
 TEST(GraphTables, NonEdgesAndUnknownIdsStillThrow) {
   const Graph small = make_ring(8);
   EXPECT_THROW((void)small.port_to(0, 4), CheckError);
@@ -429,17 +504,23 @@ TEST(GraphTables, NonEdgesAndUnknownIdsStillThrow) {
 
 TEST(GraphTables, BuildHeapIsLinearInTheGraph) {
   // Every per-graph table is sized by n, m or the ID bound (n here), so
-  // generating and building a graph requests O(n + m) bytes. Measured:
-  // 1,006,504 bytes for n = 2048, m = 16,349 (~55 per vertex or edge);
-  // 9,395,112 while graphs with n <= 2048 also kept an n² port table.
-  const auto before = test::allocated_bytes();
+  // generating and building a graph requests O(n + m) bytes, on both row
+  // paths: the bit matrix is taken only when it is no larger than the edge
+  // list. Measured at n = 2048: 1,006,504 bytes for m = 16,349 (~55 per
+  // vertex or edge, sorted rows); 20,900,256 for m = 372,813 (~56, matrix
+  // rows; 23,538,088 or ~63 when those rows were counting-sorted);
+  // 9,395,112 for the sparse graph while graphs with n <= 2048 also kept an
+  // n² port table.
   Rng rng(11, 5);
-  const Graph g = make_near_regular(2048, 8, rng);
-  const auto bytes = test::allocated_bytes() - before;
-  const std::size_t bound = 64 * (g.num_vertices() + g.num_edges());
-  EXPECT_LE(bytes, bound) << "building n = " << g.num_vertices()
-                          << ", m = " << g.num_edges() << " requested "
-                          << bytes << " bytes";
+  for (const std::size_t out : {8, 191}) {
+    const auto before = test::allocated_bytes();
+    const Graph g = make_near_regular(2048, out, rng);
+    const auto bytes = test::allocated_bytes() - before;
+    const std::size_t bound = 64 * (g.num_vertices() + g.num_edges());
+    EXPECT_LE(bytes, bound) << "building n = " << g.num_vertices()
+                            << ", m = " << g.num_edges() << " requested "
+                            << bytes << " bytes";
+  }
 }
 
 TEST(GraphTables, NeighborTableRowsServeExactNeighborViews) {

@@ -35,10 +35,18 @@ TEST(BuildBlocks, PartitionsSortsAndTruncates) {
   s.num_blocks = 3;
   s.block_cap = 2;
   const auto blocks = build_blocks({25, 3, 21, 7, 1, 23, 29}, s);
-  ASSERT_EQ(blocks.size(), 3u);
-  EXPECT_EQ(blocks[0], (std::vector<graph::VertexId>{1, 3}));  // truncated
-  EXPECT_TRUE(blocks[1].empty());
-  EXPECT_EQ(blocks[2], (std::vector<graph::VertexId>{21, 23}));
+  // One flat array: block i is ids[offsets[i], offsets[i + 1]).
+  EXPECT_EQ(blocks.ids, (std::vector<graph::VertexId>{1, 3, 21, 23}));
+  EXPECT_EQ(blocks.offsets, (std::vector<std::size_t>{0, 2, 2, 4}));
+  const auto first = blocks.block(0);  // truncated
+  EXPECT_EQ(std::vector<graph::VertexId>(first.begin(), first.end()),
+            (std::vector<graph::VertexId>{1, 3}));
+  EXPECT_TRUE(blocks.block(1).empty());
+  const auto last = blocks.block(2);
+  EXPECT_EQ(std::vector<graph::VertexId>(last.begin(), last.end()),
+            (std::vector<graph::VertexId>{21, 23}));
+  // An empty Φ still has every block, all empty.
+  EXPECT_EQ(build_blocks({}, s).offsets, (std::vector<std::size_t>(4, 0)));
 }
 
 TEST(BuildBlocks, RejectsOutOfSpaceIds) {

@@ -69,10 +69,10 @@ const Pin kPins[] = {
     {"whiteboard+doubling/watts-strogatz-1024",
      {7228, 14180, 3669, 256},
      50.23},
-    {"no-whiteboard/near-regular-1024", {107494, 107494, 0, 256}, 314.24},
-    {"no-whiteboard/torus-32x32", {1894, 1894, 0, 256}, 45.75},
-    {"no-whiteboard/hypercube-10", {4998, 4998, 0, 256}, 66.13},
-    {"no-whiteboard/watts-strogatz-1024", {6176, 6176, 0, 256}, 70.90},
+    {"no-whiteboard/near-regular-1024", {107494, 107494, 0, 256}, 192.68},
+    {"no-whiteboard/torus-32x32", {1894, 1894, 0, 256}, 40.75},
+    {"no-whiteboard/hypercube-10", {4998, 4998, 0, 256}, 55.13},
+    {"no-whiteboard/watts-strogatz-1024", {6176, 6176, 0, 256}, 57.72},
     {"explore-rally/swarm-quorum-k256", {4654, 1191424, 0, 32}, 3926.72},
     {"campaign/perf-campaign", {2391478, 2459069, 35874, 768}, 56.64},
 };
