@@ -44,7 +44,7 @@ inline bool handle_registry_listings(Cli& cli) {
 }
 
 /// A bench's main() runs through fnr::guarded_main (util/cli.hpp): a
-/// CheckError becomes its message on stderr and exit code 2.
+/// CheckError becomes its message on stderr and exit code 1.
 using fnr::guarded_main;
 
 /// Standard experiment knobs shared by every binary.

@@ -91,7 +91,6 @@ ScenarioReport run_scenario(const Scenario& scenario, const Program& program,
   for (const auto& agent : agents) pointers.push_back(agent.get());
 
   sim::Scheduler& scheduler = scratch.scheduler_for(g, def.model);
-  scheduler.set_meeting_detection(options.detection);
   if (!options.fault.active()) {
     report.run = scheduler.run_scenario(pointers, placement,
                                         scenario.gathering, report.round_cap);
@@ -118,16 +117,8 @@ ScenarioReport run_scenario(const Scenario& scenario, const Program& program,
     revived[slot] = factory(build);
     return revived[slot].get();
   };
-
-  // The scratch's scheduler outlives this call; never leave it pointing at
-  // the stack-local session (even when the run throws).
-  struct SessionGuard {
-    sim::Scheduler& scheduler;
-    ~SessionGuard() { scheduler.set_fault_session(nullptr); }
-  } guard{scheduler};
-  scheduler.set_fault_session(&session);
   report.run = scheduler.run_scenario(pointers, placement, scenario.gathering,
-                                      report.round_cap);
+                                      report.round_cap, &session);
   return report;
 }
 

@@ -40,10 +40,6 @@ struct ScenarioOptions {
   /// — and therefore every fault-free result — is byte-identical to a
   /// build without the fault layer.
   fault::FaultPlan fault;
-  /// How the scheduler evaluates the gathering predicate (Auto = pairwise
-  /// at small k, occupancy counting above the cutover). Modes are
-  /// byte-identical in every observable — a throughput/testing lever only.
-  sim::MeetingDetection detection = sim::MeetingDetection::Auto;
 };
 
 /// Outcome of one scenario instance plus the cap it ran under.

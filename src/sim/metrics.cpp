@@ -17,17 +17,18 @@ std::string RunResult::describe() const {
 }
 
 RunResult ScenarioRunResult::to_run_result() const {
-  FNR_CHECK_MSG(agents.size() == 2,
-                "to_run_result() projects exactly two agents, got "
+  FNR_CHECK_MSG(agents.size() == 1 || agents.size() == 2,
+                "to_run_result() projects one or two agents, got "
                     << agents.size());
+  const AgentRunStats b = agents.size() == 2 ? agents[1] : AgentRunStats{};
   RunResult out;
   out.met = met;
   out.meeting_round = meeting_round;
   out.meeting_vertex = meeting_vertex;
   out.metrics.rounds = rounds;
-  out.metrics.moves = {agents[0].moves, agents[1].moves};
+  out.metrics.moves = {agents[0].moves, b.moves};
   out.metrics.peak_memory_words = {agents[0].peak_memory_words,
-                                   agents[1].peak_memory_words};
+                                   b.peak_memory_words};
   out.metrics.whiteboard_reads = whiteboard_reads;
   out.metrics.whiteboard_writes = whiteboard_writes;
   out.metrics.whiteboards_used = whiteboards_used;

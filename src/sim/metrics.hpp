@@ -72,8 +72,9 @@ struct ScenarioRunResult {
   fault::FaultStats faults;
   std::vector<AgentRunStats> agents;  ///< size k, indexed by agent
 
-  /// Projects a k=2 scenario result onto the classic two-agent RunResult.
-  /// Requires agents.size() == 2.
+  /// Projects a k=2 scenario result onto the classic two-agent RunResult
+  /// (a k=1 result too, with agent b's counters at 0). Requires
+  /// agents.size() to be 1 or 2.
   [[nodiscard]] RunResult to_run_result() const;
 
   /// One-line human-readable outcome summary (for traces and examples).

@@ -108,8 +108,37 @@ void Scheduler::aim_view(std::size_t agent, AgentName name,
     view.arrival_port_ = arrival;
 }
 
-void Scheduler::verify_occupancy(std::size_t k,
-                                 std::uint64_t threshold) const {
+bool Scheduler::occupancy_gathered(std::size_t k, std::uint64_t threshold,
+                                   std::size_t& pair_a,
+                                   std::size_t& pair_b) const {
+  if (at_threshold_ == 0) return false;
+  // Recover the canonical pair the pairwise oracle would report: the
+  // minimal index satisfying either predicate form is the same agent (the
+  // lowest index on a gathered vertex sees its full count).
+  pair_a = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (occ_[pos_[i]] >= threshold) {
+      pair_a = i;
+      break;
+    }
+  }
+  pair_b = pair_a;
+  if (threshold == k) {
+    pair_b = k - 1;  // all-meet: everyone shares the vertex
+  } else {
+    for (std::size_t j = pair_a + 1; j < k; ++j) {
+      if (pos_[j] == pos_[pair_a]) {
+        pair_b = j;
+        break;
+      }
+    }
+  }
+  return true;
+}
+
+void Scheduler::verify_occupancy(std::size_t k, std::uint64_t threshold,
+                                 bool met, std::size_t pair_a,
+                                 std::size_t pair_b) const {
   std::uint64_t total = 0, at_threshold = 0;
   for (const auto count : occ_) {
     total += count;
@@ -125,6 +154,16 @@ void Scheduler::verify_occupancy(std::size_t k,
     FNR_CHECK_MSG(occ_[pos_[i]] >= 1,
                   "occupancy self-check: agent " << i
                                                  << "'s vertex has count 0");
+  std::size_t oracle_a = 0, oracle_b = 0;
+  const bool oracle_met =
+      gathered_threshold(pos_.data(), k, threshold, oracle_a, oracle_b);
+  FNR_CHECK_MSG(oracle_met == met, "occupancy self-check: counts say met="
+                                       << met << ", the pairwise oracle "
+                                       << oracle_met);
+  FNR_CHECK_MSG(!met || (oracle_a == pair_a && oracle_b == pair_b),
+                "occupancy self-check: counts give pair ("
+                    << pair_a << ", " << pair_b << "), the oracle ("
+                    << oracle_a << ", " << oracle_b << ")");
 }
 
 RunResult Scheduler::run(Agent& agent_a, Agent& agent_b, Placement placement,
@@ -133,14 +172,26 @@ RunResult Scheduler::run(Agent& agent_a, Agent& agent_b, Placement placement,
   Agent* const agents[2] = {&agent_a, &agent_b};
   const graph::VertexIndex starts[2] = {placement.a_start, placement.b_start};
   return run_rounds(agents, starts, {}, Gathering::AnyPair, max_rounds,
-                    nullptr)
+                    nullptr, /*until_halted=*/false)
       .to_run_result();
+}
+
+RunResult Scheduler::run_single(Agent& agent, graph::VertexIndex start,
+                                std::uint64_t max_rounds) {
+  // Reliable like run; no partner, so the run ends on halted() or the cap.
+  Agent* const agents[1] = {&agent};
+  RunResult result = run_rounds(agents, {&start, 1}, {}, Gathering::AnyPair,
+                                max_rounds, nullptr, /*until_halted=*/true)
+                         .to_run_result();
+  result.meeting_vertex = pos_[0];  // final position (no partner to meet)
+  return result;
 }
 
 ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
                                           const ScenarioPlacement& placement,
                                           Gathering gathering,
-                                          std::uint64_t max_rounds) {
+                                          std::uint64_t max_rounds,
+                                          fault::FaultSession* faults) {
   const std::size_t k = agents.size();
   FNR_CHECK_MSG(k >= 2, "a scenario needs at least two agents, got " << k);
   FNR_CHECK_MSG(placement.starts.size() == k,
@@ -151,7 +202,7 @@ ScenarioRunResult Scheduler::run_scenario(const std::vector<Agent*>& agents,
       "wake_delays must be empty or one per agent");
   const ScenarioRunResult& result =
       run_rounds(agents, placement.starts, placement.wake_delays, gathering,
-                 max_rounds, faults_);
+                 max_rounds, faults, /*until_halted=*/false);
   FNR_TRACE("scenario finished: " << result.describe());
   return result;
 }
@@ -160,7 +211,8 @@ const ScenarioRunResult& Scheduler::run_rounds(
     std::span<Agent* const> agents,
     std::span<const graph::VertexIndex> starts,
     std::span<const std::uint64_t> wake_delays, Gathering gathering,
-    std::uint64_t max_rounds, fault::FaultSession* faults) {
+    std::uint64_t max_rounds, fault::FaultSession* faults,
+    bool until_halted) {
   const std::size_t k = agents.size();
   for (std::size_t i = 0; i < k; ++i) {
     FNR_CHECK(agents[i] != nullptr);
@@ -220,48 +272,23 @@ const ScenarioRunResult& Scheduler::run_rounds(
   const std::uint64_t wb_writes0 = boards_.writes();
 
   for (std::uint64_t round = 0; round <= max_rounds; ++round) {
-    bool met_now;
-    if (occupancy) {
-      if (self_check_) verify_occupancy(k, threshold);
-      met_now = at_threshold_ > 0;
-      if (met_now) {
-        // Recover the canonical pair the pairwise oracle would report: the
-        // minimal index satisfying either predicate form is the same agent
-        // (the lowest index on a gathered vertex sees its full count).
-        std::size_t pair_a = 0;
-        for (std::size_t i = 0; i < k; ++i) {
-          if (occ_[pos_[i]] >= threshold) {
-            pair_a = i;
-            break;
-          }
-        }
-        std::size_t pair_b = pair_a;
-        if (threshold == k) {
-          pair_b = k - 1;  // all-meet: everyone shares the vertex
-        } else {
-          for (std::size_t j = pair_a + 1; j < k; ++j) {
-            if (pos_[j] == pos_[pair_a]) {
-              pair_b = j;
-              break;
-            }
-          }
-        }
-        result.meeting_agent_a = pair_a;
-        result.meeting_agent_b = pair_b;
-      }
-    } else {
-      met_now = gathered_threshold(pos_.data(), k, threshold,
-                                   result.meeting_agent_a,
-                                   result.meeting_agent_b);
-    }
+    std::size_t pair_a = 0, pair_b = 0;
+    const bool met_now =
+        occupancy
+            ? occupancy_gathered(k, threshold, pair_a, pair_b)
+            : gathered_threshold(pos_.data(), k, threshold, pair_a, pair_b);
+    if (self_check_) verify_occupancy(k, threshold, met_now, pair_a, pair_b);
     if (met_now) {
       result.met = true;
       result.meeting_round = round;
-      result.meeting_vertex = pos_[result.meeting_agent_a];
+      result.meeting_agent_a = pair_a;
+      result.meeting_agent_b = pair_b;
+      result.meeting_vertex = pos_[pair_a];
       result.gathered_count = count_at(pos_, result.meeting_vertex);
       break;
     }
     if (round == max_rounds) break;  // budget exhausted without gathering
+    if (until_halted && run_agents_[0]->halted()) break;  // run_single's end
     result.rounds = round + 1;
 
     // wb-wipe: one opportunity per round, before anyone observes or acts.
@@ -368,49 +395,6 @@ const ScenarioRunResult& Scheduler::run_rounds(
   result.whiteboard_writes = boards_.writes() - wb_writes0;
   result.whiteboards_used = boards_.used_boards();
   if (faults != nullptr) result.faults = faults->stats;
-  return result;
-}
-
-RunResult Scheduler::run_single(Agent& agent, graph::VertexIndex start,
-                                std::uint64_t max_rounds) {
-  FNR_CHECK(start < graph_.num_vertices());
-  ensure_arena(1);
-  views_[0].faults_ = nullptr;  // reliable, like Scheduler::run
-
-  RunResult result;
-  graph::VertexIndex pos = start;
-  std::uint32_t arrival_port = kNoArrival;
-
-  const std::uint64_t wb_reads0 = boards_.reads();
-  const std::uint64_t wb_writes0 = boards_.writes();
-
-  for (std::uint64_t round = 0; round < max_rounds; ++round) {
-    if (agent.halted()) break;
-    result.metrics.rounds = round + 1;
-
-    aim_view(0, AgentName::A, round, pos, arrival_port);
-    const Action action = agent.step(views_[0]);
-    result.metrics.peak_memory_words[0] =
-        std::max(result.metrics.peak_memory_words[0], agent.memory_words());
-
-    if (action.whiteboard_write.has_value()) {
-      FNR_CHECK_MSG(model_.whiteboards,
-                    "agent wrote a whiteboard in a whiteboard-free model");
-      boards_.write(pos, *action.whiteboard_write);
-    }
-    if (action.move_port == Action::kStay) {
-      arrival_port = kNoArrival;
-    } else {
-      const graph::VertexIndex from = pos;
-      pos = graph_.neighbor_at_port(from, action.move_port);
-      arrival_port = graph_.reverse_ports(from)[action.move_port];
-      ++result.metrics.moves[0];
-    }
-  }
-  result.meeting_vertex = pos;  // final position (no partner to meet)
-  result.metrics.whiteboard_reads = boards_.reads() - wb_reads0;
-  result.metrics.whiteboard_writes = boards_.writes() - wb_writes0;
-  result.metrics.whiteboards_used = boards_.used_boards();
   return result;
 }
 

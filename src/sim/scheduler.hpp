@@ -1,4 +1,4 @@
-// Synchronous execution of k >= 2 agents on a graph (paper §2.1-2.2,
+// Synchronous execution of k agents on a graph (paper §2.1-2.2,
 // generalized into a scenario engine).
 //
 // Round structure: at the beginning of each round the gathering predicate is
@@ -8,7 +8,10 @@
 // Action (optional whiteboard write at its current vertex, then stay/move),
 // and all actions are applied simultaneously. Note the paper's convention
 // means agents that *cross* on an edge do not meet — only co-location at a
-// round boundary counts.
+// round boundary counts. The paper's model has this one round rule, and
+// the Scheduler codes it once: run (two agents), run_scenario (k agents)
+// and run_single (one agent, until it halts) all run one private round
+// loop, set up only by their arguments.
 //
 // Delayed start: each agent may carry a wake delay (rounds it sleeps at its
 // start vertex before its program runs). A sleeping agent is physically
@@ -17,8 +20,7 @@
 // reads 0 on the agent's first awake round), so programs that schedule
 // against view.round() run unmodified on their own clock. A k=2, zero-delay,
 // fault-free scenario is exactly the paper's synchronous two-agent model:
-// Scheduler::run and run_scenario share one round loop, and run is its k=2
-// projection.
+// run is the round loop's k=2 projection.
 //
 // Determinism and tie-breaking: within one round every per-agent stage —
 // observation/step, whiteboard writes, movement — walks agents in index
@@ -46,13 +48,15 @@
 // warm arena, never in lock step.
 //
 // Meeting detection: every gathering predicate is a per-vertex co-location
-// threshold (Gathering::threshold), and run_scenario can evaluate it two
-// ways. The pairwise oracle scans positions in O(k^2) per round; the
-// occupancy path maintains per-vertex agent counts plus a count of vertices
-// at/above the threshold incrementally, so a round boundary costs O(1) and
-// each move O(1) — the massive-k path. Both report byte-identical results
-// (meeting round/vertex/pair and all metrics); tests/test_swarm_differential
-// enforces that.
+// threshold (Gathering::threshold), evaluated one of two ways chosen from
+// the agent count alone. Up to 8 agents the pairwise oracle scans positions
+// in O(k^2) per round; above 8 the occupancy path maintains per-vertex
+// agent counts plus a count of vertices at/above the threshold
+// incrementally, so a round boundary costs O(1) and each move O(1) — the
+// massive-k path. Both report byte-identical results (meeting round/vertex/
+// pair and all metrics): with set_occupancy_self_check on, every run keeps
+// the counts at any k and checks them against the oracle each round
+// (tests/test_swarm_differential, tests/test_swarm_fuzzer).
 #pragma once
 
 #include <cstdint>
@@ -69,18 +73,6 @@
 #include "util/rng.hpp"
 
 namespace fnr::sim {
-
-/// How Scheduler::run_scenario evaluates the gathering predicate. The two
-/// concrete modes are byte-identical in every observable; Auto picks
-/// occupancy above a small-k cutover where the O(k^2) scan starts to lose.
-enum class MeetingDetection {
-  Auto,       ///< pairwise at small k, occupancy above the cutover
-  Pairwise,   ///< O(k^2)-per-round position scan (the oracle)
-  Occupancy,  ///< incremental per-vertex counts, O(moves) per round
-};
-
-/// The agent count above which Auto switches to occupancy counting.
-inline constexpr std::size_t kOccupancyAutoCutover = 8;
 
 /// Initial placement of the two agents.
 struct Placement {
@@ -128,14 +120,19 @@ class Scheduler {
   /// placement.delay_of(i) rounds) on placement.starts[i]; the run ends when
   /// `gathering` holds at a round boundary or after `max_rounds` rounds.
   /// Agent 0 is named a, agents 1..k-1 are named b (the paper's asymmetric
-  /// role split). Agents must be freshly constructed.
+  /// role split). Agents must be freshly constructed. `faults` (null = the
+  /// reliable model) injects faults into this run only; it is read only
+  /// during the call.
   [[nodiscard]] ScenarioRunResult run_scenario(
       const std::vector<Agent*>& agents, const ScenarioPlacement& placement,
-      Gathering gathering, std::uint64_t max_rounds);
+      Gathering gathering, std::uint64_t max_rounds,
+      fault::FaultSession* faults = nullptr);
 
-  /// Runs a single agent (as agent a) until it reports halted() or the cap.
-  /// Used for exploration measurements and for exercising sub-protocols
-  /// (e.g. Construct) without a partner ending the run early.
+  /// Runs a single agent (as agent a) until it reports halted() or the cap:
+  /// the round loop's k=1 case, fault-free. Used for exploration
+  /// measurements and for exercising sub-protocols (e.g. Construct) without
+  /// a partner ending the run early. meeting_vertex is the agent's final
+  /// position (there is no partner to meet); agent b's counters read 0.
   [[nodiscard]] RunResult run_single(Agent& agent, graph::VertexIndex start,
                                      std::uint64_t max_rounds);
 
@@ -144,29 +141,12 @@ class Scheduler {
   /// The computational model runs execute under.
   [[nodiscard]] const Model& model() const noexcept { return model_; }
 
-  /// Arms subsequent run_scenario calls with a fault session (null
-  /// disarms; the session must outlive those runs). With no session the
-  /// round loop is bit-identical to a build without the fault layer — the
-  /// only residue is one pointer null-check per agent-round — and the
-  /// golden / allocation-guard contracts are measured in that state.
-  /// Scheduler::run and run_single (the paper's reliable two-agent model)
-  /// never inject regardless of the session.
-  void set_fault_session(fault::FaultSession* session) noexcept {
-    faults_ = session;
-  }
-
-  /// Selects the meeting-detection mode of subsequent run / run_scenario calls
-  /// (default Auto). The modes are byte-identical in every observable —
-  /// this is a throughput lever and a differential-test hook, never a
-  /// semantic switch.
-  void set_meeting_detection(MeetingDetection detection) noexcept {
-    detection_ = detection;
-  }
-
-  /// Test hook: when enabled, occupancy-mode rounds re-derive the counts
-  /// from scratch at every round boundary and CheckError on any divergence
-  /// (counts summing to k, threshold counter consistent). O(n) per round —
-  /// never enable outside tests.
+  /// Differential test hook: when enabled, every later run keeps occupancy
+  /// counts at any k and, at each round boundary, recounts them from the
+  /// positions and runs the pairwise oracle, throwing CheckError on any
+  /// difference (count total, threshold counter, met, meeting pair). The
+  /// reported answer is the same either way. O(n + k^2) per round — never
+  /// enable outside tests.
   void set_occupancy_self_check(bool enabled) noexcept {
     self_check_ = enabled;
   }
@@ -176,16 +156,21 @@ class Scheduler {
   /// blocked move).
   static constexpr std::uint32_t kNoArrival = 0xFFFFFFFFu;
 
-  /// The round loop behind run and run_scenario: agents[i] starts on
-  /// starts[i], asleep for wake_delays[i] rounds (empty = none), until
-  /// `gathering` holds at a round boundary or after `max_rounds` rounds,
-  /// injecting faults from `faults` (null = the reliable model). Returns
-  /// result_, valid until the next run.
+  /// Runs of more agents than this count occupancy instead of scanning pairs.
+  static constexpr std::size_t kOccupancyAutoCutover = 8;
+
+  /// The one round loop, behind run, run_scenario and run_single:
+  /// agents[i] starts on starts[i], asleep for wake_delays[i] rounds
+  /// (empty = none), until `gathering` holds at a round boundary, after
+  /// `max_rounds` rounds, or — with `until_halted`, which only run_single
+  /// sets — once agents[0] reports halted(). Injects faults from `faults`
+  /// (null = the reliable model). Returns result_, valid until the next run.
   [[nodiscard]] const ScenarioRunResult& run_rounds(
       std::span<Agent* const> agents,
       std::span<const graph::VertexIndex> starts,
       std::span<const std::uint64_t> wake_delays, Gathering gathering,
-      std::uint64_t max_rounds, fault::FaultSession* faults);
+      std::uint64_t max_rounds, fault::FaultSession* faults,
+      bool until_halted);
 
   /// Grows the per-agent arena to `k` slots and resets the per-run state,
   /// whiteboards included (positions untouched — callers seed them).
@@ -198,20 +183,24 @@ class Scheduler {
   void aim_view(std::size_t agent, AgentName name, std::uint64_t local_round,
                 graph::VertexIndex here, std::uint32_t arrival);
 
-  /// Whether run_scenario with `k` agents uses occupancy counting.
+  /// Whether a run with `k` agents uses occupancy counting.
   [[nodiscard]] bool use_occupancy(std::size_t k) const noexcept {
-    return detection_ == MeetingDetection::Occupancy ||
-           (detection_ == MeetingDetection::Auto && k > kOccupancyAutoCutover);
+    return self_check_ || k > kOccupancyAutoCutover;
   }
 
-  /// O(n + k) recount of occ_ / at_threshold_ against pos_ (self-check).
-  void verify_occupancy(std::size_t k, std::uint64_t threshold) const;
+  /// The occupancy path's meeting check, filling the oracle's pair on success.
+  [[nodiscard]] bool occupancy_gathered(std::size_t k, std::uint64_t threshold,
+                                        std::size_t& pair_a,
+                                        std::size_t& pair_b) const;
+
+  /// The self-check: CheckError unless recounts of occ_ / at_threshold_ and
+  /// the pairwise oracle agree with this round's occupancy answer.
+  void verify_occupancy(std::size_t k, std::uint64_t threshold, bool met,
+                        std::size_t pair_a, std::size_t pair_b) const;
 
   const graph::Graph& graph_;
   Model model_;
   Whiteboards boards_;  // re-sized by ensure_arena if graph_'s n changes
-  fault::FaultSession* faults_ = nullptr;  // non-owning; null = reliable
-  MeetingDetection detection_ = MeetingDetection::Auto;
   bool self_check_ = false;
 
   // --- per-run arena (reused across runs; zero-allocation after warm-up) ---

@@ -142,8 +142,9 @@ class Agent {
   /// the resource experiment (paper claims O(n log n) bits suffice).
   [[nodiscard]] virtual std::size_t memory_words() const { return 0; }
 
-  /// Single-agent runs (Scheduler::run_single) stop when this turns true;
-  /// ignored in two-agent runs (those end at rendezvous).
+  /// Scheduler::run_single (the round loop's k=1 case) ends the run at the
+  /// first round boundary where this is true; runs of two or more agents
+  /// never read it (they end at gathering or the cap).
   [[nodiscard]] virtual bool halted() const { return false; }
 };
 

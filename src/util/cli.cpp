@@ -89,7 +89,7 @@ int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
     return body(argc, argv);
   } catch (const CheckError& error) {
     std::cerr << error.what() << "\n";
-    return 2;
+    return 1;
   }
 }
 

@@ -57,8 +57,9 @@ class Cli {
 };
 
 /// A binary's main(): runs `body`, turning a CheckError (bad flags, a
-/// degenerate configuration) into its message on stderr and exit code 2
-/// instead of an abort through std::terminate.
+/// degenerate configuration) into its message on stderr and exit code 1
+/// (the code sweep, fnrd and fnrc exit with on bad input) instead of an
+/// abort through std::terminate.
 [[nodiscard]] int guarded_main(int argc, char** argv,
                                int (*body)(int, char**));
 

@@ -5,7 +5,7 @@
 # code, never abort. With STDOUT_MATCH, stdout must contain it too (the
 # `--help` smokes, which exit 0 and print usage to stdout).
 #
-#   cmake -DCMD="bin;--flag" -DEXPECT=2 -DMATCH=text [-DREJECT=text]
+#   cmake -DCMD="bin;--flag" -DEXPECT=1 -DMATCH=text [-DREJECT=text]
 #         [-DSTDOUT_MATCH=text] -P expect_exit_code.cmake
 execute_process(COMMAND ${CMD} RESULT_VARIABLE code OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)

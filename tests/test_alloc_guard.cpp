@@ -122,31 +122,31 @@ TEST(AllocGuard, ScenarioRoundLoopIsAllocationFree) {
 
 TEST(AllocGuard, FaultLayerLeavesTheDisarmedHotPathAllocationFree) {
   // The fault hooks must be zero-cost when inactive: after a *faulty*
-  // scenario dirtied the arena, a scheduler with the session cleared must
-  // run the round loop without a single heap allocation — and produce the
-  // exact metrics of a scheduler that never saw a fault session at all.
+  // scenario dirtied the arena, a run given no session must go through the
+  // round loop without a single heap allocation — and produce the exact
+  // metrics of a scheduler that never saw a fault session at all.
   const auto g = guard_graph();
   sim::Scheduler scheduler(g, sim::Model::full());
 
   sim::ScenarioPlacement placement;
   placement.starts = {0, 7, 21};
-  const auto scribes_run = [&](sim::Scheduler& s, std::uint64_t cap) {
+  const auto scribes_run = [&](sim::Scheduler& s, std::uint64_t cap,
+                               fault::FaultSession* faults = nullptr) {
     CampingScribe agents[3];
     const std::vector<sim::Agent*> team = {&agents[0], &agents[1],
                                            &agents[2]};
-    return s.run_scenario(team, placement, sim::Gathering::AnyPair, cap);
+    return s.run_scenario(team, placement, sim::Gathering::AnyPair, cap,
+                          faults);
   };
 
   // Dirty the arena with an active session (stationary scribes tolerate
   // crashes of nobody: arm only whiteboard faults, which need no reviver).
   auto plan = fault::FaultPlan::parse("wb-drop?rate=0.5+wb-wipe?rate=0.25");
   fault::FaultSession session(plan, Rng(9, 21));
-  scheduler.set_fault_session(&session);
-  const auto faulty = scribes_run(scheduler, 64);
-  scheduler.set_fault_session(nullptr);
+  const auto faulty = scribes_run(scheduler, 64, &session);
   ASSERT_GT(faulty.faults.writes_dropped, 0u);
 
-  (void)scribes_run(scheduler, 8);  // disarmed warm-up
+  (void)scribes_run(scheduler, 8);  // fault-free warm-up
   const auto counted = [&](std::uint64_t cap) {
     CampingScribe agents[3];
     const std::vector<sim::Agent*> team = {&agents[0], &agents[1],
@@ -159,10 +159,10 @@ TEST(AllocGuard, FaultLayerLeavesTheDisarmedHotPathAllocationFree) {
     return after - before;
   };
   EXPECT_EQ(counted(64), counted(4096))
-      << "disarmed fault hooks heap-allocate per round";
+      << "idle fault hooks heap-allocate per round";
 
-  // And the disarmed scheduler's runs are indistinguishable from a
-  // scheduler that never had a session installed.
+  // And the fault-free runs are indistinguishable from those of a
+  // scheduler that never ran with a session.
   sim::Scheduler untouched(g, sim::Model::full());
   const auto ours = scribes_run(scheduler, 256);
   const auto theirs = scribes_run(untouched, 256);
@@ -279,28 +279,35 @@ void expect_same_run(const sim::RunResult& x, const sim::RunResult& y) {
   EXPECT_EQ(x.metrics.whiteboards_used, y.metrics.whiteboards_used);
 }
 
-TEST(SchedulerArena, PairRunNeverInjectsFaults) {
-  // Scheduler::run is the paper's reliable model: an armed session (every
-  // agent crashes, every write drops) must neither change the run nor
-  // fire a single fault.
+TEST(SchedulerArena, PairRunAfterAFaultyScenarioIsBitExact) {
+  // Scheduler::run is the paper's reliable model: on an arena that just
+  // ran a faulty scenario (every write dropped, every board wiped) it must
+  // take exactly the run of a scheduler that never saw a fault.
   const auto g = guard_graph();
   const auto run_probe = [&](sim::Scheduler& scheduler) {
     ProbeAgent a, b;
     return scheduler.run(a, b, {3, 40}, 777);
   };
 
-  auto plan = fault::FaultPlan::parse("crash?rate=1+wb-drop?rate=1");
+  auto plan = fault::FaultPlan::parse("wb-drop?rate=1+wb-wipe?rate=1");
   fault::FaultSession session(plan, Rng(9, 21));
-  sim::Scheduler armed(g, sim::Model::full());
-  armed.set_fault_session(&session);
+  sim::Scheduler faulted(g, sim::Model::full());
+  {
+    CampingScribe agents[3];
+    sim::ScenarioPlacement trio;
+    trio.starts = {0, 7, 21};
+    const auto faulty =
+        faulted.run_scenario({&agents[0], &agents[1], &agents[2]}, trio,
+                             sim::Gathering::AnyPair, 32, &session);
+    ASSERT_GT(faulty.faults.writes_dropped, 0u);
+  }
   sim::Scheduler reliable(g, sim::Model::full());
 
-  const auto got = run_probe(armed);
+  const auto got = run_probe(faulted);
   const auto expected = run_probe(reliable);
   expect_same_run(got, expected);
   EXPECT_EQ(got.metrics.peak_memory_words, expected.metrics.peak_memory_words);
   EXPECT_GT(got.metrics.whiteboard_writes, 0u);
-  EXPECT_FALSE(session.stats.any()) << "Scheduler::run injected a fault";
 }
 
 TEST(SchedulerArena, ReusedArenaIsBitExact) {

@@ -322,15 +322,13 @@ TEST(ExploreRally, MatchesHashMapReferenceUnderChurn) {
     sim::Scheduler scheduler(g, sim::Model::full());
     const auto plan = fault::FaultPlan::parse("churn?rate=0.2");
     fault::FaultSession session(plan, Rng(5, 9));
-    scheduler.set_fault_session(&session);
     LockStepGather agents[3];
     sim::ScenarioPlacement placement;
     const auto n = static_cast<graph::VertexIndex>(g.num_vertices());
     placement.starts = {1, n / 2, n - 2};
     const auto result = scheduler.run_scenario(
         {&agents[0], &agents[1], &agents[2]}, placement,
-        sim::Gathering::quorum_of(4), 40 * n);
-    scheduler.set_fault_session(nullptr);
+        sim::Gathering::quorum_of(4), 40 * n, &session);
     EXPECT_GT(result.faults.moves_blocked, 0u) << name;
     for (const auto& agent : agents) {
       EXPECT_EQ(agent.mismatches, 0u)
@@ -365,14 +363,12 @@ TEST(ExploreRally, MatchesHashMapReferenceAcrossCrashRevivals) {
         current[slot] = &instances.emplace_back();
         return current[slot];
       };
-      scheduler.set_fault_session(&session);
       sim::ScenarioPlacement placement;
       const auto n = static_cast<graph::VertexIndex>(g.num_vertices());
       placement.starts = {1, n / 2, n - 2};
       const auto result = scheduler.run_scenario(
           {current[0], current[1], current[2]}, placement,
-          sim::Gathering::quorum_of(4), 40 * n);
-      scheduler.set_fault_session(nullptr);
+          sim::Gathering::quorum_of(4), 40 * n, &session);
       EXPECT_GT(result.faults.restarts, 0u);
       EXPECT_EQ(instances.size(), 3 + result.faults.restarts);
       for (const auto& agent : instances)

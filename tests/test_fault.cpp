@@ -253,7 +253,6 @@ TEST(FaultScenario, CrashWithoutReviverIsACheckError) {
   sim::Scheduler scheduler(g, sim::Model::full());
   auto plan = fault::FaultPlan::parse("crash?rate=1&downtime=1");
   fault::FaultSession session(plan, Rng(1, 2));
-  scheduler.set_fault_session(&session);
   class Pacer final : public sim::Agent {
    public:
     sim::Action step(const sim::View&) override {
@@ -264,9 +263,9 @@ TEST(FaultScenario, CrashWithoutReviverIsACheckError) {
   sim::ScenarioPlacement placement;
   placement.starts = {0, 1};
   EXPECT_THROW((void)scheduler.run_scenario({&a, &b}, placement,
-                                            sim::Gathering::AnyPair, 50),
+                                            sim::Gathering::AnyPair, 50,
+                                            &session),
                CheckError);
-  scheduler.set_fault_session(nullptr);
 }
 
 TEST(FaultScenario, WhiteboardDropsWipesAndStaleReadsBite) {
@@ -316,11 +315,9 @@ TEST(FaultScenario, StaleReadsObserveBottomOverAStoredValue) {
   sim::Scheduler scheduler(g, sim::Model::full());
   auto plan = fault::FaultPlan::parse("wb-stale?rate=1");
   fault::FaultSession session(plan, Rng(3, 4));
-  scheduler.set_fault_session(&session);
   WriteThenRead a, b;
   const auto faulty = scheduler.run_scenario(
-      {&a, &b}, placement, sim::Gathering::AnyPair, 5);
-  scheduler.set_fault_session(nullptr);
+      {&a, &b}, placement, sim::Gathering::AnyPair, 5, &session);
   EXPECT_EQ(a.saw_value + b.saw_value, 0u);
   EXPECT_GT(faulty.faults.stale_reads, 0u);
   EXPECT_EQ(faulty.faults.stale_reads, a.saw_bottom + b.saw_bottom);

@@ -328,15 +328,13 @@ TEST(ScriptedAgentChurn, BlockedHopIsRetriedOnItsPort) {
   Scheduler scheduler(g, Model::full());
   const auto plan = fault::FaultPlan::parse("churn?rate=1&skip=1&count=3");
   fault::FaultSession session(plan, Rng(1, 2));
-  scheduler.set_fault_session(&session);
   OutAndBack walker;
   Recorder recorder(walker);
   StillAgent still;
   ScenarioPlacement placement;
   placement.starts = {0, 6};
   const auto result = scheduler.run_scenario({&recorder, &still}, placement,
-                                              Gathering::AnyPair, 8);
-  scheduler.set_fault_session(nullptr);
+                                              Gathering::AnyPair, 8, &session);
   EXPECT_EQ(result.faults.moves_blocked, 3u);
   const graph::VertexId out = g.neighbor_ids(0)[0];
   const std::size_t back = g.reverse_ports(0)[0];
@@ -374,16 +372,14 @@ TEST(ScriptedAgentChurn, WhiteboardAgentBStaysInItsClosedNeighborhood) {
   Scheduler scheduler(g, Model::full());
   const auto plan = fault::FaultPlan::parse("churn?rate=0.5");
   fault::FaultSession session(plan, Rng(5, 2));
-  scheduler.set_fault_session(&session);
   core::WhiteboardAgentB agent_b(Rng(7, 1));
   Recorder recorder(agent_b);
   StillAgent still;
   ScenarioPlacement placement;
   placement.starts = {0, 0};
   placement.starts[1] = g.num_vertices() - 1;
-  const auto result = scheduler.run_scenario({&recorder, &still}, placement,
-                                              Gathering::AnyPair, 400);
-  scheduler.set_fault_session(nullptr);
+  const auto result = scheduler.run_scenario(
+      {&recorder, &still}, placement, Gathering::AnyPair, 400, &session);
   EXPECT_GT(result.faults.moves_blocked, 0u);
   const auto home = g.neighbor_ids(0);
   std::size_t away = 0, blocked_returns = 0;

@@ -219,6 +219,18 @@ TEST(Scheduler, RunSingleStopsAtHalt) {
   const auto result = scheduler.run_single(agent, 0, 100);
   EXPECT_EQ(result.metrics.rounds, 4u);
   EXPECT_EQ(result.metrics.moves[0], 4u);
+  // No partner: never met, b's counters read 0, and meeting_vertex is
+  // where the agent stopped.
+  EXPECT_FALSE(result.met);
+  EXPECT_EQ(result.metrics.moves[1], 0u);
+  EXPECT_EQ(result.metrics.peak_memory_words[1], 0u);
+  graph::VertexIndex at = 0;
+  for (int step = 0; step < 4; ++step) at = g.neighbor_at_port(at, 0);
+  EXPECT_EQ(result.meeting_vertex, at);
+
+  // The cap ends a run whose agent has not halted yet.
+  HaltAfter slow(10);
+  EXPECT_EQ(scheduler.run_single(slow, 0, 3).metrics.rounds, 3u);
 }
 
 TEST(Scheduler, MetricsCountWhiteboardTraffic) {

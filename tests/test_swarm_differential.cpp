@@ -1,11 +1,13 @@
-// Differential battery for the swarm meeting engine: occupancy-count
-// detection must be byte-identical to the pairwise oracle — per-trial
-// outcomes AND merged aggregates — for every builtin scenario at
-// k ∈ {2, 3, 5, 17}, on 1 and 4 runner threads, and on fault-active cells.
-// The pairwise scan is the reference implementation the paper's semantics
-// are written against; occupancy counting is the O(moves) production path
-// above the Auto cutover, so any divergence here is a correctness bug, not
-// noise.
+// Differential battery for the swarm meeting engine: the scheduler picks
+// the pairwise oracle up to 8 agents and occupancy counting above, and its
+// self-check (set_occupancy_self_check) keeps the counts at every k and
+// compares them with the oracle at each round boundary, throwing on any
+// difference. Each trial here runs on a scratch with the self-check on,
+// for every builtin scenario at k ∈ {2, 3, 5, 8, 9, 17} (8 and 9 straddle
+// the engine switch) and on fault-active cells; the checked outcomes must
+// equal run_scenario_trials' — field for field, and in the merged
+// aggregate — on 1 and 4 runner threads. Any divergence is a correctness
+// bug, not noise.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,6 +26,8 @@
 namespace fnr {
 namespace {
 
+constexpr std::uint64_t kTrials = 3;
+
 bool outcomes_equal(const runner::TrialOutcome& x,
                     const runner::TrialOutcome& y) {
   return x.trial == y.trial && x.seed == y.seed && x.met == y.met &&
@@ -34,20 +38,47 @@ bool outcomes_equal(const runner::TrialOutcome& x,
          std::memcmp(&x.faults, &y.faults, sizeof x.faults) == 0;
 }
 
-/// Runs one (scenario, program) cell and returns the accumulator.
-runner::TrialAccumulator run_cell(const scenario::Scenario& scen,
-                                  const scenario::Program& program,
-                                  const graph::Graph& g,
-                                  sim::MeetingDetection detection,
-                                  unsigned threads,
-                                  const fault::FaultPlan& fault = {}) {
+scenario::ScenarioOptions cell_options(const fault::FaultPlan& fault) {
   scenario::ScenarioOptions options;
   options.seed = 4711;
-  options.detection = detection;
   options.fault = fault;
+  return options;
+}
+
+/// The cell's trials the way run_scenario_trial_span draws them (trial t on
+/// trial_seed(seed, t), its instance from stream 11), one after another on
+/// one scratch whose scheduler has the self-check on.
+runner::TrialAccumulator checked_cell(const scenario::Scenario& scen,
+                                      const scenario::Program& program,
+                                      const graph::Graph& g,
+                                      const fault::FaultPlan& fault) {
+  const auto options = cell_options(fault);
+  sim::SchedulerScratch scratch;
+  scratch.scheduler_for(g, program.def().model).set_occupancy_self_check(true);
+  runner::TrialAccumulator acc;
+  for (std::uint64_t t = 0; t < kTrials; ++t) {
+    const std::uint64_t seed = runner::trial_seed(options.seed, t);
+    Rng instance_rng(seed, /*stream=*/11);
+    const auto placement = scenario::draw_instance(scen, g, instance_rng);
+    scenario::ScenarioOptions trial_options = options;
+    trial_options.seed = seed;
+    acc.add(scenario::to_outcome(
+        t, seed,
+        scenario::run_scenario(scen, program, g, placement, trial_options,
+                               scratch)
+            .run));
+  }
+  return acc;
+}
+
+/// The same cell through the trial runner (no self-check).
+runner::TrialAccumulator runner_cell(const scenario::Scenario& scen,
+                                     const scenario::Program& program,
+                                     const graph::Graph& g, unsigned threads,
+                                     const fault::FaultPlan& fault) {
   const runner::TrialRunner trial_runner(runner::RunnerOptions{threads});
-  return scenario::run_scenario_trials(scen, program, g, options,
-                                       /*n_trials=*/3, trial_runner);
+  return scenario::run_scenario_trials(scen, program, g, cell_options(fault),
+                                       kTrials, trial_runner);
 }
 
 /// Asserts `cell` is byte-identical to the reference accumulator: same
@@ -70,6 +101,19 @@ void expect_identical(const runner::TrialAccumulator& reference,
       << label << ": merged aggregates diverged";
 }
 
+/// Runs the cell with the self-check on (a CheckError fails the test) and
+/// asserts the trial runner's outcomes equal it at 1 and 4 threads.
+void expect_checked_cell(const scenario::Scenario& scen,
+                         const scenario::Program& program,
+                         const graph::Graph& g, const std::string& label,
+                         const fault::FaultPlan& fault = {}) {
+  const auto checked = checked_cell(scen, program, g, fault);
+  expect_identical(checked, runner_cell(scen, program, g, 1, fault),
+                   label + " 1t");
+  expect_identical(checked, runner_cell(scen, program, g, 4, fault),
+                   label + " 4t");
+}
+
 /// First registry program the capability masks accept for `scen`; null
 /// handle never escapes (the registry always has a universally-compatible
 /// program — explore-rally supports every gathering predicate).
@@ -84,14 +128,13 @@ scenario::Program program_for(const scenario::Scenario& scen) {
   throw std::logic_error("unreachable");
 }
 
-TEST(SwarmDifferential, OccupancyMatchesPairwiseForEveryBuiltinScenario) {
+TEST(SwarmDifferential, SelfCheckedTrialsMatchTheRunnerForEveryBuiltinScenario) {
   // Degree 20 so NeighborhoodCluster placements can host k = 17 (needs a
   // closed neighborhood of size >= k).
   const auto g = test::dense_graph(48, 12, 20);
   std::size_t cells = 0;
   for (const auto& builtin : scenario::all_scenarios()) {
-    for (const std::size_t k : {std::size_t{2}, std::size_t{3},
-                                std::size_t{5}, std::size_t{17}}) {
+    for (const std::size_t k : {2, 3, 5, 8, 9, 17}) {
       scenario::Scenario scen = builtin;
       scen.num_agents = k;
       try {
@@ -99,22 +142,8 @@ TEST(SwarmDifferential, OccupancyMatchesPairwiseForEveryBuiltinScenario) {
       } catch (const CheckError&) {
         continue;
       }
-      const auto program = program_for(scen);
-      const auto reference =
-          run_cell(scen, program, g, sim::MeetingDetection::Pairwise, 1);
-      const std::string label = builtin.name + " k=" + std::to_string(k);
-      expect_identical(
-          reference,
-          run_cell(scen, program, g, sim::MeetingDetection::Occupancy, 1),
-          label + " occupancy/1t");
-      expect_identical(
-          reference,
-          run_cell(scen, program, g, sim::MeetingDetection::Occupancy, 4),
-          label + " occupancy/4t");
-      expect_identical(
-          reference,
-          run_cell(scen, program, g, sim::MeetingDetection::Pairwise, 4),
-          label + " pairwise/4t");
+      expect_checked_cell(scen, program_for(scen), g,
+                          builtin.name + " k=" + std::to_string(k));
       ++cells;
     }
   }
@@ -124,35 +153,30 @@ TEST(SwarmDifferential, OccupancyMatchesPairwiseForEveryBuiltinScenario) {
   EXPECT_GE(cells, 8u);
 }
 
-TEST(SwarmDifferential, FaultActiveCellsStayBitExactAcrossDetectionModes) {
-  // Fault sites draw from the session RNG in round order; the detection
-  // mode must not perturb a single draw. crash exercises agent removal /
+TEST(SwarmDifferential, FaultActiveCellsPassTheSelfCheck) {
+  // Fault sites draw from the session RNG in round order; the self-check
+  // must not perturb a single draw. crash exercises agent removal /
   // revival (occupancy unseed + reseed), wb-drop exercises the whiteboard
-  // path, churn exercises permanent leave.
+  // path, churn exercises permanent leave. k = 5 runs the pairwise engine,
+  // k = 9 the occupancy counts.
   const auto g = test::dense_graph(48, 12, 20);
-  scenario::Scenario scen = scenario::find_scenario("swarm-quorum");
-  scen.num_agents = 5;
-  scen.gathering = sim::Gathering::quorum_of(3);
-  scen.validate();
   const auto program = scenario::find_program("explore-rally");
-
-  for (const std::string plan_spec :
-       {"crash?rate=0.05&downtime=2", "wb-drop?rate=0.2",
-        "churn?rate=0.02"}) {
-    const auto plan = fault::FaultPlan::parse(plan_spec);
-    const auto reference = run_cell(scen, program, g,
-                                    sim::MeetingDetection::Pairwise, 1, plan);
-    // Faulted trials must still be doing work worth differencing: the plan
-    // parsed as active (rate-0 no-op plans are a different test's job).
-    ASSERT_TRUE(plan.active()) << plan_spec;
-    expect_identical(
-        reference,
-        run_cell(scen, program, g, sim::MeetingDetection::Occupancy, 1, plan),
-        plan_spec + " occupancy/1t");
-    expect_identical(
-        reference,
-        run_cell(scen, program, g, sim::MeetingDetection::Occupancy, 4, plan),
-        plan_spec + " occupancy/4t");
+  for (const std::size_t k : {5, 9}) {
+    scenario::Scenario scen = scenario::find_scenario("swarm-quorum");
+    scen.num_agents = k;
+    scen.gathering = sim::Gathering::quorum_of(3);
+    scen.validate();
+    for (const std::string plan_spec :
+         {"crash?rate=0.05&downtime=2", "wb-drop?rate=0.2",
+          "churn?rate=0.02"}) {
+      const auto plan = fault::FaultPlan::parse(plan_spec);
+      // Faulted trials must still be doing work worth differencing: the
+      // plan parsed as active (rate-0 no-op plans are a different test's
+      // job).
+      ASSERT_TRUE(plan.active()) << plan_spec;
+      expect_checked_cell(scen, program, g,
+                          plan_spec + " k=" + std::to_string(k), plan);
+    }
   }
 }
 

@@ -171,9 +171,10 @@ TEST(SwarmFuzzer, MaxScaleCellHoldsTheQuorumTwoIdentity) {
 
 TEST(SwarmFuzzer, OccupancySelfCheckRunsCleanOnRandomCells) {
   // set_occupancy_self_check recounts the occupancy array against agent
-  // positions every round (total == k, threshold counter exact) and throws
-  // on the first inconsistency — a clean run IS the assertion. Smaller k
-  // range: the recount is O(n + k) per round by design.
+  // positions every round (total == k, threshold counter exact), runs the
+  // pairwise oracle (met and meeting pair) and throws on the first
+  // difference — a clean run IS the assertion. Smaller k range: the check
+  // is O(n + k^2) per round by design.
   const auto g = graph::make_torus(16, 16);
   const auto program = scenario::find_program("explore-rally");
   Rng rng(kFuzzSeed, 3);
@@ -192,7 +193,6 @@ TEST(SwarmFuzzer, OccupancySelfCheckRunsCleanOnRandomCells) {
     scenario::ScenarioOptions options;
     options.seed = rng();
     options.max_rounds = kRoundBudget;
-    options.detection = sim::MeetingDetection::Occupancy;
     const auto report = scenario::run_scenario(scen, program, g, placement,
                                                options, scratch);
     // Self-check violations throw before we get here; sanity-check the run

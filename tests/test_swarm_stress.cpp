@@ -9,9 +9,11 @@
 //      the ROADMAP's 10^6 acceptance run).
 //   2. The swarm round loop is allocation-free after warm-up at k = 10^4:
 //      a 16x-longer run heap-allocates exactly as often as a short one.
-//   3. At k = 10^4, occupancy detection beats the pairwise oracle by >= 50x
-//      wall-clock on a workload where detection dominates (agents that
-//      never move, so the round loop is nothing but the meeting check).
+//   3. At k = 10^4, a run with the self-check off (occupancy counts only)
+//      beats the same run with it on (which adds the O(k^2) pairwise
+//      oracle every round) by >= 50x wall-clock, on a workload where
+//      detection dominates (agents that never move, so the round loop is
+//      nothing but the meeting check).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -122,7 +124,6 @@ TEST(SwarmStress, HundredThousandAgentTrialCompletesOnTorus1024) {
   const auto g = graph::make_torus(1024, 1024);  // 2^20 vertices
   ASSERT_LE(k, g.num_vertices());
   sim::Scheduler scheduler(g, sim::Model::no_whiteboards());
-  scheduler.set_meeting_detection(sim::MeetingDetection::Occupancy);
 
   std::deque<DrunkardAgent> agents;  // Agent is pinned (non-movable)
   std::vector<sim::Agent*> team;
@@ -157,7 +158,6 @@ TEST(SwarmStress, SwarmRoundLoopIsAllocationFreeAtTenThousandAgents) {
   constexpr std::size_t kAgents = 10000;
   const auto g = graph::make_torus(128, 128);  // 16384 vertices >= k
   sim::Scheduler scheduler(g, sim::Model::no_whiteboards());
-  scheduler.set_meeting_detection(sim::MeetingDetection::Occupancy);
   const auto placement = distinct_starts(g, kAgents, 97);
 
   const auto count_run = [&](std::uint64_t cap) {
@@ -183,27 +183,27 @@ TEST(SwarmStress, SwarmRoundLoopIsAllocationFreeAtTenThousandAgents) {
       << "swarm round loop heap-allocates per round at k=" << kAgents;
 }
 
-TEST(SwarmStress, OccupancyBeatsPairwiseFiftyFoldAtTenThousandAgents) {
+TEST(SwarmStress, OccupancyBeatsTheSelfCheckFiftyFoldAtTenThousandAgents) {
   REQUIRE_HEAVY();
   constexpr std::size_t kAgents = 10000;
   // Long enough that per-round detection dominates the fixed per-run setup
-  // (arena reset + per-agent metrics) both engines share.
+  // (arena reset + per-agent metrics) both runs share.
   constexpr std::uint64_t kRounds = 128;
   const auto g = graph::make_torus(128, 128);
   sim::Scheduler scheduler(g, sim::Model::no_whiteboards());
   auto placement = distinct_starts(g, kAgents, 97);
   // Every agent sleeps past the cap: sleeping agents still stand on their
   // vertices (they count toward the predicate) but never observe or act,
-  // so each round is the meeting check and nothing else — the cleanest
-  // head-to-head of the two detection engines.
+  // so each round is the meeting check and nothing else: the self-check's
+  // recount and pairwise scan against the occupancy counts alone.
   placement.wake_delays.assign(kAgents, kRounds + 1);
 
-  const auto timed_run = [&](sim::MeetingDetection detection) {
+  const auto timed_run = [&](bool self_check) {
     std::vector<StoneAgent> agents(kAgents);
     std::vector<sim::Agent*> team;
     team.reserve(kAgents);
     for (auto& agent : agents) team.push_back(&agent);
-    scheduler.set_meeting_detection(detection);
+    scheduler.set_occupancy_self_check(self_check);
     // Warm-up run outside the timed region (arena growth, cache faults).
     (void)scheduler.run_scenario(team, placement,
                                  sim::Gathering::quorum_of(2), 1);
@@ -218,16 +218,17 @@ TEST(SwarmStress, OccupancyBeatsPairwiseFiftyFoldAtTenThousandAgents) {
     return seconds;
   };
 
-  const double pairwise = timed_run(sim::MeetingDetection::Pairwise);
-  const double occupancy = timed_run(sim::MeetingDetection::Occupancy);
-  std::printf("[ HEAVY    ] k=%zu, %llu rounds: pairwise %.4fs, "
-              "occupancy %.6fs (%.1fx)\n",
-              kAgents, static_cast<unsigned long long>(kRounds), pairwise,
-              occupancy, pairwise / occupancy);
-  // The oracle scans O(k^2) pairs per round; occupancy pays O(1) per round
-  // plus O(1) per move (and stones never move). 50x is a deliberately
-  // conservative floor — the measured gap is orders of magnitude.
-  EXPECT_GE(pairwise, occupancy * 50.0);
+  const double checked = timed_run(true);
+  const double unchecked = timed_run(false);
+  std::printf("[ HEAVY    ] k=%zu, %llu rounds: self-check on %.4fs, "
+              "off %.6fs (%.1fx)\n",
+              kAgents, static_cast<unsigned long long>(kRounds), checked,
+              unchecked, checked / unchecked);
+  // The oracle scans O(k^2) pairs per round (the self-check's O(n + k)
+  // recount is small beside it); occupancy pays O(1) per round plus O(1)
+  // per move (and stones never move). 50x is a deliberately conservative
+  // floor — the measured gap is orders of magnitude.
+  EXPECT_GE(checked, unchecked * 50.0);
 }
 
 }  // namespace

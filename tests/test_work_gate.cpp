@@ -180,9 +180,8 @@ TEST(WorkGate, ExploreRallySwarmAtQuorum) {
   scen.validate();
   scenario::ScenarioOptions options;
   options.seed = kSeed;
-  // The cell exists to cover the occupancy-count meeting engine: pin the
-  // detection mode rather than trusting the Auto cutover.
-  options.detection = sim::MeetingDetection::Occupancy;
+  // The cell exists to cover the occupancy-count meeting engine, which
+  // every run above 8 agents uses.
   const auto program = scenario::find_program("explore-rally");
 
   const auto before = allocation_count();
